@@ -8,7 +8,6 @@ from .core import (
     StarkProfile,
     count_modes,
     make_plane_wave_mode,
-    stark_eval,
 )
 from .eit import EitConfig, EitRecord, eit_polariton, run_eit
 from .kspace import KSpaceRecord, k_centroid, phi_residual, polariton_norm, to_kspace
@@ -32,7 +31,6 @@ __all__ = [
     "PulseSpec",
     "make_plane_wave_mode",
     "count_modes",
-    "stark_eval",
     "FieldRecord",
     "NonFiniteFieldError",
     "run_gem",

@@ -21,7 +21,6 @@ __all__ = [
     "PulseSpec",
     "make_plane_wave_mode",
     "count_modes",
-    "stark_eval",
     "window_inner_product",
 ]
 
@@ -153,11 +152,6 @@ class StarkProfile:
     def offset_integral(self, t0: float, t1: float) -> float:
         """Integral of the readout offset indicator: delta * |[t0,t1] > switch|."""
         return self.delta_offset * max(0.0, t1 - max(t0, self.switch_time))
-
-
-def stark_eval(profile: StarkProfile, t):
-    """Stark slope eta(t); thin functional wrapper over StarkProfile.eval."""
-    return profile.eval(t)
 
 
 @dataclass(frozen=True)

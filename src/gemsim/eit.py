@@ -12,6 +12,11 @@ multiples of the excited-state decay, gamma_e (in 1/us) maps normalized
 time onto the microsecond axis, and z is normalized to the medium length.
 The control schedule is a tanh switch-off/switch-on pair at the
 configured times.
+
+Time stepping uses the exponential-midpoint loop of the GEM solver
+(`solver._march`): the field rebuild, predictor/corrector pass, snapshot
+rows and finiteness guard are shared, and this module supplies the exact
+2x2 propagator of the (P, S) pair over each step.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .core import ConfigError, Grid
-from .solver import NonFiniteFieldError, cumulative_simpson
+from .solver import _march, _readonly, _snapshot_rows
+from .solver import cumulative_simpson  # noqa: F401  (kept for perfbench/tracing.py)
 
 __all__ = ["EitConfig", "EitRecord", "run_eit", "eit_polariton", "omega_c_schedule"]
 
@@ -114,12 +120,10 @@ def run_eit(
     *,
     store_fields: bool = True,
     field_stride: Optional[int] = None,
-    refine: int = 1,
 ) -> EitRecord:
     """Integrate the probe `pulse` (a PulseSpec) through the storage cycle."""
     grid = config.grid
-    nz, nt = grid.nz, grid.nt
-    dz_norm = 1.0 / (nz - 1)
+    nt = grid.nt
     dt = grid.dt
     dtau = dt * config.gamma_e
     t = grid.t_axis
@@ -129,58 +133,33 @@ def run_eit(
     ein_mid = pulse.evaluate(t[:-1] + 0.5 * dt)
     omega_mid = omega_c_schedule(config, t[:-1] + 0.5 * dt)
     omega_series = omega_c_schedule(config, t)
-
-    if field_stride is None:
-        field_stride = max(1, nt // 512) if store_fields else max(1, nt // 16)
-    keep = np.arange(0, nt, field_stride)
-    if keep[-1] != nt - 1:
-        keep = np.append(keep, nt - 1)
-    keep_set = {int(i): j for j, i in enumerate(keep)}
-    e_rows = np.empty((len(keep), nz), dtype=complex)
-    p_rows = np.empty((len(keep), nz), dtype=complex)
-    s_rows = np.empty((len(keep), nz), dtype=complex)
-
-    P = np.zeros(nz, dtype=complex)
-    S = np.zeros(nz, dtype=complex)
-    E = np.full(nz, ein[0], dtype=complex)
-    out = np.empty(nt, dtype=complex)
-    out[0] = E[-1]
-    if 0 in keep_set:
-        e_rows[0], p_rows[0], s_rows[0] = E, P, S
-
     ig = 1j * config.g
-    ik = 1j * kappa
 
-    for n in range(nt - 1):
+    def advance(n, state):
+        P, S = state
         w = float(omega_mid[n])
-        h11, h12, h21, h22 = _pair_propagator(w, 1.0, 0.5 * dtau)
+        h11, h12, h21, _ = _pair_propagator(w, 1.0, 0.5 * dtau)
         f11, f12, f21, f22 = _pair_propagator(w, 1.0, dtau)
-        # source weights: integral of the (P,P) / (S,P) propagator entries
-        # approximated at the half/full midpoint (source varies slowly)
-        q11, _, q21, _ = _pair_propagator(w, 1.0, 0.25 * dtau)
-        r11, _, r21, _ = _pair_propagator(w, 1.0, 0.5 * dtau)
+        # source weights: the (P,P) / (S,P) propagator entries at the
+        # midpoint of the half / full step (the source varies slowly)
+        q11 = _pair_propagator(w, 1.0, 0.25 * dtau)[0]
 
-        # predictor at midpoint
-        Pm = h11 * P + h12 * S + (0.5 * dtau) * q11 * (ig * E)
-        e_mid = ein_mid[n] + ik * cumulative_simpson(Pm, dz_norm)
-        for _ in range(refine):
-            src = ig * 0.5 * (E + e_mid)
-            Pm = h11 * P + h12 * S + (0.5 * dtau) * q11 * src
-            e_mid = ein_mid[n] + ik * cumulative_simpson(Pm, dz_norm)
-        src = ig * e_mid
-        P_new = f11 * P + f12 * S + dtau * r11 * src
-        S_new = f21 * P + f22 * S + dtau * r21 * src
-        P, S = P_new, S_new
-        E = ein[n + 1] + ik * cumulative_simpson(P, dz_norm)
-        out[n + 1] = E[-1]
-        if not (np.isfinite(out[n + 1]) and np.isfinite(S[0])):
-            raise NonFiniteFieldError(n + 1, t[n + 1])
-        j = keep_set.get(n + 1)
-        if j is not None:
-            e_rows[j], p_rows[j], s_rows[j] = E, P, S
+        def full(src):
+            src = ig * src
+            return (f11 * P + f12 * S + dtau * h11 * src,
+                    f21 * P + f22 * S + dtau * h21 * src)
 
-    for arr in (out, e_rows, p_rows, s_rows):
-        arr.setflags(write=False)
+        def half(src, weight):
+            return h11 * P + h12 * S + (weight * 0.5 * dtau) * q11 * (ig * src)
+
+        return half, full
+
+    keep = _snapshot_rows(nt, store_fields, field_stride)
+    zeros = np.zeros(grid.nz, dtype=complex)
+    out, _, (e_rows, p_rows, s_rows) = _march(advance, ein, ein_mid, 1j * kappa,
+                                               1.0 / (grid.nz - 1), t, keep, (zeros, zeros))
+
+    _readonly(out, e_rows, p_rows, s_rows)
     return EitRecord(
         grid=grid,
         times=t,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -30,7 +32,8 @@ from .metrics import (
 )
 from .solver import run_gem
 
-__all__ = ["ExperimentSpec", "ExperimentResult", "SpecValidationError", "load_spec", "run_experiment"]
+__all__ = ["ExperimentSpec", "ExperimentResult", "SpecValidationError", "balance_residual",
+           "load_spec", "run_experiment"]
 
 KINDS = ("gem_run", "eit_run", "fidelity_sweep", "delta_search", "kspace_report")
 
@@ -59,7 +62,21 @@ def _require_keys(obj: dict, path: str, required: dict, optional: dict = ()):
 def _number(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SpecValidationError(f"{path} must be a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf if v > 0 else -math.inf
+    if not math.isfinite(x):
+        raise SpecValidationError(f"{path} must be finite, got {x}")
+    return x
+
+
+def _number_or_auto(v, path):
+    if v == "auto":
+        return v
+    if isinstance(v, str):
+        raise SpecValidationError(f'{path} must be a number or "auto"')
+    return _number(v, path)
 
 
 def _integer(v, path):
@@ -96,12 +113,6 @@ def _int_list(v, path):
     if not isinstance(v, list) or not v:
         raise SpecValidationError(f"{path} must be a nonempty list of integers")
     return [_integer(x, f"{path}[{i}]") for i, x in enumerate(v)]
-
-
-def _string_list(v, path):
-    if not isinstance(v, list):
-        raise SpecValidationError(f"{path} must be a list of strings")
-    return tuple(_string(x, f"{path}[{i}]") for i, x in enumerate(v))
 
 
 def _parse_grid(obj, path) -> Grid:
@@ -204,7 +215,6 @@ class ExperimentSpec:
     kind: str
     config: Any
     pulse: Optional[PulseSpec]
-    analysis: tuple
     output_dir: str
     params: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
@@ -218,7 +228,7 @@ _PARAM_SCHEMA = {
     "interval": _pair,
     "betas": _number_list,
     "mode_indices": _int_list,
-    "delta": _identity,
+    "delta": _number_or_auto,
     "probe_mode": _integer,
     "verify_modes": _int_list,
     "search_halfwidth": _number,
@@ -226,18 +236,44 @@ _PARAM_SCHEMA = {
     "envelope_time": _number,
 }
 
-_CHECK_SCHEMA = {
-    "echo_peak_us": _pair,
-    "sigma_abs_vs_analytic": _number,
-    "balance_residual_max": _number,
-    "phi_residual_max": _number,
-    "spectrum_corr_min": _number,
-    "envelope_corr_min": _number,
-    "spinwave_drift_max": _number,
-    "sigma_min": _number,
-    "min_fidelity": _number,
-    "min_fidelity_beta_from": _number,
-    "fidelity_min": _number,
+
+def _scalar(name):
+    return lambda scalars, summary, checks: scalars.get(name)
+
+
+def _sigma_error(scalars, summary, checks):
+    return abs(scalars["sigma"] - scalars["sigma_analytic"])
+
+
+def _worst_fidelity(scalars, summary, checks):
+    """Lowest per-beta min fidelity over betas >= min_fidelity_beta_from."""
+    beta_from = checks.get("min_fidelity_beta_from", 0.0)
+    fs = [s["min_fidelity"] for beta, s in summary.items() if float(beta) >= beta_from]
+    return min(fs) if fs else None
+
+
+def _within(v, target):
+    return target[0] <= v <= target[1]
+
+
+_GEM_KINDS = ("gem_run", "kspace_report")
+_KSPACE = ("kspace_report",)
+_EIT = ("eit_run",)
+
+# check -> (target parser, value it tests, comparator, kinds whose runs
+# produce that value); a comparator of None marks a modifier of another check
+_CHECKS = {
+    "echo_peak_us": (_pair, _scalar("echo_peak_us"), _within, _GEM_KINDS),
+    "sigma_abs_vs_analytic": (_number, _sigma_error, operator.lt, _GEM_KINDS),
+    "balance_residual_max": (_number, _scalar("balance_residual"), operator.lt, _GEM_KINDS),
+    "phi_residual_max": (_number, _scalar("phi_residual_mid_storage"), operator.lt, _KSPACE),
+    "spectrum_corr_min": (_number, _scalar("spectrum_corr"), operator.gt, _GEM_KINDS),
+    "envelope_corr_min": (_number, _scalar("envelope_corr"), operator.gt, _EIT),
+    "spinwave_drift_max": (_number, _scalar("spinwave_drift"), operator.lt, _EIT),
+    "sigma_min": (_number, _scalar("sigma"), operator.gt, _GEM_KINDS + _EIT),
+    "fidelity_min": (_number, _scalar("fidelity"), operator.gt, _GEM_KINDS + ("delta_search",)),
+    "min_fidelity": (_number, _worst_fidelity, operator.gt, ("fidelity_sweep",)),
+    "min_fidelity_beta_from": (_number, None, None, ("fidelity_sweep",)),
 }
 
 
@@ -257,7 +293,7 @@ def load_spec(path) -> ExperimentSpec:
         doc,
         "",
         {"name": _string, "kind": _string, "config": _identity, "output_dir": _string},
-        {"pulse": _identity, "analysis": _string_list, "params": _identity, "checks": _identity},
+        {"pulse": _identity, "params": _identity, "checks": _identity},
     )
     kind = top["kind"]
     if kind not in KINDS:
@@ -282,16 +318,16 @@ def load_spec(path) -> ExperimentSpec:
     checks = top.get("checks", {})
     if not isinstance(checks, dict):
         raise SpecValidationError("checks must be an object")
-    checks = _require_keys(checks, "checks", {}, _CHECK_SCHEMA)
+    checks = _require_keys(checks, "checks", {}, {k: c[0] for k, c in _CHECKS.items()})
+    for name in checks:
+        if kind not in _CHECKS[name][3]:
+            raise SpecValidationError(f"checks.{name} does not apply to kind {kind}")
 
-    if kind in ("fidelity_sweep",) and "interval" not in params:
-        raise SpecValidationError("params.interval is required for fidelity_sweep")
+    if kind == "fidelity_sweep" and ("interval" not in params or "mode_indices" not in params):
+        raise SpecValidationError(
+            "params.interval and params.mode_indices are required for fidelity_sweep")
     if kind == "delta_search" and ("interval" not in params or "probe_mode" not in params):
         raise SpecValidationError("params.interval and params.probe_mode are required for delta_search")
-    if "delta" in params and not (
-        params["delta"] == "auto" or isinstance(params["delta"], (int, float))
-    ):
-        raise SpecValidationError('params.delta must be a number or "auto"')
 
     out_dir = top["output_dir"]
     if Path(out_dir).is_absolute() or ".." in Path(out_dir).parts:
@@ -302,7 +338,6 @@ def load_spec(path) -> ExperimentSpec:
         kind=kind,
         config=config,
         pulse=pulse,
-        analysis=top.get("analysis", ()),
         output_dir=top["output_dir"],
         params=params,
         checks=checks,
@@ -330,15 +365,9 @@ class _ArtifactWriter:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def csv(self, name: str, header: str, columns) -> Path:
+        """One CSV file; columns are 1-D series or 2-D blocks, side by side."""
         path = self.out_dir / name
         data = np.column_stack(columns)
-        np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
-        self._register(path)
-        return path
-
-    def csv_matrix(self, name: str, header: str, first_col, matrix) -> Path:
-        path = self.out_dir / name
-        data = np.column_stack((np.asarray(first_col), np.asarray(matrix)))
         np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
         self._register(path)
         return path
@@ -404,7 +433,7 @@ def envelope_correlation(record: EitRecord, t_snap: float) -> float:
     return best
 
 
-def _balance_residual(record) -> float:
+def balance_residual(record) -> float:
     """Worst |d/dt (N/g int|alpha|^2 dz) - boundary flux| over peak flux."""
     dt = record.grid.dt
     stored = record.alpha_norm_series * (record.linear_density / record.g)
@@ -441,7 +470,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, dump_fields: b
         shape=rep.shape,
         tau_us=rep.tau,
         echo_peak_us=record.echo_peak_time(),
-        balance_residual=_balance_residual(record),
+        balance_residual=balance_residual(record),
         beta=config.beta,
     )
 
@@ -453,15 +482,15 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, dump_fields: b
     if dump_fields:
         z = record.grid.z_axis
         zhdr = "t_us," + ",".join(f"{v:.9g}" for v in z)
-        writer.csv_matrix("e_field_mag.csv", zhdr, record.field_times, np.abs(record.e_field))
-        writer.csv_matrix("polarisation_mag.csv", zhdr, record.field_times,
-                          np.abs(record.polarisation))
+        writer.csv("e_field_mag.csv", zhdr, (record.field_times, np.abs(record.e_field)))
+        writer.csv("polarisation_mag.csv", zhdr,
+                   (record.field_times, np.abs(record.polarisation)))
 
     if spec.kind == "kspace_report":
         ks = to_kspace(record, config.linear_density)
         khdr = "t_us," + ",".join(f"{v:.9g}" for v in ks.k_axis)
-        writer.csv_matrix("psi_mag.csv", khdr, ks.times, np.abs(ks.psi))
-        writer.csv_matrix("phi_mag.csv", khdr, ks.times, np.abs(ks.phi))
+        writer.csv("psi_mag.csv", khdr, (ks.times, np.abs(ks.psi)))
+        writer.csv("phi_mag.csv", khdr, (ks.times, np.abs(ks.phi)))
         cen = centroid_series(ks)
         writer.csv("centroid.csv", "t_us,k_centroid,eta",
                    (ks.times, cen, config.stark.eval(ks.times)))
@@ -504,11 +533,10 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, dump_fields: b
     if dump_fields:
         z = record.grid.z_axis
         zhdr = "t_us," + ",".join(f"{v:.9g}" for v in z)
-        writer.csv_matrix("e_field_mag.csv", zhdr, record.field_times, np.abs(record.e_field))
-        writer.csv_matrix("spin_wave_mag.csv", zhdr, record.field_times,
-                          np.abs(record.spin_wave))
-        writer.csv_matrix("polariton_mag.csv", zhdr, record.field_times,
-                          np.abs(eit_polariton(record)))
+        writer.csv("e_field_mag.csv", zhdr, (record.field_times, np.abs(record.e_field)))
+        writer.csv("spin_wave_mag.csv", zhdr, (record.field_times, np.abs(record.spin_wave)))
+        writer.csv("polariton_mag.csv", zhdr,
+                   (record.field_times, np.abs(eit_polariton(record))))
     return record, scalars
 
 
@@ -516,9 +544,7 @@ def _sweep_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers):
     params = spec.params
     interval = tuple(params["interval"])
     betas = params.get("betas", [spec.config.beta])
-    modes = params.get("mode_indices")
-    if modes is None:
-        raise SpecValidationError("params.mode_indices is required for fidelity_sweep")
+    modes = params["mode_indices"]
     rows = mode_fidelity_sweep(
         spec.config, interval, betas, modes,
         delta=params.get("delta", 0.0), workers=workers,
@@ -588,45 +614,17 @@ def _verify_mode_with_delta(config: GemConfig, interval, n: int, delta: float):
 
 def _evaluate_checks(spec: ExperimentSpec, scalars: dict, summary: Optional[dict]) -> list:
     out = []
-
-    def add(name, passed, value, expected):
-        out.append({"name": name, "passed": bool(passed), "value": value, "expected": expected})
-
     for name, target in spec.checks.items():
-        if name == "echo_peak_us":
-            v = scalars.get("echo_peak_us")
-            add(name, v is not None and target[0] <= v <= target[1], v, list(target))
-        elif name == "sigma_abs_vs_analytic":
-            v = abs(scalars["sigma"] - scalars["sigma_analytic"])
-            add(name, v < target, v, target)
-        elif name == "balance_residual_max":
-            v = scalars.get("balance_residual")
-            add(name, v is not None and v < target, v, target)
-        elif name == "phi_residual_max":
-            v = scalars.get("phi_residual_mid_storage")
-            add(name, v is not None and v < target, v, target)
-        elif name == "spectrum_corr_min":
-            v = scalars.get("spectrum_corr")
-            add(name, v is not None and v > target, v, target)
-        elif name == "envelope_corr_min":
-            v = scalars.get("envelope_corr")
-            add(name, v is not None and v > target, v, target)
-        elif name == "spinwave_drift_max":
-            v = scalars.get("spinwave_drift")
-            add(name, v is not None and v < target, v, target)
-        elif name == "sigma_min":
-            add(name, scalars["sigma"] > target, scalars["sigma"], target)
-        elif name == "fidelity_min":
-            add(name, scalars["fidelity"] > target, scalars["fidelity"], target)
-        elif name == "min_fidelity":
-            beta_from = spec.checks.get("min_fidelity_beta_from", 0.0)
-            worst = None
-            for beta_s, s in (summary or {}).items():
-                if float(beta_s) >= beta_from:
-                    worst = s["min_fidelity"] if worst is None else min(worst, s["min_fidelity"])
-            add(name, worst is not None and worst > target, worst, target)
-        elif name == "min_fidelity_beta_from":
+        _, value_of, passes, _ = _CHECKS[name]
+        if passes is None:
             continue
+        v = value_of(scalars, summary, spec.checks)
+        out.append({
+            "name": name,
+            "passed": v is not None and bool(passes(v, target)),
+            "value": v,
+            "expected": list(target) if isinstance(target, tuple) else target,
+        })
     return out
 
 

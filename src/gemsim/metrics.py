@@ -35,8 +35,6 @@ __all__ = [
     "shifted_output",
 ]
 
-_EPS = 1e-3  # numerical slack allowed on the [0, 1] ranges
-
 
 @dataclass(frozen=True)
 class FidelityReport:

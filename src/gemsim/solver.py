@@ -10,6 +10,9 @@ rotation (and decay) is applied through its exact per-step integral, the
 i*g*E source is integrated with oscillation-aware (Filon) weights, and the
 field is rebuilt each half step by a cumulative Simpson quadrature in z.
 One predictor/corrector pass makes the midpoint field self-consistent.
+
+The time loop (`_march`) is shared with the EIT solver in `eit.py`; each
+solver supplies only its local propagator over one step.
 """
 
 from __future__ import annotations
@@ -106,6 +109,61 @@ def _filon_weight(theta: np.ndarray, damp: float, span: float) -> np.ndarray:
     return span * w
 
 
+def _snapshot_rows(nt: int, store_fields: bool, field_stride: Optional[int]) -> np.ndarray:
+    """Time indices of the stored rows, last step included."""
+    if field_stride is None:
+        field_stride = max(1, nt // 512) if store_fields else max(1, nt // 16)
+    keep = np.arange(0, nt, field_stride)
+    if keep[-1] != nt - 1:
+        keep = np.append(keep, nt - 1)
+    return keep
+
+
+def _readonly(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+def _march(advance, ein, ein_mid, coupling, dz, times, keep, state):
+    """Exponential-midpoint time loop shared by the GEM and EIT solvers.
+
+    state holds per-site arrays; state[0] radiates the field E = ein +
+    coupling * cumint(state[0]).  advance(n, state) returns the step-n
+    propagators: half(src, weight) is the midpoint coherence driven by
+    weight*src (the corrector passes E + e_mid with weight 0.5), full(src)
+    the state at the end of the step.  Returns the output E(z_max, t), the
+    norm dz*sum|state[-1]|^2 and the (E, *state) rows at `keep`; raises
+    NonFiniteFieldError at the first step where either is not finite.
+    """
+    nt = times.size
+    E = np.full(state[0].size, ein[0], dtype=complex)
+    out = np.empty(nt, dtype=complex)
+    norm = np.empty(nt)
+    out[0] = E[-1]
+    norm[0] = float(np.sum(np.abs(state[-1]) ** 2)) * dz
+    keep_set = {int(i): j for j, i in enumerate(keep)}
+    rows = [np.empty((len(keep), E.size), dtype=complex) for _ in (E, *state)]
+    for arr, row in zip(rows, (E, *state)):
+        arr[0] = row
+
+    for n in range(nt - 1):
+        half, full = advance(n, state)
+        e_mid = ein_mid[n] + coupling * cumulative_simpson(half(E, 1.0), dz)
+        e_mid = ein_mid[n] + coupling * cumulative_simpson(half(E + e_mid, 0.5), dz)
+        state = full(e_mid)
+        E = ein[n + 1] + coupling * cumulative_simpson(state[0], dz)
+
+        out[n + 1] = E[-1]
+        norm[n + 1] = float(np.sum(np.abs(state[-1]) ** 2)) * dz
+        if not np.isfinite(norm[n + 1]) or not np.isfinite(out[n + 1]):
+            raise NonFiniteFieldError(n + 1, times[n + 1])
+        j = keep_set.get(n + 1)
+        if j is not None:
+            for arr, row in zip(rows, (E, *state)):
+                arr[j] = row
+    return out, norm, rows
+
+
 def run_gem(
     config: GemConfig,
     pulse: PulseSpec,
@@ -113,7 +171,6 @@ def run_gem(
     store_fields: bool = True,
     field_stride: Optional[int] = None,
     carrier: float = 0.0,
-    refine: int = 1,
 ) -> FieldRecord:
     """Integrate the medium response to `pulse` and return the full record.
 
@@ -126,7 +183,7 @@ def run_gem(
     """
     grid = config.grid
     stark = config.stark
-    nz, nt = grid.nz, grid.nt
+    nt = grid.nt
     dz, dt = grid.dz, grid.dt
     z = grid.z_axis
     t = grid.t_axis
@@ -157,32 +214,15 @@ def run_gem(
     ein = ein_true * np.exp(-1j * phi)
     ein_mid = pulse.evaluate(t[:-1] + 0.5 * dt) * np.exp(-1j * phi_mid)
 
-    if field_stride is None:
-        field_stride = max(1, nt // 512) if store_fields else max(1, nt // 16)
-    keep = np.arange(0, nt, field_stride)
-    if keep[-1] != nt - 1:
-        keep = np.append(keep, nt - 1)
-    keep_set = {int(i): j for j, i in enumerate(keep)}
-    e_rows = np.empty((len(keep), nz), dtype=complex)
-    a_rows = np.empty((len(keep), nz), dtype=complex)
-
-    alpha = np.zeros(nz, dtype=complex)
-    E = np.full(nz, ein[0], dtype=complex)
-    out = np.empty(nt, dtype=complex)
-    anorm = np.empty(nt)
-    out[0] = E[-1]
-    anorm[0] = 0.0
-    if 0 in keep_set:
-        e_rows[0] = E
-        a_rows[0] = alpha
-
     ig = 1j * g
-    iN = 1j * dens
     half_damp = 0.25 * gamma * dt
     full_damp = 0.5 * gamma * dt
     cache = {}
 
-    for n in range(nt - 1):
+    def advance(n, state):
+        # exact phase rotation (and decay) over the half and full step,
+        # Filon weights for the i*g*E source
+        (alpha,) = state
         t0 = t[n]
         t1 = t[n + 1]
         tm = t0 + 0.5 * dt
@@ -204,23 +244,12 @@ def run_gem(
             if len(cache) < 64:
                 cache[key] = ops
         rot_half, rot_full, w_half, w_full = ops
+        return (lambda src, weight: rot_half * alpha + (weight * ig) * (w_half * src),
+                lambda src: (rot_full * alpha + ig * (w_full * src),))
 
-        a_mid = rot_half * alpha + ig * (w_half * E)
-        e_mid = ein_mid[n] + iN * cumulative_simpson(a_mid, dz)
-        for _ in range(refine):
-            a_mid = rot_half * alpha + ig * (w_half * (0.5 * (E + e_mid)))
-            e_mid = ein_mid[n] + iN * cumulative_simpson(a_mid, dz)
-        alpha = rot_full * alpha + ig * (w_full * e_mid)
-        E = ein[n + 1] + iN * cumulative_simpson(alpha, dz)
-
-        out[n + 1] = E[-1]
-        anorm[n + 1] = float(np.sum(np.abs(alpha) ** 2)) * dz
-        if not np.isfinite(anorm[n + 1]) or not np.isfinite(out[n + 1]):
-            raise NonFiniteFieldError(n + 1, t1)
-        j = keep_set.get(n + 1)
-        if j is not None:
-            e_rows[j] = E
-            a_rows[j] = alpha
+    keep = _snapshot_rows(nt, store_fields, field_stride)
+    alpha0 = np.zeros(z.size, dtype=complex)
+    out, anorm, (e_rows, a_rows) = _march(advance, ein, ein_mid, 1j * dens, dz, t, keep, (alpha0,))
 
     if carrier != 0.0:
         out = out * np.exp(1j * phi)
@@ -228,9 +257,7 @@ def run_gem(
         e_rows = e_rows * gauge_rows[:, None]
         a_rows = a_rows * gauge_rows[:, None]
 
-    for arr in (out, anorm, e_rows, a_rows, ein_true):
-        arr.setflags(write=False)
-
+    _readonly(out, anorm, e_rows, a_rows, ein_true)
     return FieldRecord(
         grid=grid,
         times=t,

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from gemsim import Grid, GemConfig, PulseSpec, StarkProfile, run_gem
@@ -47,11 +46,3 @@ def fig2_tanh_record():
 def fig2_freeze_record():
     # slope frozen for 10 us mid-storage; echo shifts from 155 to 165 us
     return run_gem(fig2_config(freeze=((30.0, 40.0),)), FIG2_PULSE, field_stride=40)
-
-
-def balance_residual(record):
-    dt = record.grid.dt
-    stored = record.alpha_norm_series * (record.linear_density / record.g)
-    rate = np.gradient(stored, dt)
-    flux = np.abs(record.input_series) ** 2 - np.abs(record.output_series) ** 2
-    return np.max(np.abs(rate - flux)) / np.max(np.abs(record.input_series) ** 2)

@@ -35,8 +35,9 @@ from gemsim.metrics import (
     mode_fidelity_sweep,
 )
 from gemsim.eit import run_eit
+from gemsim.experiments import balance_residual
 
-from conftest import ETA_8MHZ, FIG2_PULSE, balance_residual
+from conftest import ETA_8MHZ, FIG2_PULSE
 
 WORKERS = 2
 

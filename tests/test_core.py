@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemsim import ConfigError, Grid, GemConfig, PulseSpec, StarkProfile
-from gemsim.core import count_modes, make_plane_wave_mode, stark_eval, window_inner_product
+from gemsim.core import count_modes, make_plane_wave_mode, window_inner_product
 
 from conftest import ETA_8MHZ
 
@@ -59,19 +59,19 @@ class TestGemConfig:
 class TestStarkProfile:
     def test_abrupt_step(self):
         p = StarkProfile(eta0=2.0, switch_time=10.0)
-        assert stark_eval(p, 3.0) == pytest.approx(2.0)
-        assert stark_eval(p, 12.0) == pytest.approx(-2.0)
+        assert p.eval(3.0) == pytest.approx(2.0)
+        assert p.eval(12.0) == pytest.approx(-2.0)
 
     def test_tanh_zero_at_switch(self):
         p = StarkProfile(eta0=2.0, switch_time=80.0, ramp_tau=58.0)
-        assert stark_eval(p, 80.0) == pytest.approx(0.0)
-        assert stark_eval(p, 22.0) == pytest.approx(2.0 * math.tanh(1.0))
+        assert p.eval(80.0) == pytest.approx(0.0)
+        assert p.eval(22.0) == pytest.approx(2.0 * math.tanh(1.0))
 
     def test_freeze_interval(self):
         p = StarkProfile(eta0=2.0, switch_time=30.0, freeze_intervals=((10.0, 20.0),))
-        assert stark_eval(p, 15.0) == 0.0
-        assert stark_eval(p, 9.0) == pytest.approx(2.0)
-        assert stark_eval(p, 20.5) == pytest.approx(2.0)
+        assert p.eval(15.0) == 0.0
+        assert p.eval(9.0) == pytest.approx(2.0)
+        assert p.eval(20.5) == pytest.approx(2.0)
 
     def test_detuning_offset_applies_after_switch(self):
         p = StarkProfile(eta0=2.0, switch_time=10.0, delta_offset=0.3)

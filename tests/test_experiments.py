@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -23,7 +24,6 @@ def tiny_gem_spec(tmp_path, **overrides):
                      "nt": 1601},
         },
         "pulse": {"kind": "gaussian", "amplitude": 1.0, "center": 4.0, "width": 1.2},
-        "analysis": ["echo_metrics"],
         "params": {"input_window": [0.0, 10.0], "echo_window": [15.0, 40.0]},
         "checks": {"sigma_abs_vs_analytic": 0.02, "balance_residual_max": 0.01,
                    "echo_peak_us": [25.0, 27.0]},
@@ -48,12 +48,20 @@ def tiny_sweep_spec(tmp_path):
             "grid": {"z_min": -1.0, "z_max": 1.0, "nz": 160, "t_max": 50.0,
                      "nt": 2001},
         },
-        "analysis": ["sweep_table"],
         "params": {"interval": [6.0, 10.0], "betas": [0.5, 1.0],
                    "mode_indices": [-1, 0, 1], "delta": 0.0},
         "checks": {},
     }
     path = tmp_path / "tiny_sweep.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def preset_variant(tmp_path, name, edit):
+    """Copy of a packaged preset with `edit(doc)` applied."""
+    doc = json.loads(preset_path(name).read_text())
+    edit(doc)
+    path = tmp_path / f"{name}_variant.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -109,6 +117,31 @@ class TestLoadSpec:
         for name in names:
             spec = load_spec(preset_path(name))
             assert spec.name == name
+
+    @pytest.mark.parametrize("preset, edit, key", [
+        ("fig3_eit", lambda doc: doc["checks"].update(sigma_abs_vs_analytic=0.5),
+         "checks.sigma_abs_vs_analytic"),
+        ("fig3_eit", lambda doc: doc["checks"].update(fidelity_min=0.5), "checks.fidelity_min"),
+        ("fig4_sweep", lambda doc: doc["checks"].update(sigma_min=0.5), "checks.sigma_min"),
+        ("fig4_sweep", lambda doc: doc["params"].pop("mode_indices"), "params.mode_indices"),
+    ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes"])
+    def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
+                                                         key):
+        path = preset_variant(tmp_path, preset, edit)
+        with pytest.raises(SpecValidationError, match=re.escape(key)):
+            load_spec(path)
+        assert cli_main(["validate", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "int_beyond_float"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, value):
+        path = preset_variant(tmp_path, "fig3_eit",
+                              lambda doc: doc["pulse"].update(amplitude=value))
+        with pytest.raises(SpecValidationError, match=r"pulse\.amplitude must be finite"):
+            load_spec(path)
+        assert cli_main(["validate", str(path)]) == 2
+        capsys.readouterr()
 
     def test_fig2_preset_values(self):
         spec = load_spec(preset_path("fig2_abrupt"))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from gemsim import ConfigError, PulseSpec, run_gem, output_energy
+from gemsim import ConfigError, Grid, PulseSpec, run_gem, output_energy
 from gemsim.core import make_plane_wave_mode
+from gemsim.eit import EitConfig, run_eit
+from gemsim.experiments import balance_residual
 from gemsim.metrics import efficiency_analytic, efficiency_numeric, shifted_output
-from gemsim.solver import cumulative_simpson
+from gemsim.solver import NonFiniteFieldError, cumulative_simpson
 
-from conftest import balance_residual, small_config, small_pulse
+from conftest import small_config, small_pulse
 
 
 class TestCumulativeSimpson:
@@ -150,6 +152,23 @@ class TestRunGem:
         rec = run_gem(small_config(), small_pulse())
         with pytest.raises(ValueError):
             rec.output_series[0] = 0.0
+
+
+@pytest.mark.parametrize("run, config", [
+    (run_gem, small_config()),
+    (run_eit, EitConfig(n_atoms=400.0, g=1.0, omega_c0=20.0, switch_down=14.0,
+                        switch_up=30.0, ramp_tau=1.0,
+                        grid=Grid(z_min=0.0, z_max=1.0, nz=64, t_max=40.0, nt=1601))),
+], ids=["gem", "eit"])
+def test_non_finite_input_stops_at_the_first_bad_step(run, config):
+    # zero before t = 10 us, NaN from then on
+    pulse = PulseSpec(kind="plane_wave_window", amplitude=float("nan"), window=(10.0, 20.0))
+    t = config.grid.t_axis
+    first = int(np.argmax(t >= 10.0))
+    with pytest.raises(NonFiniteFieldError) as info:
+        run(config, pulse)
+    assert info.value.time_index == first > 0
+    assert info.value.time == t[first]
 
 
 class TestConvergence:
