@@ -6,7 +6,8 @@ Subcommands:
   presets list           list packaged preset names
   presets run <name>     run a packaged preset
 
-Exit code 0 means every check attached to the executed spec passed.
+Exit codes: 0 every check attached to the executed spec passed; 1 a check
+failed; 2 the spec was rejected; 3 the run failed after the spec loaded.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from .core import ConfigError
 from .experiments import SpecValidationError, load_spec, run_experiment
 from .metrics import default_workers
+from .solver import NonFiniteFieldError
 
 PRESET_PACKAGE = "gemsim.presets"
 
@@ -78,9 +81,11 @@ def _run_spec_file(path, args) -> int:
         print(f"spec rejected: {exc}", file=sys.stderr)
         return 2
     workers = args.workers if args.workers is not None else default_workers()
-    result = run_experiment(
-        spec, args.out, workers=workers, dump_fields=args.dump_fields
-    )
+    try:
+        result = run_experiment(spec, args.out, workers=workers, dump_fields=args.dump_fields)
+    except (NonFiniteFieldError, ConfigError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 3
     print(f"{result.name}: {result.status}")
     for check in result.checks:
         state = "pass" if check["passed"] else "FAIL"

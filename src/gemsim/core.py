@@ -29,6 +29,15 @@ class ConfigError(ValueError):
     """Raised when a configuration violates one of its invariants."""
 
 
+# Empirical stability bound of the explicit field/polarisation exchange:
+# the fastest retained exchange rate is ~ g*N/k_min with k_min = 2*pi/L.
+_EXCHANGE_LIMIT = 2.0
+
+# The equations are linear, so an amplitude's scale carries no physics; this
+# bound keeps every squared norm the solvers form finite.
+_MAX_AMPLITUDE = 1e100
+
+
 def _log_cosh(x: float) -> float:
     # overflow-safe log(cosh(x))
     ax = abs(x)
@@ -159,7 +168,9 @@ class GemConfig:
     """Two-level gradient-echo medium plus numerical grid.
 
     beta = g * linear_density / |eta0| is the optical depth per pass;
-    the echo energy fraction is (1 - exp(-2*pi*beta))**2.
+    the echo energy fraction is (1 - exp(-2*pi*beta))**2.  The grid must
+    resolve the polarisation phase (Nyquist guard) and the time step the
+    field/polarisation exchange (g*N*L*dt/(2*pi) <= 2).
     """
 
     g: float
@@ -184,6 +195,12 @@ class GemConfig:
                 "Nyquist guard violated: nz >= ceil(|eta0|*L*t_max/pi) + 2 requires "
                 f"nz >= {need}, got nz = {g.nz} "
                 f"(|eta0|={abs(self.stark.eta0):g}, L={g.length:g}, t_max={g.t_max:g})"
+            )
+        exchange = self.g * self.linear_density * g.length * g.dt / (2.0 * math.pi)
+        if exchange > _EXCHANGE_LIMIT:
+            raise ConfigError(
+                "time step too large for the field/polarisation exchange rate: "
+                f"g*N*L*dt/(2*pi) = {exchange:.2f} > {_EXCHANGE_LIMIT}; increase nt"
             )
 
     @property
@@ -226,6 +243,8 @@ class PulseSpec:
             raise ConfigError(f"unknown pulse kind {self.kind!r}")
         if self.amplitude == 0:
             raise ConfigError("amplitude must be nonzero")
+        if abs(self.amplitude) > _MAX_AMPLITUDE:
+            raise ConfigError(f"amplitude must satisfy |amplitude| <= {_MAX_AMPLITUDE:g}")
         if self.kind in ("gaussian", "modulated"):
             if not self.width > 0:
                 raise ConfigError("width must be positive")

@@ -1,11 +1,14 @@
 """Experiment specs: strict JSON ingestion, orchestration, artifact output.
 
 A spec document mirrors the configuration dataclasses field for field.
-Unknown keys are rejected with their dotted path; all type invariants are
-enforced at load time so runs cannot fail on configuration afterwards.
-Artifacts are CSV/JSON files with fixed full-precision formatting and a
-manifest listing names, checksums and headline scalars; rerunning a spec
-reproduces every data file byte for byte.
+Each spec kind is declared once, in `_KINDS`: its config type, whether it
+takes a pulse, the params it requires and accepts, its load-time check and
+its runner.  `load_spec` rejects unknown keys, wrong types and every
+configuration invariant with the dotted key path, so a spec that loads
+cannot fail on configuration afterwards.  Artifacts are CSV/JSON files
+with fixed full-precision formatting and a manifest listing names,
+checksums and headline scalars; rerunning a spec reproduces every data
+file byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -24,6 +27,8 @@ from .core import ConfigError, GemConfig, Grid, PulseSpec, StarkProfile
 from .eit import EitConfig, EitRecord, eit_polariton, run_eit
 from .kspace import centroid_series, phi_residual, to_kspace
 from .metrics import (
+    _mode_report,
+    check_mode_run,
     efficiency_analytic,
     efficiency_numeric,
     fidelity,
@@ -34,8 +39,6 @@ from .solver import run_gem
 
 __all__ = ["ExperimentSpec", "ExperimentResult", "SpecValidationError", "balance_residual",
            "load_spec", "run_experiment"]
-
-KINDS = ("gem_run", "eit_run", "fidelity_sweep", "delta_search", "kspace_report")
 
 _FMT = "%.17e"
 
@@ -85,6 +88,13 @@ def _integer(v, path):
     return int(v)
 
 
+def _stride(v, path):
+    n = _integer(v, path)
+    if n < 1:
+        raise SpecValidationError(f"{path} must be >= 1")
+    return n
+
+
 def _string(v, path):
     if not isinstance(v, str):
         raise SpecValidationError(f"{path} must be a string")
@@ -115,94 +125,50 @@ def _int_list(v, path):
     return [_integer(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
 
-def _parse_grid(obj, path) -> Grid:
-    if not isinstance(obj, dict):
-        raise SpecValidationError(f"{path} must be an object")
-    kw = _require_keys(
-        obj,
-        path,
-        {"z_min": _number, "z_max": _number, "nz": _integer, "t_max": _number, "nt": _integer},
-    )
-    return Grid(**kw)
-
-
-def _parse_stark(obj, path) -> StarkProfile:
-    if not isinstance(obj, dict):
-        raise SpecValidationError(f"{path} must be an object")
-    kw = _require_keys(
-        obj,
-        path,
-        {"eta0": _number, "switch_time": _number},
-        {"ramp_tau": _number, "delta_offset": _number, "freeze_intervals": _pair_list},
-    )
-    return StarkProfile(**kw)
-
-
-def _parse_gem_config(obj, path) -> GemConfig:
-    if not isinstance(obj, dict):
-        raise SpecValidationError(f"{path} must be an object")
-    kw = _require_keys(
-        obj,
-        path,
-        {
-            "g": _number,
-            "linear_density": _number,
-            "gamma": _number,
-            "stark": _parse_stark,
-            "grid": _parse_grid,
-        },
-    )
+def _at(path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ConfigError reported at the key path."""
     try:
-        return GemConfig(**kw)
+        return fn(*args, **kwargs)
     except ConfigError as exc:
         raise SpecValidationError(f"{path}: {exc}") from exc
 
 
-def _parse_eit_config(obj, path) -> EitConfig:
-    if not isinstance(obj, dict):
-        raise SpecValidationError(f"{path} must be an object")
-    kw = _require_keys(
-        obj,
-        path,
-        {
-            "n_atoms": _number,
-            "g": _number,
-            "omega_c0": _number,
-            "switch_down": _number,
-            "switch_up": _number,
-            "ramp_tau": _number,
-            "grid": _parse_grid,
-        },
-        {"gamma_e": _number},
-    )
-    try:
-        return EitConfig(**kw)
-    except ConfigError as exc:
-        raise SpecValidationError(f"{path}: {exc}") from exc
+def _object(cls, required: dict, optional: dict = ()):
+    """Parser of a JSON object into cls(**keys), keys checked and converted
+    by _require_keys; the invariants cls enforces are reported at the
+    object's path."""
+
+    def parse(obj, path):
+        if not isinstance(obj, dict):
+            raise SpecValidationError(f"{path} must be an object")
+        return _at(path, cls, **_require_keys(obj, path, required, optional))
+
+    return parse
 
 
-def _parse_pulse(obj, path) -> PulseSpec:
-    if not isinstance(obj, dict):
-        raise SpecValidationError(f"{path} must be an object")
-    kw = _require_keys(
-        obj,
-        path,
-        {"kind": _string},
-        {
-            "amplitude": _number,
-            "center": _number,
-            "width": _number,
-            "mod_freq": _number,
-            "mode_index": _integer,
-            "window": _pair,
-        },
-    )
-    if "window" in kw:
-        kw["window"] = tuple(kw["window"])
-    try:
-        return PulseSpec(**kw)
-    except ConfigError as exc:
-        raise SpecValidationError(f"{path}: {exc}") from exc
+_grid = _object(
+    Grid, {"z_min": _number, "z_max": _number, "nz": _integer, "t_max": _number, "nt": _integer})
+_stark = _object(
+    StarkProfile,
+    {"eta0": _number, "switch_time": _number},
+    {"ramp_tau": _number, "delta_offset": _number, "freeze_intervals": _pair_list},
+)
+_gem_config = _object(
+    GemConfig,
+    {"g": _number, "linear_density": _number, "gamma": _number, "stark": _stark, "grid": _grid},
+)
+_eit_config = _object(
+    EitConfig,
+    {"n_atoms": _number, "g": _number, "omega_c0": _number, "switch_down": _number,
+     "switch_up": _number, "ramp_tau": _number, "grid": _grid},
+    {"gamma_e": _number},
+)
+_pulse = _object(
+    PulseSpec,
+    {"kind": _string},
+    {"amplitude": _number, "center": _number, "width": _number, "mod_freq": _number,
+     "mode_index": _integer, "window": _pair},
+)
 
 
 def _identity(v, path):
@@ -218,23 +184,6 @@ class ExperimentSpec:
     output_dir: str
     params: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
-
-
-_PARAM_SCHEMA = {
-    "input_window": _pair,
-    "echo_window": _pair,
-    "field_stride": _integer,
-    "spectrum_time": _number,
-    "interval": _pair,
-    "betas": _number_list,
-    "mode_indices": _int_list,
-    "delta": _number_or_auto,
-    "probe_mode": _integer,
-    "verify_modes": _int_list,
-    "search_halfwidth": _number,
-    "freeze_window": _pair,
-    "envelope_time": _number,
-}
 
 
 def _scalar(name):
@@ -275,6 +224,7 @@ _CHECKS = {
     "min_fidelity": (_number, _worst_fidelity, operator.gt, ("fidelity_sweep",)),
     "min_fidelity_beta_from": (_number, None, None, ("fidelity_sweep",)),
 }
+_checks = _object(dict, {}, {name: c[0] for name, c in _CHECKS.items()})
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -296,38 +246,27 @@ def load_spec(path) -> ExperimentSpec:
         {"pulse": _identity, "params": _identity, "checks": _identity},
     )
     kind = top["kind"]
-    if kind not in KINDS:
-        raise SpecValidationError(f"kind must be one of {KINDS}, got {kind!r}")
+    if kind not in _KINDS:
+        raise SpecValidationError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
+    entry = _KINDS[kind]
+    config = entry.parse_config(top["config"], "config")
 
-    if kind == "eit_run":
-        config = _parse_eit_config(top["config"], "config")
-    else:
-        config = _parse_gem_config(top["config"], "config")
-
-    pulse = None
-    if "pulse" in top and top["pulse"] is not None:
-        pulse = _parse_pulse(top["pulse"], "pulse")
-    if kind in ("gem_run", "eit_run", "kspace_report") and pulse is None:
+    pulse = top.get("pulse")
+    if entry.pulse and pulse is None:
         raise SpecValidationError(f"kind {kind} requires a pulse")
+    if not entry.pulse and pulse is not None:
+        raise SpecValidationError(f"pulse: kind {kind} takes no pulse")
+    pulse = _pulse(pulse, "pulse") if entry.pulse else None
 
-    params = top.get("params", {})
-    if not isinstance(params, dict):
-        raise SpecValidationError("params must be an object")
-    params = _require_keys(params, "params", {}, _PARAM_SCHEMA)
+    params = _object(dict, entry.required_params, entry.optional_params)(
+        top.get("params", {}), "params")
+    if entry.check is not None:
+        entry.check(config, params)
 
-    checks = top.get("checks", {})
-    if not isinstance(checks, dict):
-        raise SpecValidationError("checks must be an object")
-    checks = _require_keys(checks, "checks", {}, {k: c[0] for k, c in _CHECKS.items()})
-    for name in checks:
-        if kind not in _CHECKS[name][3]:
-            raise SpecValidationError(f"checks.{name} does not apply to kind {kind}")
-
-    if kind == "fidelity_sweep" and ("interval" not in params or "mode_indices" not in params):
-        raise SpecValidationError(
-            "params.interval and params.mode_indices are required for fidelity_sweep")
-    if kind == "delta_search" and ("interval" not in params or "probe_mode" not in params):
-        raise SpecValidationError("params.interval and params.probe_mode are required for delta_search")
+    checks = _checks(top.get("checks", {}), "checks")
+    for check in checks:
+        if kind not in _CHECKS[check][3]:
+            raise SpecValidationError(f"checks.{check} does not apply to kind {kind}")
 
     out_dir = top["output_dir"]
     if Path(out_dir).is_absolute() or ".." in Path(out_dir).parts:
@@ -338,7 +277,7 @@ def load_spec(path) -> ExperimentSpec:
         kind=kind,
         config=config,
         pulse=pulse,
-        output_dir=top["output_dir"],
+        output_dir=out_dir,
         params=params,
         checks=checks,
     )
@@ -445,7 +384,7 @@ def balance_residual(record) -> float:
     return float(np.max(np.abs(rate - flux))) / peak
 
 
-def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, dump_fields: bool):
+def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     config: GemConfig = spec.config
     params = spec.params
     stride = params.get("field_stride")
@@ -496,10 +435,10 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, dump_fields: b
                    (ks.times, cen, config.stark.eval(ks.times)))
         mid = int(np.argmin(np.abs(ks.times - 0.5 * (in_win[1] + config.stark.switch_time))))
         scalars["phi_residual_mid_storage"] = phi_residual(ks, mid)
-    return record, scalars
+    return scalars, None
 
 
-def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, dump_fields: bool):
+def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     config: EitConfig = spec.config
     params = spec.params
     record = run_eit(config, spec.pulse, store_fields=True,
@@ -537,10 +476,10 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, dump_fields: b
         writer.csv("spin_wave_mag.csv", zhdr, (record.field_times, np.abs(record.spin_wave)))
         writer.csv("polariton_mag.csv", zhdr,
                    (record.field_times, np.abs(eit_polariton(record))))
-    return record, scalars
+    return scalars, None
 
 
-def _sweep_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers):
+def _sweep_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     params = spec.params
     interval = tuple(params["interval"])
     betas = params.get("betas", [spec.config.beta])
@@ -574,10 +513,10 @@ def _sweep_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers):
     scalars = {"n_rows": len(rows)}
     for beta, s in summary.items():
         scalars[f"min_F_beta_{beta}"] = s["min_fidelity"]
-    return rows, summary, scalars
+    return scalars, summary
 
 
-def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter):
+def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     params = spec.params
     interval = tuple(params["interval"])
     probe = params["probe_mode"]
@@ -593,23 +532,56 @@ def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter):
     }
     verify = {}
     for n in params.get("verify_modes", []):
-        rep = _verify_mode_with_delta(spec.config, interval, int(n), res.delta)
+        rep = _mode_report(spec.config, n, interval, res.delta)
         verify[str(n)] = {"fidelity": rep.fidelity, "sigma": rep.sigma}
     if verify:
         payload["verify_modes"] = verify
     writer.json("delta.json", payload)
     scalars = {"delta": res.delta, "fidelity": res.fidelity,
                "fidelity_at_zero": res.fidelity_at_zero}
-    return res, scalars
+    return scalars, None
 
 
-def _verify_mode_with_delta(config: GemConfig, interval, n: int, delta: float):
-    from .metrics import _mode_report
+def _check_mode_params(config: GemConfig, params: dict):
+    """Load-time check of the mode kinds: the window, every mode and every
+    optical depth the run will use."""
+    interval = params["interval"]
+    _at("params.interval", check_mode_run, config, interval, ())
+    for key in ("mode_indices", "probe_mode", "verify_modes"):
+        if key in params:
+            modes = params[key] if isinstance(params[key], list) else [params[key]]
+            _at(f"params.{key}", check_mode_run, config, interval, modes)
+    for i, beta in enumerate(params.get("betas", ())):
+        _at(f"params.betas[{i}]", config.with_beta, beta)
 
-    return _mode_report(
-        config, n, interval, delta,
-        (config.stark.switch_time, config.grid.t_max),
-    )
+
+@dataclass(frozen=True)
+class _Kind:
+    parse_config: Callable
+    pulse: bool  # the kind requires a pulse; otherwise it rejects one
+    required_params: dict
+    optional_params: dict
+    check: Optional[Callable]  # check(config, params), after parsing
+    run: Callable  # run(spec, writer, workers, dump_fields) -> (scalars, summary)
+
+
+_GEM_PARAMS = {"input_window": _pair, "echo_window": _pair, "field_stride": _stride,
+               "spectrum_time": _number}
+_EIT_PARAMS = {"input_window": _pair, "echo_window": _pair, "field_stride": _stride,
+               "envelope_time": _number}
+
+_KINDS = {
+    "gem_run": _Kind(_gem_config, True, {}, _GEM_PARAMS, None, _gem_artifacts),
+    "kspace_report": _Kind(_gem_config, True, {}, _GEM_PARAMS, None, _gem_artifacts),
+    "eit_run": _Kind(_eit_config, True, {}, _EIT_PARAMS, None, _eit_artifacts),
+    "fidelity_sweep": _Kind(
+        _gem_config, False, {"interval": _pair, "mode_indices": _int_list},
+        {"betas": _number_list, "delta": _number_or_auto}, _check_mode_params, _sweep_artifacts),
+    "delta_search": _Kind(
+        _gem_config, False, {"interval": _pair, "probe_mode": _integer},
+        {"verify_modes": _int_list, "search_halfwidth": _number}, _check_mode_params,
+        _delta_artifacts),
+}
 
 
 def _evaluate_checks(spec: ExperimentSpec, scalars: dict, summary: Optional[dict]) -> list:
@@ -640,18 +612,8 @@ def run_experiment(
     passed; solver failures mark the manifest incomplete and re-raise."""
     out_dir = Path(out_root) / spec.output_dir
     writer = _ArtifactWriter(out_dir)
-    summary = None
     try:
-        if spec.kind in ("gem_run", "kspace_report"):
-            _, scalars = _gem_artifacts(spec, writer, dump_fields)
-        elif spec.kind == "eit_run":
-            _, scalars = _eit_artifacts(spec, writer, dump_fields)
-        elif spec.kind == "fidelity_sweep":
-            _, summary, scalars = _sweep_artifacts(spec, writer, workers)
-        elif spec.kind == "delta_search":
-            _, scalars = _delta_artifacts(spec, writer)
-        else:  # pragma: no cover - guarded by load_spec
-            raise SpecValidationError(f"unsupported kind {spec.kind}")
+        scalars, summary = _KINDS[spec.kind].run(spec, writer, workers, dump_fields)
     except Exception:
         manifest = {
             "name": spec.name,

@@ -27,6 +27,7 @@ __all__ = [
     "FidelityReport",
     "SweepRow",
     "DeltaSearchResult",
+    "check_mode_run",
     "efficiency_analytic",
     "efficiency_numeric",
     "fidelity",
@@ -34,6 +35,10 @@ __all__ = [
     "find_delta",
     "shifted_output",
 ]
+
+
+# golden-section stopping width of find_delta, relative to the scanned span
+_DELTA_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,6 @@ class FidelityReport:
     fidelity: float
     shape: float
     tau: float
-    delta: float
     n_ph: float
 
 
@@ -123,16 +127,12 @@ def fidelity(
     sigma: float,
     *,
     echo_window=None,
-    delta: float = 0.0,
-    delta_pivot: float = 0.0,
 ) -> FidelityReport:
     """Correlation fidelity of an output series against the input series.
 
     Both series share the grid t_j = j*dt.  echo_window restricts the
-    output samples entering the correlation; delta applies the readout
-    frequency correction exp(i*delta*(t - delta_pivot)) to the output
-    before correlating (the record of an uncorrected run composed with
-    this shift equals a run whose Stark field carried the offset).
+    output samples entering the correlation; a readout frequency offset
+    is applied to the output beforehand (see shifted_output).
     """
     if e_in.shape != e_out.shape:
         raise ValueError("series must share one time grid")
@@ -141,8 +141,6 @@ def fidelity(
     if echo_window is not None:
         w0, w1 = echo_window
         eo = np.where((t >= w0) & (t <= w1), eo, 0.0)
-    if delta != 0.0:
-        eo = eo * np.exp(1j * delta * (t - delta_pivot))
     w = _edge_weights(e_in)
     n_ph = float(np.sum(np.abs(e_in) ** 2 * w) * dt)
     if n_ph <= 0.0:
@@ -158,7 +156,6 @@ def fidelity(
         fidelity=f,
         shape=float(shape),
         tau=float(tau),
-        delta=float(delta),
         n_ph=n_ph,
     )
 
@@ -176,32 +173,37 @@ def shifted_output(record: FieldRecord, delta: float) -> np.ndarray:
     return record.output_series * np.exp(1j * delta * np.clip(t - ts, 0.0, None))
 
 
-def _mode_report(
-    config: GemConfig,
-    n: int,
-    interval,
-    delta: float,
-    echo_window,
-) -> FidelityReport:
+def check_mode_run(config: GemConfig, interval, modes: Sequence[int]) -> None:
+    """Raise ConfigError unless plane-wave modes on `interval` can be stored
+    and recalled: the window must end by the switch time and each mode's
+    frequency 2*pi*n/T must lie inside the half band |eta0|*L/2."""
+    t1, t2 = interval
+    if not t2 > t1:
+        raise ConfigError("interval must satisfy t2 > t1")
+    if t2 > config.stark.switch_time:
+        raise ConfigError("interval must end before the switch time")
+    band = abs(config.stark.eta0) * config.grid.length / 2.0
+    for n in modes:
+        if abs(2.0 * np.pi * n / (t2 - t1)) > band:
+            raise ConfigError(f"mode {n} lies outside the medium bandwidth")
+
+
+def _mode_report(config: GemConfig, n: int, interval, delta: float) -> FidelityReport:
+    """Recall of plane-wave mode n on `interval`, read out with offset delta
+    and scored over the echo window (switch_time, t_max)."""
     t1, t2 = interval
     pulse = make_plane_wave_mode(n, t1, t2)
     omega = 2.0 * np.pi * n / (t2 - t1)
     rec = run_gem(config, pulse, store_fields=False, carrier=omega)
+    echo_window = (config.stark.switch_time, config.grid.t_max)
     sigma = efficiency_numeric(rec, (0.0, config.stark.switch_time), echo_window)
     out = shifted_output(rec, delta) if delta != 0.0 else rec.output_series
-    return fidelity(
-        rec.input_series,
-        out,
-        rec.grid.dt,
-        sigma,
-        echo_window=echo_window,
-        delta_pivot=config.stark.switch_time,
-    )
+    return fidelity(rec.input_series, out, rec.grid.dt, sigma, echo_window=echo_window)
 
 
 def _sweep_task(args):
-    config, beta, n, interval, delta, echo_window = args
-    rep = _mode_report(config.with_beta(beta), n, interval, delta, echo_window)
+    config, beta, n, interval, delta = args
+    rep = _mode_report(config.with_beta(beta), n, interval, delta)
     return SweepRow(
         beta=beta,
         mode_n=n,
@@ -239,18 +241,9 @@ def mode_fidelity_sweep(
     is a mode-independent frequency shift); a float applies a fixed offset
     and 0.0 leaves the readout uncorrected.
     """
-    t1, t2 = interval
-    if not t2 > t1:
-        raise ConfigError("interval must satisfy t2 > t1")
-    if t2 > config_template.stark.switch_time:
-        raise ConfigError("interval must end before the switch time")
-    band = abs(config_template.stark.eta0) * config_template.grid.length / 2.0
-    for n in mode_indices:
-        if abs(2.0 * np.pi * n / (t2 - t1)) > band:
-            raise ConfigError(f"mode {n} lies outside the medium bandwidth")
+    check_mode_run(config_template, interval, mode_indices)
     if any(b <= 0 for b in betas):
         raise ConfigError("betas must be positive")
-    echo_window = (config_template.stark.switch_time, config_template.grid.t_max)
 
     deltas = {}
     for beta in betas:
@@ -262,7 +255,7 @@ def mode_fidelity_sweep(
             deltas[beta] = float(delta)
 
     tasks = [
-        (config_template, beta, int(n), (t1, t2), deltas[beta], echo_window)
+        (config_template, beta, int(n), tuple(interval), deltas[beta])
         for beta in betas
         for n in mode_indices
     ]
@@ -279,7 +272,6 @@ def find_delta(
     probe_mode: int,
     *,
     search_halfwidth: Optional[float] = None,
-    rel_tol: float = 1e-3,
 ) -> DeltaSearchResult:
     """Readout offset delta* maximizing the probe-mode fidelity.
 
@@ -306,7 +298,6 @@ def find_delta(
             rec.grid.dt,
             sigma,
             echo_window=echo_window,
-            delta_pivot=ts,
         ).fidelity
 
     if search_halfwidth is None:
@@ -320,7 +311,7 @@ def find_delta(
     ib = int(np.argmax(vals))
     lo = grid[max(0, ib - 1)]
     hi = grid[min(n_scan - 1, ib + 1)]
-    tol = rel_tol * 2.0 * search_halfwidth
+    tol = _DELTA_REL_TOL * 2.0 * search_halfwidth
     tol = min(tol, (hi - lo) / 64.0)
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -22,13 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, GemConfig, Grid, PulseSpec
+from .core import GemConfig, Grid, PulseSpec
 
 __all__ = ["FieldRecord", "NonFiniteFieldError", "run_gem", "output_energy", "cumulative_simpson"]
-
-# Empirical stability bound of the explicit field/polarisation exchange:
-# the fastest retained exchange rate is ~ g*N/k_min with k_min = 2*pi/L.
-_EXCHANGE_LIMIT = 2.0
 
 
 class NonFiniteFieldError(RuntimeError):
@@ -188,13 +184,6 @@ def run_gem(
     z = grid.z_axis
     t = grid.t_axis
     g, dens, gamma = config.g, config.linear_density, config.gamma
-
-    exchange = g * dens * grid.length * dt / (2.0 * np.pi)
-    if exchange > _EXCHANGE_LIMIT:
-        raise ConfigError(
-            "time step too large for the field/polarisation exchange rate: "
-            f"g*N*L*dt/(2*pi) = {exchange:.2f} > {_EXCHANGE_LIMIT}; increase nt"
-        )
 
     # gauge phase at sample and midpoint times
     s = carrier / stark.eta0

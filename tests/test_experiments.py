@@ -124,7 +124,29 @@ class TestLoadSpec:
         ("fig3_eit", lambda doc: doc["checks"].update(fidelity_min=0.5), "checks.fidelity_min"),
         ("fig4_sweep", lambda doc: doc["checks"].update(sigma_min=0.5), "checks.sigma_min"),
         ("fig4_sweep", lambda doc: doc["params"].pop("mode_indices"), "params.mode_indices"),
-    ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes"])
+        ("fig3_gem", lambda doc: doc["config"]["grid"].update(nz=1), "config.grid: nz"),
+        ("fig3_gem", lambda doc: doc["config"]["stark"].update(eta0=0), "config.stark: eta0"),
+        ("fig3_gem", lambda doc: doc["config"]["stark"].update(ramp_tau=-1),
+         "config.stark: ramp_tau"),
+        ("fig3_gem", lambda doc: doc["config"]["stark"].update(freeze_intervals=[[5, 1]]),
+         "config.stark: freeze interval"),
+        ("fig3_eit", lambda doc: doc["config"]["grid"].update(t_max=-1), "config.grid: t_max"),
+        ("fig4_sweep", lambda doc: doc["params"].update(betas=[200]), "params.betas[0]: time step"),
+        ("fig4_sweep", lambda doc: doc["params"].update(mode_indices=[1000]),
+         "params.mode_indices: mode 1000"),
+        ("fig4_sweep", lambda doc: doc["params"].update(interval=[50, 70]), "params.interval"),
+        ("fig3_gem", lambda doc: doc["params"].update(betas=[1.0]), "params.betas"),
+        ("fig3_gem", lambda doc: doc["params"].update(freeze_window=[50, 55]),
+         "params.freeze_window"),
+        ("fig3_gem", lambda doc: doc["params"].update(envelope_time=45.0), "params.envelope_time"),
+        ("fig4_sweep", lambda doc: doc.update(pulse={"kind": "gaussian", "width": 1.0}), "pulse"),
+        ("fig3_eit", lambda doc: doc["pulse"].update(amplitude=1e200), "pulse: amplitude"),
+        ("fig3_gem", lambda doc: doc["params"].update(field_stride=0), "params.field_stride"),
+    ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
+            "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
+            "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
+            "sweep_interval_after_switch", "gem_betas", "gem_freeze_window",
+            "gem_envelope_time", "sweep_pulse", "huge_amplitude", "zero_field_stride"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)
@@ -219,6 +241,22 @@ class TestCli:
         bad = tiny_gem_spec(tmp_path, checks={"echo_peak_us": [1.0, 2.0]})
         assert cli_main(["--out", str(tmp_path / "o2"), "run", str(bad)]) == 1
         capsys.readouterr()
+
+    def test_solver_failure_after_load_exits_3(self, tmp_path, capsys, monkeypatch):
+        from gemsim import experiments
+        from gemsim.solver import NonFiniteFieldError
+
+        def blow_up(*args, **kwargs):
+            raise NonFiniteFieldError(1, 0.01)
+
+        monkeypatch.setattr(experiments, "run_gem", blow_up)
+        path = tiny_gem_spec(tmp_path)
+        assert cli_main(["--out", str(tmp_path / "o"), "run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: non-finite values at time index 1")
+        assert len(err.splitlines()) == 1
+        manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
 
     def test_presets_list(self, capsys):
         assert cli_main(["presets", "list"]) == 0

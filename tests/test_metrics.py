@@ -123,7 +123,8 @@ class TestFidelity:
         d0 = 0.9
         e_out = np.exp(-(((t - 55.0) / 2.0) ** 2)) * np.exp(-1j * d0 * t)
         degraded = fidelity(e_in, e_out, dt, sigma=1.0)
-        repaired = fidelity(e_in, e_out, dt, sigma=1.0, delta=d0)
+        # undo the readout offset on the output before correlating
+        repaired = fidelity(e_in, e_out * np.exp(1j * d0 * t), dt, sigma=1.0)
         assert repaired.fidelity > degraded.fidelity
         assert repaired.fidelity == pytest.approx(1.0, abs=1e-4)
 
