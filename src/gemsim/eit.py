@@ -59,6 +59,8 @@ class EitConfig:
             raise ConfigError("rates must be non-negative")
         if not self.switch_down < self.switch_up:
             raise ConfigError("switch_down must precede switch_up")
+        if self.grid.nz < 3:
+            raise ConfigError("nz must be >= 3 for the field quadrature")
 
     @property
     def group_delay(self) -> float:
@@ -135,22 +137,35 @@ def run_eit(
     omega_series = omega_c_schedule(config, t)
     ig = 1j * config.g
 
-    def advance(n, state):
-        P, S = state
-        w = float(omega_mid[n])
+    def coefficients(w):
         h11, h12, h21, _ = _pair_propagator(w, 1.0, 0.5 * dtau)
         f11, f12, f21, f22 = _pair_propagator(w, 1.0, dtau)
         # source weights: the (P,P) / (S,P) propagator entries at the
         # midpoint of the half / full step (the source varies slowly)
         q11 = _pair_propagator(w, 1.0, 0.25 * dtau)[0]
+        return (h11, h12, 0.5 * dtau * q11 * ig,
+                f11, f12, f21, f22, dtau * h11 * ig, dtau * h21 * ig)
+
+    # the step coefficients depend on the control value alone: one table row
+    # per distinct value, filled row by row (a list of tuples would leave
+    # thousands of small objects on the heap)
+    values, value_index = np.unique(omega_mid, return_inverse=True)
+    table = np.empty((values.size, 9), dtype=complex)
+    for row, w in zip(table, values.tolist()):
+        row[:] = coefficients(w)
+
+    def advance(n, state):
+        P, S = state
+        h11, h12, src_half, f11, f12, f21, f22, src_p, src_s = table[value_index[n]].tolist()
+        rot = h11 * P + h12 * S
+
+        def half(src, weight, out):
+            np.multiply(src, weight * src_half, out=out)
+            out += rot
 
         def full(src):
-            src = ig * src
-            return (f11 * P + f12 * S + dtau * h11 * src,
-                    f21 * P + f22 * S + dtau * h21 * src)
-
-        def half(src, weight):
-            return h11 * P + h12 * S + (weight * 0.5 * dtau) * q11 * (ig * src)
+            return (f11 * P + f12 * S + src_p * src,
+                    f21 * P + f22 * S + src_s * src)
 
         return half, full
 

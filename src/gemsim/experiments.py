@@ -28,12 +28,14 @@ from .eit import EitConfig, EitRecord, eit_polariton, run_eit
 from .kspace import centroid_series, phi_residual, to_kspace
 from .metrics import (
     _mode_report,
+    check_efficiency_windows,
     check_mode_run,
     efficiency_analytic,
     efficiency_numeric,
     fidelity,
     find_delta,
     mode_fidelity_sweep,
+    window_energy,
 )
 from .solver import run_gem
 
@@ -261,7 +263,7 @@ def load_spec(path) -> ExperimentSpec:
     params = _object(dict, entry.required_params, entry.optional_params)(
         top.get("params", {}), "params")
     if entry.check is not None:
-        entry.check(config, params)
+        entry.check(config, pulse, params)
 
     checks = _checks(top.get("checks", {}), "checks")
     for check in checks:
@@ -384,6 +386,14 @@ def balance_residual(record) -> float:
     return float(np.max(np.abs(rate - flux))) / peak
 
 
+def _gem_windows(config: GemConfig, params: dict):
+    """Input and echo windows of a gem-kind run; by default the storage and
+    the recall side of the switch."""
+    ts = config.stark.switch_time
+    return (tuple(params.get("input_window", (0.0, ts))),
+            tuple(params.get("echo_window", (ts, config.grid.t_max))))
+
+
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     config: GemConfig = spec.config
     params = spec.params
@@ -397,8 +407,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
          record.output_series.real, record.output_series.imag),
     )
     scalars = {}
-    in_win = tuple(params.get("input_window", (0.0, config.stark.switch_time)))
-    echo_win = tuple(params.get("echo_window", (config.stark.switch_time, config.grid.t_max)))
+    in_win, echo_win = _gem_windows(config, params)
     sigma = efficiency_numeric(record, in_win, echo_win)
     rep = fidelity(record.input_series, record.output_series, record.grid.dt, sigma,
                    echo_window=echo_win)
@@ -454,10 +463,8 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     dt = record.grid.dt
     in_win = tuple(params.get("input_window", (0.0, config.switch_down + 4.0 * config.ramp_tau)))
     echo_win = tuple(params.get("echo_window", (config.switch_up, record.grid.t_max)))
-    m_in = (t >= in_win[0]) & (t <= in_win[1])
-    m_echo = (t >= echo_win[0]) & (t <= echo_win[1])
-    e_in = float(np.trapezoid(np.abs(record.input_series[m_in]) ** 2, dx=dt))
-    e_echo = float(np.trapezoid(np.abs(record.output_series[m_echo]) ** 2, dx=dt))
+    e_in = window_energy(t, record.input_series, in_win, dt)
+    e_echo = window_energy(t, record.output_series, echo_win, dt)
     scalars = {"sigma": e_echo / e_in if e_in > 0 else 0.0}
 
     hold = (record.field_times > in_win[1] + 2.0) & (record.field_times < config.switch_up - 2.0)
@@ -542,9 +549,21 @@ def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dum
     return scalars, None
 
 
-def _check_mode_params(config: GemConfig, params: dict):
-    """Load-time check of the mode kinds: the window, every mode and every
-    optical depth the run will use."""
+def _check_gem_params(config: GemConfig, pulse: PulseSpec, params: dict):
+    """Load-time check of the gem kinds: the efficiency windows are
+    nonempty and disjoint, and the pulse sampled on the grid carries energy
+    in the input window."""
+    in_win, echo_win = _gem_windows(config, params)
+    _at("params", check_efficiency_windows, in_win, echo_win)
+    t = config.grid.t_axis
+    if window_energy(t, pulse.evaluate(t), in_win, config.grid.dt) <= 0.0:
+        raise SpecValidationError(
+            f"params.input_window: the pulse carries no energy in {list(in_win)}")
+
+
+def _check_mode_params(config: GemConfig, pulse, params: dict):
+    """Load-time check of the mode kinds (which take no pulse): the window,
+    every mode and every optical depth the run will use."""
     interval = params["interval"]
     _at("params.interval", check_mode_run, config, interval, ())
     for key in ("mode_indices", "probe_mode", "verify_modes"):
@@ -561,7 +580,7 @@ class _Kind:
     pulse: bool  # the kind requires a pulse; otherwise it rejects one
     required_params: dict
     optional_params: dict
-    check: Optional[Callable]  # check(config, params), after parsing
+    check: Optional[Callable]  # check(config, pulse, params), after parsing
     run: Callable  # run(spec, writer, workers, dump_fields) -> (scalars, summary)
 
 
@@ -571,8 +590,9 @@ _EIT_PARAMS = {"input_window": _pair, "echo_window": _pair, "field_stride": _str
                "envelope_time": _number}
 
 _KINDS = {
-    "gem_run": _Kind(_gem_config, True, {}, _GEM_PARAMS, None, _gem_artifacts),
-    "kspace_report": _Kind(_gem_config, True, {}, _GEM_PARAMS, None, _gem_artifacts),
+    "gem_run": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_gem_params, _gem_artifacts),
+    "kspace_report": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_gem_params,
+                           _gem_artifacts),
     "eit_run": _Kind(_eit_config, True, {}, _EIT_PARAMS, None, _eit_artifacts),
     "fidelity_sweep": _Kind(
         _gem_config, False, {"interval": _pair, "mode_indices": _int_list},

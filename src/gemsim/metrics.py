@@ -27,6 +27,7 @@ __all__ = [
     "FidelityReport",
     "SweepRow",
     "DeltaSearchResult",
+    "check_efficiency_windows",
     "check_mode_run",
     "efficiency_analytic",
     "efficiency_numeric",
@@ -34,6 +35,7 @@ __all__ = [
     "mode_fidelity_sweep",
     "find_delta",
     "shifted_output",
+    "window_energy",
 ]
 
 
@@ -78,23 +80,31 @@ def efficiency_analytic(beta: float) -> float:
     return float((1.0 - np.exp(-2.0 * np.pi * beta)) ** 2)
 
 
-def efficiency_numeric(record: FieldRecord, input_window, echo_window) -> float:
-    """Echo energy / input energy, both by trapezoidal quadrature."""
+def check_efficiency_windows(input_window, echo_window) -> None:
+    """Raise ConfigError unless both windows are nonempty and disjoint."""
     a0, a1 = input_window
     b0, b1 = echo_window
     if not (a0 < a1 and b0 < b1):
-        raise ValueError("windows must be nonempty")
+        raise ConfigError("windows must be nonempty")
     if a1 > b0 and b1 > a0:
-        raise ValueError("input and echo windows must be disjoint")
+        raise ConfigError("input and echo windows must be disjoint")
+
+
+def window_energy(times: np.ndarray, series: np.ndarray, window, dt: float) -> float:
+    """Trapezoidal integral of |series|^2 over the samples in [t_a, t_b]."""
+    m = (times >= window[0]) & (times <= window[1])
+    return float(np.trapezoid(np.abs(series[m]) ** 2, dx=dt))
+
+
+def efficiency_numeric(record: FieldRecord, input_window, echo_window) -> float:
+    """Echo energy / input energy, both by trapezoidal quadrature."""
+    check_efficiency_windows(input_window, echo_window)
     t = record.times
     dt = record.grid.dt
-    m_in = (t >= a0) & (t <= a1)
-    m_echo = (t >= b0) & (t <= b1)
-    e_in = float(np.trapezoid(np.abs(record.input_series[m_in]) ** 2, dx=dt))
+    e_in = window_energy(t, record.input_series, input_window, dt)
     if e_in <= 0.0:
         raise ValueError("input window contains no energy")
-    e_echo = float(np.trapezoid(np.abs(record.output_series[m_echo]) ** 2, dx=dt))
-    return e_echo / e_in
+    return window_energy(t, record.output_series, echo_window, dt) / e_in
 
 
 def _edge_weights(series: np.ndarray) -> np.ndarray:

@@ -38,23 +38,38 @@ class NonFiniteFieldError(RuntimeError):
         )
 
 
-def cumulative_simpson(f: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative integral along the last axis (uniform spacing).
+# end-point rows of the opening and closing parabolas, and their weights
+_ENDS = np.array([[0, 1, 2], [-1, -2, -3]])
+_END_WEIGHTS = np.array([-3.0, 4.0, -1.0]) / 12.0
+
+
+def cumulative_simpson(f: np.ndarray, dx, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Cumulative integral along the last axis (uniform spacing, n >= 3).
 
     Each sub-interval increment comes from quadratic interpolation; interior
     increments average the two bracketing parabola estimates, giving a
-    [-1, 13, 13, -1]/24 stencil; one-sided parabolas close the ends.
+    [-1, 13, 13, -1]/24 stencil; one-sided parabolas close the ends.  With
+    pair sums p_i = f_i + f_{i+1} and P = cumsum(p) the stencil sums to
+
+        cum[k] = dx/24 * (12*P[k-1] + f[k-1] - f[k+1]),   1 <= k <= n-2,
+
+    once the opening parabola is folded into p_0 and the closing one into
+    p_{n-2}, so a single cumulative sum does the work.  dx may be complex
+    (a coupling constant folded into the spacing); the result is written
+    into `out` when one is given.
     """
-    inc = np.empty_like(f)
-    inc[..., 0] = 0.0
-    inc[..., 1] = dx * (5.0 * f[..., 0] + 8.0 * f[..., 1] - f[..., 2]) / 12.0
-    inc[..., 2:-1] = (
-        dx
-        * (-f[..., :-3] + 13.0 * f[..., 1:-2] + 13.0 * f[..., 2:-1] - f[..., 3:])
-        / 24.0
-    )
-    inc[..., -1] = dx * (5.0 * f[..., -1] + 8.0 * f[..., -2] - f[..., -3]) / 12.0
-    return np.cumsum(inc, axis=-1)
+    if out is None:
+        out = np.empty(f.shape, dtype=np.result_type(f, dx))
+    q = out[..., 1:]
+    np.add(f[..., :-1], f[..., 1:], out=q)
+    q[..., :: f.shape[-1] - 2] += (f[..., _ENDS] * _END_WEIGHTS).sum(axis=-1)
+    np.cumsum(q, axis=-1, out=q)
+    q *= 12.0
+    q[..., :-1] += f[..., :-2]
+    q[..., :-1] -= f[..., 2:]
+    q *= dx / 24.0
+    out[..., 0] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,20 +138,28 @@ def _readonly(*arrays):
 def _march(advance, ein, ein_mid, coupling, dz, times, keep, state):
     """Exponential-midpoint time loop shared by the GEM and EIT solvers.
 
-    state holds per-site arrays; state[0] radiates the field E = ein +
-    coupling * cumint(state[0]).  advance(n, state) returns the step-n
-    propagators: half(src, weight) is the midpoint coherence driven by
-    weight*src (the corrector passes E + e_mid with weight 0.5), full(src)
-    the state at the end of the step.  Returns the output E(z_max, t), the
-    norm dz*sum|state[-1]|^2 and the (E, *state) rows at `keep`; raises
+    state holds per-site arrays (copied, then advanced step by step);
+    state[0] radiates the field E = ein + coupling * cumint(state[0]).
+    advance(n, state) returns the step-n propagators: half(src, weight, out)
+    writes into out the midpoint coherence driven by weight*src (the
+    corrector passes E + e_mid with weight 0.5, in place), full(src) returns
+    the state at the end of the step and may overwrite the arrays it was
+    given.  The field, the midpoint field and the corrector source live in
+    buffers allocated once.  Returns the output E(z_max, t), the norm
+    dz*sum|state[-1]|^2 and the (E, *state) rows at `keep`; raises
     NonFiniteFieldError at the first step where either is not finite.
     """
     nt = times.size
+    state = tuple(np.array(s, dtype=complex) for s in state)
     E = np.full(state[0].size, ein[0], dtype=complex)
+    e_mid = np.empty_like(E)
+    src = np.empty_like(E)
+    mag = np.empty(2 * E.size)  # |state[-1]|^2 as squares of its real view
+    step = coupling * dz
     out = np.empty(nt, dtype=complex)
     norm = np.empty(nt)
     out[0] = E[-1]
-    norm[0] = float(np.sum(np.abs(state[-1]) ** 2)) * dz
+    norm[0] = float(np.sum(np.square(state[-1].view(float), out=mag))) * dz
     keep_set = {int(i): j for j, i in enumerate(keep)}
     rows = [np.empty((len(keep), E.size), dtype=complex) for _ in (E, *state)]
     for arr, row in zip(rows, (E, *state)):
@@ -144,13 +167,19 @@ def _march(advance, ein, ein_mid, coupling, dz, times, keep, state):
 
     for n in range(nt - 1):
         half, full = advance(n, state)
-        e_mid = ein_mid[n] + coupling * cumulative_simpson(half(E, 1.0), dz)
-        e_mid = ein_mid[n] + coupling * cumulative_simpson(half(E + e_mid, 0.5), dz)
+        half(E, 1.0, src)
+        cumulative_simpson(src, step, out=e_mid)
+        e_mid += ein_mid[n]
+        np.add(E, e_mid, out=src)
+        half(src, 0.5, src)
+        cumulative_simpson(src, step, out=e_mid)
+        e_mid += ein_mid[n]
         state = full(e_mid)
-        E = ein[n + 1] + coupling * cumulative_simpson(state[0], dz)
+        cumulative_simpson(state[0], step, out=E)
+        E += ein[n + 1]
 
         out[n + 1] = E[-1]
-        norm[n + 1] = float(np.sum(np.abs(state[-1]) ** 2)) * dz
+        norm[n + 1] = float(np.sum(np.square(state[-1].view(float), out=mag))) * dz
         if not np.isfinite(norm[n + 1]) or not np.isfinite(out[n + 1]):
             raise NonFiniteFieldError(n + 1, times[n + 1])
         j = keep_set.get(n + 1)
@@ -185,19 +214,21 @@ def run_gem(
     t = grid.t_axis
     g, dens, gamma = config.g, config.linear_density, config.gamma
 
+    # per-step slope and offset integrals over the half and the full step
+    integrals = np.fromiter(
+        ((stark.slope_integral(a, m), stark.offset_integral(a, m),
+          stark.slope_integral(a, b), stark.offset_integral(a, b))
+         for a, m, b in zip(t[:-1], t[:-1] + 0.5 * dt, t[1:])),
+        dtype=np.dtype((float, 4)), count=nt - 1)
+    i_half, _, i_full, _ = integrals.T
+
     # gauge phase at sample and midpoint times
     s = carrier / stark.eta0
     z_eff = z + s
+    phi = np.zeros(nt)
     if carrier != 0.0:
-        phi = np.empty(nt)
-        phi_mid = np.empty(nt - 1)
-        phi[0] = 0.0
-        for n in range(nt - 1):
-            phi_mid[n] = phi[n] + s * stark.slope_integral(t[n], t[n] + 0.5 * dt)
-            phi[n + 1] = phi[n] + s * stark.slope_integral(t[n], t[n + 1])
-    else:
-        phi = np.zeros(nt)
-        phi_mid = np.zeros(nt - 1)
+        np.cumsum(s * i_full, out=phi[1:])
+    phi_mid = phi[:-1] + s * i_half
 
     ein_true = pulse.evaluate(t)
     ein = ein_true * np.exp(-1j * phi)
@@ -207,34 +238,42 @@ def run_gem(
     half_damp = 0.25 * gamma * dt
     full_damp = 0.5 * gamma * dt
     cache = {}
+    rot_alpha = np.empty(z.size, dtype=complex)
+    scratch = np.empty(z.size, dtype=complex)
 
     def advance(n, state):
         # exact phase rotation (and decay) over the half and full step,
-        # Filon weights for the i*g*E source
+        # Filon weights (times i*g) for the i*g*E source
         (alpha,) = state
-        t0 = t[n]
-        t1 = t[n + 1]
-        tm = t0 + 0.5 * dt
-        ie = stark.slope_integral(t0, tm)
-        de = stark.offset_integral(t0, tm)
-        i_f = stark.slope_integral(t0, t1)
-        d_f = stark.offset_integral(t0, t1)
-        key = (ie, de, i_f, d_f)
+        key = tuple(integrals[n].tolist())
         ops = cache.get(key)
         if ops is None:
+            ie, de, i_f, d_f = key
             th_e = z_eff * ie - de
             th_f = z_eff * i_f - d_f
             ops = (
                 np.exp(-1j * th_e - half_damp),
                 np.exp(-1j * th_f - full_damp),
-                _filon_weight(th_e, half_damp, 0.5 * dt),
-                _filon_weight(th_f, full_damp, dt),
+                ig * _filon_weight(th_e, half_damp, 0.5 * dt),
+                ig * _filon_weight(th_f, full_damp, dt),
             )
             if len(cache) < 64:
                 cache[key] = ops
         rot_half, rot_full, w_half, w_full = ops
-        return (lambda src, weight: rot_half * alpha + (weight * ig) * (w_half * src),
-                lambda src: (rot_full * alpha + ig * (w_full * src),))
+        np.multiply(rot_half, alpha, out=rot_alpha)
+
+        def half(src, weight, out):
+            np.multiply(w_half, src, out=out)
+            if weight != 1.0:
+                out *= weight
+            out += rot_alpha
+
+        def full(src):
+            np.multiply(rot_full, alpha, out=alpha)
+            np.add(alpha, np.multiply(w_full, src, out=scratch), out=alpha)
+            return state
+
+        return half, full
 
     keep = _snapshot_rows(nt, store_fields, field_stride)
     alpha0 = np.zeros(z.size, dtype=complex)

@@ -142,11 +142,17 @@ class TestLoadSpec:
         ("fig4_sweep", lambda doc: doc.update(pulse={"kind": "gaussian", "width": 1.0}), "pulse"),
         ("fig3_eit", lambda doc: doc["pulse"].update(amplitude=1e200), "pulse: amplitude"),
         ("fig3_gem", lambda doc: doc["params"].update(field_stride=0), "params.field_stride"),
+        ("fig3_eit", lambda doc: doc["config"]["grid"].update(nz=2), "config: nz must be >= 3"),
+        ("fig3_gem", lambda doc: doc["params"].update(input_window=[0, 70]),
+         "params: input and echo windows must be disjoint"),
+        ("fig3_gem", lambda doc: doc["params"].update(input_window=[90, 100], echo_window=[60, 80]),
+         "params.input_window: the pulse carries no energy"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
             "sweep_interval_after_switch", "gem_betas", "gem_freeze_window",
-            "gem_envelope_time", "sweep_pulse", "huge_amplitude", "zero_field_stride"])
+            "gem_envelope_time", "sweep_pulse", "huge_amplitude", "zero_field_stride",
+            "eit_nz_2", "gem_windows_overlap", "gem_input_window_without_energy"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)
