@@ -551,14 +551,22 @@ def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dum
 
 def _check_gem_params(config: GemConfig, pulse: PulseSpec, params: dict):
     """Load-time check of the gem kinds: the efficiency windows are
-    nonempty and disjoint, and the pulse sampled on the grid carries energy
-    in the input window."""
+    nonempty and disjoint, the pulse sampled on the grid carries energy in
+    the input window, and the echo window holds at least two grid samples
+    and does not end before the input window starts (an echo cannot be
+    scored there)."""
     in_win, echo_win = _gem_windows(config, params)
     _at("params", check_efficiency_windows, in_win, echo_win)
     t = config.grid.t_axis
     if window_energy(t, pulse.evaluate(t), in_win, config.grid.dt) <= 0.0:
         raise SpecValidationError(
             f"params.input_window: the pulse carries no energy in {list(in_win)}")
+    if np.count_nonzero((t >= echo_win[0]) & (t <= echo_win[1])) < 2:
+        raise SpecValidationError(
+            f"params.echo_window: {list(echo_win)} holds fewer than two grid samples")
+    if echo_win[1] <= in_win[0]:
+        raise SpecValidationError(
+            f"params.echo_window: {list(echo_win)} ends before the input window starts")
 
 
 def _check_mode_params(config: GemConfig, pulse, params: dict):

@@ -49,6 +49,8 @@ class KSpaceRecord:
     _e_rows: np.ndarray
     _alpha_rows: np.ndarray
     _dz: float
+    _row_power: np.ndarray  # sum_k |Psi|^2 at each stored time
+    _peak: float  # the largest row power
 
     @property
     def nk(self) -> int:
@@ -73,7 +75,8 @@ def to_kspace(record: FieldRecord, linear_density: float) -> KSpaceRecord:
     a_t = _transform(record.polarisation, dz)
     psi = k * e_t + linear_density * a_t
     phi = k * e_t - linear_density * a_t
-    for arr in (psi, phi, k):
+    row_power = np.sum(np.abs(psi) ** 2, axis=-1)
+    for arr in (psi, phi, k, row_power):
         arr.setflags(write=False)
     return KSpaceRecord(
         times=record.field_times,
@@ -86,36 +89,40 @@ def to_kspace(record: FieldRecord, linear_density: float) -> KSpaceRecord:
         _e_rows=record.e_field,
         _alpha_rows=record.polarisation,
         _dz=dz,
+        _row_power=row_power,
+        _peak=float(np.max(row_power)),
     )
 
 
-def _check_floor(ks: KSpaceRecord, t_index: int, allow_dark: bool = False):
-    w = np.abs(ks.psi[t_index]) ** 2
-    peak = float(np.max(np.sum(np.abs(ks.psi) ** 2, axis=-1)))
-    if peak == 0.0 and allow_dark:
-        return None
-    if float(np.sum(w)) <= _FLOOR_FRACTION * peak or peak == 0.0:
+def _lit(ks: KSpaceRecord) -> np.ndarray:
+    """Rows whose |Psi|^2 weight exceeds the floor relative to the peak row."""
+    return ks._row_power > _FLOOR_FRACTION * ks._peak
+
+
+def _check_floor(ks: KSpaceRecord, t_index: int) -> None:
+    if not _lit(ks)[t_index]:
         raise ValueError(
             f"|Psi|^2 at t index {t_index} is below {_FLOOR_FRACTION} of the peak row"
         )
-    return w
+
+
+def _centroid(k: np.ndarray, w: np.ndarray):
+    """sum(k w) / sum(w) along the last axis of w, k = 0 bin excluded."""
+    sel = k != 0.0
+    return np.sum(k[sel] * w[..., sel], axis=-1) / np.sum(w[..., sel], axis=-1)
 
 
 def k_centroid(ks: KSpaceRecord, t_index: int) -> float:
     """Weighted centroid sum(k |Psi|^2) / sum(|Psi|^2), k = 0 bin excluded."""
-    w = _check_floor(ks, t_index)
-    sel = ks.k_axis != 0.0
-    return float(np.sum(ks.k_axis[sel] * w[sel]) / np.sum(w[sel]))
+    _check_floor(ks, t_index)
+    return float(_centroid(ks.k_axis, np.abs(ks.psi[t_index]) ** 2))
 
 
 def centroid_series(ks: KSpaceRecord) -> np.ndarray:
     """k_centroid at every stored time (rows below the floor give nan)."""
-    out = np.empty(ks.times.size)
-    for i in range(ks.times.size):
-        try:
-            out[i] = k_centroid(ks, i)
-        except ValueError:
-            out[i] = np.nan
+    lit = _lit(ks)
+    out = np.full(ks.times.size, np.nan)
+    out[lit] = _centroid(ks.k_axis, np.abs(ks.psi[lit]) ** 2)
     return out
 
 
@@ -147,7 +154,8 @@ def polariton_norm(ks: KSpaceRecord, t_index: int) -> float:
     is when the normalized mode is a meaningful excitation number; under a
     nonzero slope the combination is transported but not conserved.
     """
-    if _check_floor(ks, t_index, allow_dark=True) is None:
+    if ks._peak == 0.0:
         return 0.0
+    _check_floor(ks, t_index)
     q = np.abs(ks.psi[t_index] / ks.norm_factor) ** 2
     return float(np.sum(q) * ks.dk)

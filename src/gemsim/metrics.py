@@ -198,15 +198,22 @@ def check_mode_run(config: GemConfig, interval, modes: Sequence[int]) -> None:
             raise ConfigError(f"mode {n} lies outside the medium bandwidth")
 
 
-def _mode_report(config: GemConfig, n: int, interval, delta: float) -> FidelityReport:
-    """Recall of plane-wave mode n on `interval`, read out with offset delta
-    and scored over the echo window (switch_time, t_max)."""
+def _mode_run(config: GemConfig, n: int, interval):
+    """Carrier-gauge run of plane-wave mode n on `interval`: the record, its
+    echo window (switch_time, t_max) and its efficiency."""
     t1, t2 = interval
     pulse = make_plane_wave_mode(n, t1, t2)
     omega = 2.0 * np.pi * n / (t2 - t1)
     rec = run_gem(config, pulse, store_fields=False, carrier=omega)
     echo_window = (config.stark.switch_time, config.grid.t_max)
     sigma = efficiency_numeric(rec, (0.0, config.stark.switch_time), echo_window)
+    return rec, echo_window, sigma
+
+
+def _mode_report(config: GemConfig, n: int, interval, delta: float) -> FidelityReport:
+    """Recall of plane-wave mode n on `interval`, read out with offset delta
+    and scored over the echo window (switch_time, t_max)."""
+    rec, echo_window, sigma = _mode_run(config, n, interval)
     out = shifted_output(rec, delta) if delta != 0.0 else rec.output_series
     return fidelity(rec.input_series, out, rec.grid.dt, sigma, echo_window=echo_window)
 
@@ -292,14 +299,8 @@ def find_delta(
     medium bandwidth eta0*L.  Returns delta = 0 flagged unimproved when no
     candidate beats the uncorrected fidelity.
     """
-    t1, t2 = interval
-    T = t2 - t1
-    pulse = make_plane_wave_mode(probe_mode, t1, t2)
-    omega = 2.0 * np.pi * probe_mode / T
-    rec = run_gem(config_template, pulse, store_fields=False, carrier=omega)
-    ts = config_template.stark.switch_time
-    echo_window = (ts, config_template.grid.t_max)
-    sigma = efficiency_numeric(rec, (0.0, ts), echo_window)
+    T = interval[1] - interval[0]
+    rec, echo_window, sigma = _mode_run(config_template, probe_mode, interval)
 
     def f_of(d: float) -> float:
         return fidelity(

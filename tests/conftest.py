@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from gemsim import Grid, GemConfig, PulseSpec, StarkProfile, run_gem
+from gemsim.cli import preset_path
+from gemsim.experiments import load_spec
 
 ETA_8MHZ = 2.0 * math.pi * 8.0 / 6.0  # 8 MHz Stark span across the 6 mm cell
 
@@ -21,28 +24,24 @@ def small_pulse(center=4.0, width=1.2):
     return PulseSpec(kind="gaussian", center=center, width=width)
 
 
-def fig2_config(beta=3.3, ramp_tau=0.0, freeze=()):
-    stark = StarkProfile(eta0=ETA_8MHZ, switch_time=80.0, ramp_tau=ramp_tau,
-                         freeze_intervals=freeze)
-    grid = Grid(z_min=-3.0, z_max=3.0, nz=4096, t_max=200.0, nt=8001)
-    return GemConfig(g=1.0, linear_density=beta * ETA_8MHZ, gamma=0.0,
-                     stark=stark, grid=grid)
-
-
-FIG2_PULSE = PulseSpec(kind="gaussian", center=5.0, width=1.5)
+def _fig2_record(name, **stark):
+    """Run of a fig2 preset, with `stark` fields replaced in its schedule."""
+    spec = load_spec(preset_path(name))
+    config = replace(spec.config, stark=replace(spec.config.stark, **stark))
+    return run_gem(config, spec.pulse, field_stride=spec.params["field_stride"])
 
 
 @pytest.fixture(scope="session")
 def fig2_abrupt_record():
-    return run_gem(fig2_config(), FIG2_PULSE, field_stride=40)
+    return _fig2_record("fig2_abrupt")
 
 
 @pytest.fixture(scope="session")
 def fig2_tanh_record():
-    return run_gem(fig2_config(ramp_tau=58.0), FIG2_PULSE, field_stride=40)
+    return _fig2_record("fig2_tanh")
 
 
 @pytest.fixture(scope="session")
 def fig2_freeze_record():
     # slope frozen for 10 us mid-storage; echo shifts from 155 to 165 us
-    return run_gem(fig2_config(freeze=((30.0, 40.0),)), FIG2_PULSE, field_stride=40)
+    return _fig2_record("fig2_abrupt", freeze_intervals=((30.0, 40.0),))

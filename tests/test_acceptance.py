@@ -1,12 +1,15 @@
 """Acceptance criteria, one test per criterion at preset resolution.
 
 Each test prints one pass/fail line; run with `pytest tests/test_acceptance.py
--v -s` to see them.  The mode sweeps use the stratified 16-mode subsample
-plus both band-edge modes; the full 80-mode grid is the packaged
-fig4_sweep preset (a long job intended for nightly runs).
+-v -s` to see them.  The fig2 records and the beta sweep build on the
+fig2_abrupt and fig2_tanh presets; the mode sweeps of criteria 4 and 5 run
+the fig4_quick preset (a stratified 16-mode subsample plus both band-edge
+modes at two depths); the full 80-mode grid is the packaged fig4_sweep
+preset (a long job intended for nightly runs).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,30 +40,12 @@ from gemsim.metrics import (
 from gemsim.eit import run_eit
 from gemsim.experiments import balance_residual
 
-from conftest import ETA_8MHZ, FIG2_PULSE
-
 WORKERS = 2
-
-# medium for the [35,45] us mode sweeps: the mode band is 8 MHz while the
-# Stark span is 48 MHz, so the sharp window tails of every in-band mode
-# stay inside the medium faces
-ETA_SWEEP = 2.0 * math.pi * 24.0 / 3.0
-SWEEP_INTERVAL = (35.0, 45.0)
-EDGE_MODES = [-40, 39]
-STRATIFIED_MODES = list(range(-38, 40, 5))  # 16 interior modes
-SWEEP_MODES = sorted(set(EDGE_MODES + STRATIFIED_MODES))
 
 # medium for the long [10,70] us interval: the late switch keeps the
 # residual readout phase nearly linear across the signal
 ETA_LONG = 2.0 * math.pi * 6.0 / 3.0
 LONG_INTERVAL = (10.0, 70.0)
-
-
-def sweep_config(beta: float) -> GemConfig:
-    stark = StarkProfile(eta0=ETA_SWEEP, switch_time=60.0)
-    grid = Grid(z_min=-3.0, z_max=3.0, nz=10240, t_max=100.0, nt=8001)
-    return GemConfig(g=1.0, linear_density=beta * ETA_SWEEP, gamma=0.0,
-                     stark=stark, grid=grid)
 
 
 def long_config(beta: float, nt: int = 24801) -> GemConfig:
@@ -72,35 +57,41 @@ def long_config(beta: float, nt: int = 24801) -> GemConfig:
 
 def beta_sweep_sigmas(nz: int, nt: int) -> dict:
     betas = (0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 3.3)
+    fig2 = load_spec(preset_path("fig2_abrupt"))
+    config = replace(fig2.config, grid=replace(fig2.config.grid, nz=nz, nt=nt))
     out = {}
     for beta in betas:
-        stark = StarkProfile(eta0=ETA_8MHZ, switch_time=80.0)
-        grid = Grid(z_min=-3.0, z_max=3.0, nz=nz, t_max=200.0, nt=nt)
-        cfg = GemConfig(g=1.0, linear_density=beta * ETA_8MHZ, gamma=0.0,
-                        stark=stark, grid=grid)
-        rec = run_gem(cfg, FIG2_PULSE, store_fields=False)
-        out[beta] = efficiency_numeric(rec, (0.0, 40.0), (100.0, 200.0))
+        rec = run_gem(config.with_beta(beta), fig2.pulse, store_fields=False)
+        out[beta] = efficiency_numeric(rec, fig2.params["input_window"],
+                                       fig2.params["echo_window"])
     return out
 
 
 @pytest.fixture(scope="module")
-def preset_sigmas():
-    return beta_sweep_sigmas(nz=4096, nt=8001)
+def fig2():
+    return load_spec(preset_path("fig2_abrupt"))
 
 
 @pytest.fixture(scope="module")
-def sweep_rows():
-    """Criterion 4/5 shared sweep: stratified modes + edges at two depths."""
-    rows = {}
-    for beta in (0.75, 3.0):
-        cfg = sweep_config(beta)
-        delta = find_delta(cfg, SWEEP_INTERVAL, probe_mode=0,
-                           search_halfwidth=8.0 * math.pi).delta
-        rows[beta] = mode_fidelity_sweep(
-            cfg, SWEEP_INTERVAL, [beta], SWEEP_MODES, delta=delta,
-            workers=WORKERS,
-        )
-    return rows
+def fig4_quick():
+    return load_spec(preset_path("fig4_quick"))
+
+
+@pytest.fixture(scope="module")
+def preset_sigmas(fig2):
+    return beta_sweep_sigmas(nz=fig2.config.grid.nz, nt=fig2.config.grid.nt)
+
+
+@pytest.fixture(scope="module")
+def sweep_rows(fig4_quick):
+    """Criterion 4/5 shared sweep: the fig4_quick preset, rows by beta.
+
+    Its mode band is 8 MHz while the Stark span is 48 MHz, so the sharp
+    window tails of every in-band mode stay inside the medium faces."""
+    p = fig4_quick.params
+    rows = mode_fidelity_sweep(fig4_quick.config, p["interval"], p["betas"],
+                               p["mode_indices"], delta=p["delta"], workers=WORKERS)
+    return {beta: [r for r in rows if r.beta == beta] for beta in p["betas"]}
 
 
 def test_criterion_1_efficiency_oracle(preset_sigmas):
@@ -112,8 +103,8 @@ def test_criterion_1_efficiency_oracle(preset_sigmas):
     assert ok
 
 
-def test_criterion_2_switching_insensitivity(fig2_abrupt_record, fig2_tanh_record):
-    win_in, win_echo = (0.0, 40.0), (100.0, 200.0)
+def test_criterion_2_switching_insensitivity(fig2, fig2_abrupt_record, fig2_tanh_record):
+    win_in, win_echo = fig2.params["input_window"], fig2.params["echo_window"]
     vals = {}
     for name, rec in (("abrupt", fig2_abrupt_record), ("tanh", fig2_tanh_record)):
         sig = efficiency_numeric(rec, win_in, win_echo)
@@ -136,12 +127,12 @@ def test_criterion_3_echo_timing(fig2_abrupt_record):
     assert ok
 
 
-def test_criterion_4_multimode_fidelity(sweep_rows):
+def test_criterion_4_multimode_fidelity(fig4_quick, sweep_rows):
     worst = min(r.fidelity for beta in (0.75, 3.0) for r in sweep_rows[beta])
     delta_used = {beta: sweep_rows[beta][0].delta for beta in sweep_rows}
     ok = worst > 0.99
     print(f"[criterion 4] {'PASS' if ok else 'FAIL'}: min F over "
-          f"{len(SWEEP_MODES)} modes (edges included) at beta >= 0.75 = "
+          f"{len(fig4_quick.params['mode_indices'])} modes (edges included) at beta >= 0.75 = "
           f"{worst:.5f} (> 0.99); readout offsets {delta_used}")
     assert ok
 
@@ -154,8 +145,6 @@ def test_criterion_5_degradation_and_repair(sweep_rows):
     repaired = res.fidelity
     # end-to-end verification: rerun the probe with the offset applied in
     # the Stark schedule itself and remeasure
-    from dataclasses import replace
-
     stark = replace(cfg.stark, delta_offset=res.delta)
     cfg_delta = GemConfig(g=cfg.g, linear_density=cfg.linear_density,
                           gamma=cfg.gamma, stark=stark, grid=cfg.grid)
@@ -187,7 +176,7 @@ def test_criterion_6_shape_preservation_low_depth():
     assert ok
 
 
-def test_criterion_7_normal_mode_invariants(fig2_abrupt_record, fig2_freeze_record):
+def test_criterion_7_normal_mode_invariants(fig2, fig2_abrupt_record, fig2_freeze_record):
     rec = fig2_abrupt_record
     ks = to_kspace(rec, rec.linear_density)
     storage = np.nonzero((ks.times > 20.0) & (ks.times < 70.0))[0]
@@ -196,7 +185,8 @@ def test_criterion_7_normal_mode_invariants(fig2_abrupt_record, fig2_freeze_reco
     cen = centroid_series(ks)
     sel = (ks.times > 20.0) & (ks.times < 70.0)
     slope = np.polyfit(ks.times[sel], cen[sel], 1)[0]
-    slope_err = abs(slope - (-ETA_8MHZ)) / ETA_8MHZ
+    eta0 = fig2.config.stark.eta0
+    slope_err = abs(slope - (-eta0)) / eta0
 
     krec = fig2_freeze_record
     kks = to_kspace(krec, krec.linear_density)
@@ -247,10 +237,9 @@ def test_criterion_9_eit_contrast():
     assert ok
 
 
-def test_criterion_10_determinism_and_convergence(tmp_path, preset_sigmas):
-    spec = load_spec(preset_path("fig2_abrupt"))
-    r1 = run_experiment(spec, tmp_path / "a")
-    r2 = run_experiment(spec, tmp_path / "b")
+def test_criterion_10_determinism_and_convergence(tmp_path, fig2, preset_sigmas):
+    r1 = run_experiment(fig2, tmp_path / "a")
+    r2 = run_experiment(fig2, tmp_path / "b")
     d1 = {f["name"]: f["sha256"] for f in r1.files}
     d2 = {f["name"]: f["sha256"] for f in r2.files}
     identical = d1 == d2

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemsim import ConfigError, Grid, GemConfig, PulseSpec, StarkProfile
+from gemsim.cli import preset_path
 from gemsim.core import count_modes, make_plane_wave_mode, window_inner_product
+from gemsim.experiments import load_spec
 
 from conftest import ETA_8MHZ
 
@@ -31,10 +33,7 @@ class TestGrid:
 
 class TestGemConfig:
     def test_beta(self):
-        stark = StarkProfile(eta0=ETA_8MHZ, switch_time=80.0)
-        grid = Grid(z_min=-3.0, z_max=3.0, nz=4096, t_max=200.0, nt=8001)
-        cfg = GemConfig(g=1.0, linear_density=3.3 * ETA_8MHZ, gamma=0.0,
-                        stark=stark, grid=grid)
+        cfg = load_spec(preset_path("fig2_abrupt")).config
         assert cfg.beta == pytest.approx(3.3)
         assert cfg.with_beta(0.75).beta == pytest.approx(0.75)
 

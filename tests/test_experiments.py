@@ -113,10 +113,21 @@ class TestLoadSpec:
     def test_shipped_presets_are_valid(self):
         names = preset_names()
         assert names == ["fig2_abrupt", "fig2_tanh", "fig3_eit", "fig3_gem",
-                         "fig4_sweep"]
+                         "fig4_quick", "fig4_sweep"]
         for name in names:
             spec = load_spec(preset_path(name))
             assert spec.name == name
+
+    def test_fig4_quick_is_fig4_sweep_on_fewer_betas_and_modes(self):
+        quick, full = (json.loads(preset_path(n).read_text()) for n in ("fig4_quick", "fig4_sweep"))
+        subsets = ("betas", "mode_indices")
+        for key in subsets:
+            assert set(quick["params"][key]) <= set(full["params"][key])
+        for doc in (quick, full):
+            del doc["name"], doc["output_dir"]
+            for key in subsets:
+                del doc["params"][key]
+        assert quick == full
 
     @pytest.mark.parametrize("preset, edit, key", [
         ("fig3_eit", lambda doc: doc["checks"].update(sigma_abs_vs_analytic=0.5),
@@ -147,12 +158,19 @@ class TestLoadSpec:
          "params: input and echo windows must be disjoint"),
         ("fig3_gem", lambda doc: doc["params"].update(input_window=[90, 100], echo_window=[60, 80]),
          "params.input_window: the pulse carries no energy"),
+        ("fig3_gem", lambda doc: doc["params"].update(echo_window=[121, 130]),
+         "params.echo_window: [121.0, 130.0] holds fewer than two grid samples"),
+        ("fig3_gem", lambda doc: (
+            doc.update(pulse={"kind": "plane_wave_window", "mode_index": 0, "window": [6, 10]}),
+            doc["params"].update(input_window=[5, 12], echo_window=[0, 4])),
+         "params.echo_window: [0.0, 4.0] ends before the input window starts"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
             "sweep_interval_after_switch", "gem_betas", "gem_freeze_window",
             "gem_envelope_time", "sweep_pulse", "huge_amplitude", "zero_field_stride",
-            "eit_nz_2", "gem_windows_overlap", "gem_input_window_without_energy"])
+            "eit_nz_2", "gem_windows_overlap", "gem_input_window_without_energy",
+            "gem_echo_window_without_samples", "gem_echo_window_before_input"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)

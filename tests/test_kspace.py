@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,9 +80,20 @@ class TestCentroid:
         assert abs(k_centroid(ks, 0)) < 1e-9
 
     def test_transport_slope_matches_minus_eta(self, stored_run, stored_ks):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the all-zero first row divides nothing
+            series = centroid_series(stored_ks)
+        assert np.isnan(series[0])
+        for i, c in enumerate(series):
+            try:
+                ref = k_centroid(stored_ks, i)
+            except ValueError:
+                assert np.isnan(c)
+            else:
+                assert c == pytest.approx(ref, rel=1e-12)
         t = stored_ks.times
         sel = (t > 8.0) & (t < 13.0)  # storage window
-        cen = centroid_series(stored_ks)[sel]
+        cen = series[sel]
         slope = np.polyfit(t[sel], cen, 1)[0]
         eta = 4.0
         assert slope == pytest.approx(-eta, rel=0.05)
