@@ -6,20 +6,20 @@ from .core import (
     Grid,
     PulseSpec,
     StarkProfile,
-    count_modes,
     make_plane_wave_mode,
 )
 from .eit import EitConfig, EitRecord, eit_polariton, run_eit
 from .kspace import KSpaceRecord, k_centroid, phi_residual, polariton_norm, to_kspace
 from .metrics import (
     FidelityReport,
+    echo_peak_time,
     efficiency_analytic,
     efficiency_numeric,
     fidelity,
     find_delta,
     mode_fidelity_sweep,
 )
-from .solver import FieldRecord, NonFiniteFieldError, output_energy, run_gem
+from .solver import FieldRecord, NonFiniteFieldError, run_gem
 
 __version__ = "0.1.0"
 
@@ -30,17 +30,16 @@ __all__ = [
     "GemConfig",
     "PulseSpec",
     "make_plane_wave_mode",
-    "count_modes",
     "FieldRecord",
     "NonFiniteFieldError",
     "run_gem",
-    "output_energy",
     "KSpaceRecord",
     "to_kspace",
     "k_centroid",
     "phi_residual",
     "polariton_norm",
     "FidelityReport",
+    "echo_peak_time",
     "efficiency_analytic",
     "efficiency_numeric",
     "fidelity",

@@ -18,7 +18,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .core import ConfigError
 from .experiments import SpecValidationError, load_spec, run_experiment
 from .metrics import default_workers
 from .solver import NonFiniteFieldError
@@ -83,7 +82,7 @@ def _run_spec_file(path, args) -> int:
     workers = args.workers if args.workers is not None else default_workers()
     try:
         result = run_experiment(spec, args.out, workers=workers, dump_fields=args.dump_fields)
-    except (NonFiniteFieldError, ConfigError) as exc:
+    except (NonFiniteFieldError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
     print(f"{result.name}: {result.status}")

@@ -20,8 +20,6 @@ __all__ = [
     "GemConfig",
     "PulseSpec",
     "make_plane_wave_mode",
-    "count_modes",
-    "window_inner_product",
 ]
 
 
@@ -132,13 +130,6 @@ class StarkProfile:
         if np.ndim(t) == 0:
             return float(out)
         return out
-
-    def detuning(self, z, t: float):
-        """Local detuning eta(t)*z - delta_offset*(t > switch_time)."""
-        d = self.eval(t) * np.asarray(z, dtype=float)
-        if t > self.switch_time:
-            d = d - self.delta_offset
-        return d
 
     def _base_integral(self, t0: float, t1: float) -> float:
         ts = self.switch_time
@@ -282,39 +273,4 @@ class PulseSpec:
 
 def make_plane_wave_mode(n: int, t1: float, t2: float) -> PulseSpec:
     """Plane-wave basis mode u_n(t) = exp(i*2*pi*n*t/T)/sqrt(T) on [t1, t2)."""
-    if not isinstance(n, (int, np.integer)):
-        raise ConfigError("mode index n must be an integer")
-    if not t2 > t1:
-        raise ConfigError("window must satisfy t2 > t1")
-    return PulseSpec(kind="plane_wave_window", mode_index=int(n), window=(t1, t2))
-
-
-def count_modes(T: float, bandwidth_hz: float) -> int:
-    """Number of plane-wave modes in a window of length T (us) within a
-    bandwidth given as delta_omega/2pi in MHz: floor(T * bandwidth).
-
-    Matches the DFT-style half-open mode ladder n in [-N/2, N/2) when
-    T*bandwidth is an even integer.
-    """
-    if not T > 0:
-        raise ConfigError("T must be positive")
-    if not bandwidth_hz > 0:
-        raise ConfigError("bandwidth must be positive")
-    return int(math.floor(T * bandwidth_hz))
-
-
-def window_inner_product(a: PulseSpec, b: PulseSpec, dt: float) -> complex:
-    """Discrete <a|b> = sum conj(a)*b*dt over the shared window grid.
-
-    Both specs must be plane_wave_window kinds on the same window; the sum
-    runs over the half-open window so equal-length windows sampled on an
-    aligned grid reproduce exact DFT orthonormality.
-    """
-    if a.kind != "plane_wave_window" or b.kind != "plane_wave_window":
-        raise ConfigError("inner product is defined for plane_wave_window specs")
-    if a.window != b.window:
-        raise ConfigError("windows must coincide")
-    t1, t2 = a.window
-    m = int(round((t2 - t1) / dt))
-    t = t1 + dt * np.arange(m)
-    return complex(np.sum(np.conj(a.evaluate(t)) * b.evaluate(t)) * dt)
+    return PulseSpec(kind="plane_wave_window", mode_index=n, window=(t1, t2))

@@ -120,7 +120,6 @@ def run_eit(
     config: EitConfig,
     pulse,
     *,
-    store_fields: bool = True,
     field_stride: Optional[int] = None,
 ) -> EitRecord:
     """Integrate the probe `pulse` (a PulseSpec) through the storage cycle."""
@@ -169,7 +168,7 @@ def run_eit(
 
         return half, full
 
-    keep = _snapshot_rows(nt, store_fields, field_stride)
+    keep = _snapshot_rows(nt, field_stride)
     zeros = np.zeros(grid.nz, dtype=complex)
     out, _, (e_rows, p_rows, s_rows) = _march(advance, ein, ein_mid, 1j * kappa,
                                                1.0 / (grid.nz - 1), t, keep, (zeros, zeros))

@@ -2,8 +2,9 @@
 
 A spec document mirrors the configuration dataclasses field for field.
 Each spec kind is declared once, in `_KINDS`: its config type, whether it
-takes a pulse, the params it requires and accepts, its load-time check and
-its runner.  `load_spec` rejects unknown keys, wrong types and every
+takes a pulse, the params it requires and accepts, its load-time check, its
+runner and, for the kinds that score an echo, its default efficiency
+windows.  `load_spec` rejects unknown keys, wrong types and every
 configuration invariant with the dotted key path, so a spec that loads
 cannot fail on configuration afterwards.  Artifacts are CSV/JSON files
 with fixed full-precision formatting and a manifest listing names,
@@ -30,6 +31,7 @@ from .metrics import (
     _mode_report,
     check_efficiency_windows,
     check_mode_run,
+    echo_peak_time,
     efficiency_analytic,
     efficiency_numeric,
     fidelity,
@@ -95,6 +97,13 @@ def _stride(v, path):
     if n < 1:
         raise SpecValidationError(f"{path} must be >= 1")
     return n
+
+
+def _positive(v, path):
+    x = _number(v, path)
+    if not x > 0:
+        raise SpecValidationError(f"{path} must be positive")
+    return x
 
 
 def _string(v, path):
@@ -262,6 +271,10 @@ def load_spec(path) -> ExperimentSpec:
 
     params = _object(dict, entry.required_params, entry.optional_params)(
         top.get("params", {}), "params")
+    if entry.windows is not None:
+        default_in, default_echo = entry.windows(config)
+        params.setdefault("input_window", default_in)
+        params.setdefault("echo_window", default_echo)
     if entry.check is not None:
         entry.check(config, pulse, params)
 
@@ -386,19 +399,23 @@ def balance_residual(record) -> float:
     return float(np.max(np.abs(rate - flux))) / peak
 
 
-def _gem_windows(config: GemConfig, params: dict):
-    """Input and echo windows of a gem-kind run; by default the storage and
-    the recall side of the switch."""
+def _gem_windows(config: GemConfig):
+    """Default efficiency windows of the GEM kinds: the storage and the
+    recall side of the switch."""
     ts = config.stark.switch_time
-    return (tuple(params.get("input_window", (0.0, ts))),
-            tuple(params.get("echo_window", (ts, config.grid.t_max))))
+    return (0.0, ts), (ts, config.grid.t_max)
+
+
+def _eit_windows(config: EitConfig):
+    """Default efficiency windows of the EIT kind: until the control is off,
+    and from its switch-on to the end."""
+    return (0.0, config.switch_down + 4.0 * config.ramp_tau), (config.switch_up, config.grid.t_max)
 
 
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     config: GemConfig = spec.config
     params = spec.params
-    stride = params.get("field_stride")
-    record = run_gem(config, spec.pulse, store_fields=True, field_stride=stride)
+    record = run_gem(config, spec.pulse, field_stride=params.get("field_stride"))
     t = record.times
     writer.csv(
         "input_output.csv",
@@ -407,7 +424,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
          record.output_series.real, record.output_series.imag),
     )
     scalars = {}
-    in_win, echo_win = _gem_windows(config, params)
+    in_win, echo_win = params["input_window"], params["echo_window"]
     sigma = efficiency_numeric(record, in_win, echo_win)
     rep = fidelity(record.input_series, record.output_series, record.grid.dt, sigma,
                    echo_window=echo_win)
@@ -417,7 +434,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         fidelity=rep.fidelity,
         shape=rep.shape,
         tau_us=rep.tau,
-        echo_peak_us=record.echo_peak_time(),
+        echo_peak_us=echo_peak_time(record),
         balance_residual=balance_residual(record),
         beta=config.beta,
     )
@@ -450,8 +467,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
 def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     config: EitConfig = spec.config
     params = spec.params
-    record = run_eit(config, spec.pulse, store_fields=True,
-                     field_stride=params.get("field_stride"))
+    record = run_eit(config, spec.pulse, field_stride=params.get("field_stride"))
     t = record.times
     writer.csv(
         "input_output.csv",
@@ -460,12 +476,8 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
          record.output_series.real, record.output_series.imag,
          record.omega_c_series),
     )
-    dt = record.grid.dt
-    in_win = tuple(params.get("input_window", (0.0, config.switch_down + 4.0 * config.ramp_tau)))
-    echo_win = tuple(params.get("echo_window", (config.switch_up, record.grid.t_max)))
-    e_in = window_energy(t, record.input_series, in_win, dt)
-    e_echo = window_energy(t, record.output_series, echo_win, dt)
-    scalars = {"sigma": e_echo / e_in if e_in > 0 else 0.0}
+    in_win, echo_win = params["input_window"], params["echo_window"]
+    scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
 
     hold = (record.field_times > in_win[1] + 2.0) & (record.field_times < config.switch_up - 2.0)
     if np.any(hold):
@@ -549,13 +561,13 @@ def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dum
     return scalars, None
 
 
-def _check_gem_params(config: GemConfig, pulse: PulseSpec, params: dict):
-    """Load-time check of the gem kinds: the efficiency windows are
-    nonempty and disjoint, the pulse sampled on the grid carries energy in
-    the input window, and the echo window holds at least two grid samples
-    and does not end before the input window starts (an echo cannot be
-    scored there)."""
-    in_win, echo_win = _gem_windows(config, params)
+def _check_windows(config, pulse: PulseSpec, params: dict):
+    """Load-time check of the kinds that score an echo: the efficiency
+    windows are nonempty and disjoint, the pulse sampled on the grid
+    carries energy in the input window, and the echo window holds at least
+    two grid samples and does not end before the input window starts (an
+    echo cannot be scored there)."""
+    in_win, echo_win = params["input_window"], params["echo_window"]
     _at("params", check_efficiency_windows, in_win, echo_win)
     t = config.grid.t_axis
     if window_energy(t, pulse.evaluate(t), in_win, config.grid.dt) <= 0.0:
@@ -567,6 +579,16 @@ def _check_gem_params(config: GemConfig, pulse: PulseSpec, params: dict):
     if echo_win[1] <= in_win[0]:
         raise SpecValidationError(
             f"params.echo_window: {list(echo_win)} ends before the input window starts")
+
+
+def _check_gem_run(config: GemConfig, pulse: PulseSpec, params: dict):
+    """A grid sample after the switch, where the echo peak is sought, and
+    _check_windows."""
+    if not config.grid.t_max > config.stark.switch_time:
+        raise SpecValidationError(
+            f"config.stark.switch_time: no grid sample after {config.stark.switch_time:g} "
+            f"(t_max = {config.grid.t_max:g})")
+    _check_windows(config, pulse, params)
 
 
 def _check_mode_params(config: GemConfig, pulse, params: dict):
@@ -590,6 +612,8 @@ class _Kind:
     optional_params: dict
     check: Optional[Callable]  # check(config, pulse, params), after parsing
     run: Callable  # run(spec, writer, workers, dump_fields) -> (scalars, summary)
+    # windows(config) -> the (input_window, echo_window) a spec leaves out
+    windows: Optional[Callable] = None
 
 
 _GEM_PARAMS = {"input_window": _pair, "echo_window": _pair, "field_stride": _stride,
@@ -598,16 +622,18 @@ _EIT_PARAMS = {"input_window": _pair, "echo_window": _pair, "field_stride": _str
                "envelope_time": _number}
 
 _KINDS = {
-    "gem_run": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_gem_params, _gem_artifacts),
-    "kspace_report": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_gem_params,
-                           _gem_artifacts),
-    "eit_run": _Kind(_eit_config, True, {}, _EIT_PARAMS, None, _eit_artifacts),
+    "gem_run": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_gem_run, _gem_artifacts,
+                     _gem_windows),
+    "kspace_report": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_gem_run, _gem_artifacts,
+                           _gem_windows),
+    "eit_run": _Kind(_eit_config, True, {}, _EIT_PARAMS, _check_windows, _eit_artifacts,
+                     _eit_windows),
     "fidelity_sweep": _Kind(
         _gem_config, False, {"interval": _pair, "mode_indices": _int_list},
         {"betas": _number_list, "delta": _number_or_auto}, _check_mode_params, _sweep_artifacts),
     "delta_search": _Kind(
         _gem_config, False, {"interval": _pair, "probe_mode": _integer},
-        {"verify_modes": _int_list, "search_halfwidth": _number}, _check_mode_params,
+        {"verify_modes": _int_list, "search_halfwidth": _positive}, _check_mode_params,
         _delta_artifacts),
 }
 

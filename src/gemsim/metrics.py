@@ -29,6 +29,7 @@ __all__ = [
     "DeltaSearchResult",
     "check_efficiency_windows",
     "check_mode_run",
+    "echo_peak_time",
     "efficiency_analytic",
     "efficiency_numeric",
     "fidelity",
@@ -96,8 +97,9 @@ def window_energy(times: np.ndarray, series: np.ndarray, window, dt: float) -> f
     return float(np.trapezoid(np.abs(series[m]) ** 2, dx=dt))
 
 
-def efficiency_numeric(record: FieldRecord, input_window, echo_window) -> float:
-    """Echo energy / input energy, both by trapezoidal quadrature."""
+def efficiency_numeric(record, input_window, echo_window) -> float:
+    """Echo energy / input energy, both by trapezoidal quadrature, of a
+    FieldRecord or an EitRecord."""
     check_efficiency_windows(input_window, echo_window)
     t = record.times
     dt = record.grid.dt
@@ -128,6 +130,14 @@ def _peak_abs(ac: np.ndarray, dt: float):
             d = 0.5 * (cm - cp) / den
             return c0 - 0.25 * (cm - cp) * d, (i + d) * dt
     return ac[i], i * dt
+
+
+def echo_peak_time(record: FieldRecord) -> float:
+    """Time of max |output| after the switch (parabolic refinement)."""
+    after = record.times > record.switch_time
+    if not np.any(after):
+        raise ValueError("no samples after switch_time")
+    return float(_peak_abs(np.abs(record.output_series) * after, record.grid.dt)[1])
 
 
 def fidelity(
@@ -199,12 +209,13 @@ def check_mode_run(config: GemConfig, interval, modes: Sequence[int]) -> None:
 
 
 def _mode_run(config: GemConfig, n: int, interval):
-    """Carrier-gauge run of plane-wave mode n on `interval`: the record, its
-    echo window (switch_time, t_max) and its efficiency."""
+    """Carrier-gauge run of plane-wave mode n on `interval`: the record (its
+    field rows at the first and last step only), its echo window
+    (switch_time, t_max) and its efficiency."""
     t1, t2 = interval
     pulse = make_plane_wave_mode(n, t1, t2)
     omega = 2.0 * np.pi * n / (t2 - t1)
-    rec = run_gem(config, pulse, store_fields=False, carrier=omega)
+    rec = run_gem(config, pulse, field_stride=config.grid.nt - 1, carrier=omega)
     echo_window = (config.stark.switch_time, config.grid.t_max)
     sigma = efficiency_numeric(rec, (0.0, config.stark.switch_time), echo_window)
     return rec, echo_window, sigma

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import GemConfig, Grid, PulseSpec
 
-__all__ = ["FieldRecord", "NonFiniteFieldError", "run_gem", "output_energy", "cumulative_simpson"]
+__all__ = ["FieldRecord", "NonFiniteFieldError", "run_gem", "cumulative_simpson"]
 
 
 class NonFiniteFieldError(RuntimeError):
@@ -77,9 +77,9 @@ class FieldRecord:
     """Space-time history of a run.
 
     input_series/output_series/alpha_norm_series are kept at every step;
-    e_field and polarisation hold rows at the strided times in field_times
-    (a sparse set when the run was made with store_fields=False).  The discrete Maxwell relation
-    E(z,t) = input_series(t) + i*N*cumint(alpha) holds row by row.
+    e_field and polarisation hold rows at the strided times in field_times.
+    The discrete Maxwell relation E(z,t) = input_series(t) + i*N*cumint(alpha)
+    holds row by row.
     """
 
     grid: Grid
@@ -95,21 +95,6 @@ class FieldRecord:
     gamma: float
     switch_time: float
 
-    def echo_peak_time(self) -> float:
-        """Time of max |output| after the switch (parabolic refinement)."""
-        t = self.times
-        mask = t > self.switch_time
-        if not np.any(mask):
-            raise ValueError("no samples after switch_time")
-        mag = np.abs(self.output_series) * mask
-        i = int(np.argmax(mag))
-        if 0 < i < len(t) - 1:
-            cm, c0, cp = mag[i - 1], mag[i], mag[i + 1]
-            den = cm - 2.0 * c0 + cp
-            if den < 0:
-                return float(t[i] + 0.5 * (cm - cp) / den * self.grid.dt)
-        return float(t[i])
-
 
 def _filon_weight(theta: np.ndarray, damp: float, span: float) -> np.ndarray:
     """integral_0^span exp(mu*(span-s)) ds with mu*span = -i*theta - damp."""
@@ -120,10 +105,10 @@ def _filon_weight(theta: np.ndarray, damp: float, span: float) -> np.ndarray:
     return span * w
 
 
-def _snapshot_rows(nt: int, store_fields: bool, field_stride: Optional[int]) -> np.ndarray:
+def _snapshot_rows(nt: int, field_stride: Optional[int]) -> np.ndarray:
     """Time indices of the stored rows, last step included."""
     if field_stride is None:
-        field_stride = max(1, nt // 512) if store_fields else max(1, nt // 16)
+        field_stride = max(1, nt // 512)
     keep = np.arange(0, nt, field_stride)
     if keep[-1] != nt - 1:
         keep = np.append(keep, nt - 1)
@@ -193,7 +178,6 @@ def run_gem(
     config: GemConfig,
     pulse: PulseSpec,
     *,
-    store_fields: bool = True,
     field_stride: Optional[int] = None,
     carrier: float = 0.0,
 ) -> FieldRecord:
@@ -275,7 +259,7 @@ def run_gem(
 
         return half, full
 
-    keep = _snapshot_rows(nt, store_fields, field_stride)
+    keep = _snapshot_rows(nt, field_stride)
     alpha0 = np.zeros(z.size, dtype=complex)
     out, anorm, (e_rows, a_rows) = _march(advance, ein, ein_mid, 1j * dens, dz, t, keep, (alpha0,))
 
@@ -300,14 +284,3 @@ def run_gem(
         gamma=gamma,
         switch_time=stark.switch_time,
     )
-
-
-def output_energy(record: FieldRecord, window) -> float:
-    """Trapezoidal integral of |output|^2 over the given [t_a, t_b] window."""
-    t_a, t_b = window
-    if not (0.0 <= t_a < t_b <= record.grid.t_max):
-        raise ValueError(f"window {window} must be a nonempty interval in [0, t_max]")
-    m = (record.times >= t_a) & (record.times <= t_b)
-    if np.count_nonzero(m) < 2:
-        raise ValueError(f"window {window} contains fewer than two samples")
-    return float(np.trapezoid(np.abs(record.output_series[m]) ** 2, dx=record.grid.dt))

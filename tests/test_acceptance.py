@@ -31,6 +31,7 @@ from gemsim.experiments import (
 )
 from gemsim.kspace import centroid_series, k_centroid, phi_residual, polariton_norm
 from gemsim.metrics import (
+    echo_peak_time,
     efficiency_analytic,
     efficiency_numeric,
     fidelity,
@@ -61,7 +62,7 @@ def beta_sweep_sigmas(nz: int, nt: int) -> dict:
     config = replace(fig2.config, grid=replace(fig2.config.grid, nz=nz, nt=nt))
     out = {}
     for beta in betas:
-        rec = run_gem(config.with_beta(beta), fig2.pulse, store_fields=False)
+        rec = run_gem(config.with_beta(beta), fig2.pulse, field_stride=nt - 1)
         out[beta] = efficiency_numeric(rec, fig2.params["input_window"],
                                        fig2.params["echo_window"])
     return out
@@ -120,7 +121,7 @@ def test_criterion_2_switching_insensitivity(fig2, fig2_abrupt_record, fig2_tanh
 
 
 def test_criterion_3_echo_timing(fig2_abrupt_record):
-    peak = fig2_abrupt_record.echo_peak_time()
+    peak = echo_peak_time(fig2_abrupt_record)
     ok = abs(peak - 155.0) <= 1.0
     print(f"[criterion 3] {'PASS' if ok else 'FAIL'}: echo peak at "
           f"{peak:.3f} us (155 +/- 1)")
@@ -149,7 +150,7 @@ def test_criterion_5_degradation_and_repair(sweep_rows):
     cfg_delta = GemConfig(g=cfg.g, linear_density=cfg.linear_density,
                           gamma=cfg.gamma, stark=stark, grid=cfg.grid)
     pulse = PulseSpec(kind="plane_wave_window", mode_index=0, window=LONG_INTERVAL)
-    rec = run_gem(cfg_delta, pulse, store_fields=False)
+    rec = run_gem(cfg_delta, pulse, field_stride=cfg.grid.nt - 1)
     sig = efficiency_numeric(rec, (0.0, 150.0), (150.0, 310.0))
     rep = fidelity(rec.input_series, rec.output_series, rec.grid.dt, sig,
                    echo_window=(150.0, 310.0))
@@ -166,7 +167,7 @@ def test_criterion_5_degradation_and_repair(sweep_rows):
 def test_criterion_6_shape_preservation_low_depth():
     cfg = long_config(0.1, nt=12401)
     pulse = PulseSpec(kind="plane_wave_window", mode_index=0, window=LONG_INTERVAL)
-    rec = run_gem(cfg, pulse, store_fields=False)
+    rec = run_gem(cfg, pulse, field_stride=cfg.grid.nt - 1)
     sig = efficiency_numeric(rec, (0.0, 150.0), (150.0, 310.0))
     rep = fidelity(rec.input_series, rec.output_series, rec.grid.dt, sig,
                    echo_window=(150.0, 310.0))

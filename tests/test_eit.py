@@ -55,7 +55,7 @@ class TestRunEit:
         cfg = eit_config(switch_down=400.0, switch_up=401.0,
                          grid=Grid(z_min=0.0, z_max=1.0, nz=256, t_max=40.0, nt=4001))
         pulse = PulseSpec(kind="gaussian", center=20.0, width=6.0)
-        rec = run_eit(cfg, pulse, store_fields=False)
+        rec = run_eit(cfg, pulse)
         i = np.argmin(np.abs(rec.times - 21.0))  # peak plus group delay
         assert abs(rec.output_series[i]) > 0.95
 
@@ -71,7 +71,7 @@ class TestRunEit:
     def test_storage_and_recall(self):
         cfg = eit_config(n_atoms=2000.0, omega_c0=15.0)
         pulse = PulseSpec(kind="gaussian", center=8.0, width=2.5)
-        rec = run_eit(cfg, pulse, store_fields=False)
+        rec = run_eit(cfg, pulse)
         t = rec.times
         dt = rec.grid.dt
         e_in = np.trapezoid(np.abs(rec.input_series[t <= 18.0]) ** 2, dx=dt)
@@ -90,7 +90,7 @@ class TestRunEit:
         for omega in (20.0, 10.0):
             cfg = eit_config(omega_c0=omega, switch_down=300.0, switch_up=301.0,
                              grid=grid)
-            rec = run_eit(cfg, pulse, store_fields=False)
+            rec = run_eit(cfg, pulse)
             t = rec.times
             t_out = np.sum(t * np.abs(rec.output_series) ** 2) / np.sum(
                 np.abs(rec.output_series) ** 2)

@@ -57,6 +57,15 @@ def tiny_sweep_spec(tmp_path):
     return path
 
 
+def as_delta_search(search_halfwidth):
+    """Edit turning a fidelity_sweep preset into a delta_search spec."""
+    def edit(doc):
+        doc.update(kind="delta_search", checks={})
+        doc["params"] = {"interval": doc["params"]["interval"], "probe_mode": 0,
+                         "search_halfwidth": search_halfwidth}
+    return edit
+
+
 def preset_variant(tmp_path, name, edit):
     """Copy of a packaged preset with `edit(doc)` applied."""
     doc = json.loads(preset_path(name).read_text())
@@ -164,13 +173,25 @@ class TestLoadSpec:
             doc.update(pulse={"kind": "plane_wave_window", "mode_index": 0, "window": [6, 10]}),
             doc["params"].update(input_window=[5, 12], echo_window=[0, 4])),
          "params.echo_window: [0.0, 4.0] ends before the input window starts"),
+        ("fig3_eit", lambda doc: doc["params"].update(input_window=[0, 80]),
+         "params: input and echo windows must be disjoint"),
+        ("fig3_eit", lambda doc: doc["params"].update(input_window=[12, 12]),
+         "params: windows must be nonempty"),
+        ("fig3_eit", lambda doc: doc["params"].update(echo_window=[100.5, 101]),
+         "params.echo_window: [100.5, 101.0] holds fewer than two grid samples"),
+        ("fig3_gem", lambda doc: doc["config"]["stark"].update(switch_time=130),
+         "config.stark.switch_time: no grid sample after 130"),
+        ("fig4_quick", as_delta_search(0), "params.search_halfwidth must be positive"),
+        ("fig4_quick", as_delta_search(-2), "params.search_halfwidth must be positive"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
             "sweep_interval_after_switch", "gem_betas", "gem_freeze_window",
             "gem_envelope_time", "sweep_pulse", "huge_amplitude", "zero_field_stride",
             "eit_nz_2", "gem_windows_overlap", "gem_input_window_without_energy",
-            "gem_echo_window_without_samples", "gem_echo_window_before_input"])
+            "gem_echo_window_without_samples", "gem_echo_window_before_input",
+            "eit_windows_overlap", "eit_input_window_empty", "eit_echo_window_without_samples",
+            "gem_switch_after_t_max", "delta_halfwidth_0", "delta_halfwidth_negative"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)
@@ -278,6 +299,19 @@ class TestCli:
         assert cli_main(["--out", str(tmp_path / "o"), "run", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("run failed: non-finite values at time index 1")
+        assert len(err.splitlines()) == 1
+        manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+
+    def test_analysis_failure_after_load_exits_3(self, tmp_path, capsys):
+        # decay empties the polarisation before the k-space residual is read
+        path = tiny_gem_spec(tmp_path, kind="kspace_report")
+        doc = json.loads(path.read_text())
+        doc["config"]["gamma"] = 20.0
+        path.write_text(json.dumps(doc))
+        assert cli_main(["--out", str(tmp_path / "o"), "run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: |Psi|^2 at t index")
         assert len(err.splitlines()) == 1
         manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"

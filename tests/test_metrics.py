@@ -46,18 +46,18 @@ class TestEfficiencyNumeric:
         cfg = small_config(beta=1.0)
         cfg = type(cfg)(g=1e-12, linear_density=cfg.linear_density, gamma=0.0,
                         stark=cfg.stark, grid=cfg.grid)
-        rec = run_gem(cfg, small_pulse(), store_fields=False)
+        rec = run_gem(cfg, small_pulse())
         assert efficiency_numeric(rec, (0.0, 10.0), (15.0, 40.0)) < 1e-12
 
     def test_window_validation(self):
-        rec = run_gem(small_config(), small_pulse(), store_fields=False)
+        rec = run_gem(small_config(), small_pulse())
         with pytest.raises(ValueError):
             efficiency_numeric(rec, (0.0, 20.0), (15.0, 40.0))  # overlap
         with pytest.raises(ValueError):
             efficiency_numeric(rec, (5.0, 5.0), (15.0, 40.0))
 
     def test_quarter_depth(self):
-        rec = run_gem(small_config(beta=0.25), small_pulse(), store_fields=False)
+        rec = run_gem(small_config(beta=0.25), small_pulse())
         sig = efficiency_numeric(rec, (0.0, 10.0), (15.0, 40.0))
         assert sig == pytest.approx((1.0 - math.exp(-math.pi / 2.0)) ** 2, abs=0.02)
 
@@ -150,11 +150,11 @@ class TestFidelity:
 
 class TestShiftedOutput:
     def test_shift_is_identity_at_zero(self):
-        rec = run_gem(small_config(), small_pulse(), store_fields=False)
+        rec = run_gem(small_config(), small_pulse())
         np.testing.assert_array_equal(shifted_output(rec, 0.0), rec.output_series)
 
     def test_phase_only_after_switch(self):
-        rec = run_gem(small_config(switch=15.0), small_pulse(), store_fields=False)
+        rec = run_gem(small_config(switch=15.0), small_pulse())
         shifted = shifted_output(rec, 0.5)
         before = rec.times <= 15.0
         np.testing.assert_array_equal(shifted[before], rec.output_series[before])

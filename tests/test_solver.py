@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from gemsim import ConfigError, Grid, PulseSpec, run_gem, output_energy
+from gemsim import ConfigError, Grid, PulseSpec, run_gem
 from gemsim.core import make_plane_wave_mode
 from gemsim.eit import EitConfig, run_eit
 from gemsim.experiments import balance_residual
-from gemsim.metrics import efficiency_analytic, efficiency_numeric, shifted_output, window_energy
+from gemsim.metrics import (echo_peak_time, efficiency_analytic, efficiency_numeric, shifted_output,
+                            window_energy)
 from gemsim.solver import NonFiniteFieldError, cumulative_simpson
 
 from conftest import small_config, small_pulse
@@ -109,14 +110,14 @@ class TestRunGem:
     def test_efficiency_against_analytic_small_grid(self):
         for beta in (0.25, 1.0):
             cfg = small_config(beta=beta)
-            rec = run_gem(cfg, small_pulse(), store_fields=False)
+            rec = run_gem(cfg, small_pulse())
             sig = efficiency_numeric(rec, (0.0, 10.0), (15.0, 40.0))
             assert sig == pytest.approx(efficiency_analytic(beta), abs=0.02)
 
     def test_echo_time_follows_switch(self):
         cfg = small_config(beta=1.0, switch=15.0)
-        rec = run_gem(cfg, small_pulse(center=4.0), store_fields=False)
-        assert rec.echo_peak_time() == pytest.approx(26.0, abs=0.3)
+        rec = run_gem(cfg, small_pulse(center=4.0))
+        assert echo_peak_time(rec) == pytest.approx(26.0, abs=0.3)
 
     def test_excitation_balance(self):
         rec = run_gem(small_config(beta=1.0), small_pulse())
@@ -131,8 +132,7 @@ class TestRunGem:
 
     def test_gamma_decay_rate(self):
         gamma = 0.2
-        rec = run_gem(small_config(beta=1.0, gamma=gamma, switch=35.0),
-                      small_pulse(), store_fields=False)
+        rec = run_gem(small_config(beta=1.0, gamma=gamma, switch=35.0), small_pulse())
         t = rec.times
         m0 = np.argmin(np.abs(t - 10.0))
         m1 = np.argmin(np.abs(t - 30.0))
@@ -152,8 +152,8 @@ class TestRunGem:
         cfg = small_config(beta=1.0, switch=20.0, t_max=50.0, nt=4001, nz=160)
         mode = make_plane_wave_mode(2, 6.0, 10.0)
         omega = 2.0 * np.pi * 2 / 4.0
-        plain = run_gem(cfg, mode, store_fields=False)
-        gauged = run_gem(cfg, mode, store_fields=False, carrier=omega)
+        plain = run_gem(cfg, mode)
+        gauged = run_gem(cfg, mode, carrier=omega)
         np.testing.assert_allclose(gauged.input_series, plain.input_series,
                                    rtol=0, atol=1e-12)
         scale = np.max(np.abs(plain.output_series))
@@ -165,9 +165,8 @@ class TestRunGem:
         # the in-profile offset and the post-hoc phase are the same dynamics
         # in two discretizations; they agree to O((delta*dt)^2) per step
         delta = 0.8
-        base = run_gem(small_config(beta=1.0), small_pulse(), store_fields=False)
-        offset = run_gem(small_config(beta=1.0, delta_offset=delta), small_pulse(),
-                         store_fields=False)
+        base = run_gem(small_config(beta=1.0), small_pulse())
+        offset = run_gem(small_config(beta=1.0, delta_offset=delta), small_pulse())
         scale = np.max(np.abs(base.output_series))
         np.testing.assert_allclose(offset.output_series / scale,
                                    shifted_output(base, delta) / scale,
@@ -201,7 +200,7 @@ def test_non_finite_input_stops_at_the_first_bad_step(run, config):
 
 
 def _pinned_gem(config, pulse, **kwargs):
-    rec = run_gem(config, pulse, store_fields=False, **kwargs)
+    rec = run_gem(config, pulse, **kwargs)
     ts, t_max = config.stark.switch_time, config.grid.t_max
     return rec, efficiency_numeric(rec, (0.0, ts), (ts, t_max))
 
@@ -211,10 +210,7 @@ def _pinned_eit():
                        ramp_tau=2.0, gamma_e=0.15,
                        grid=Grid(z_min=0.0, z_max=1.0, nz=64, t_max=60.0, nt=6001))
     rec = run_eit(config, PulseSpec(kind="gaussian", center=6.0, width=1.5))
-    t, dt = rec.times, rec.grid.dt
-    sigma = (window_energy(t, rec.output_series, (40.0, 60.0), dt)
-             / window_energy(t, rec.input_series, (0.0, 14.0), dt))
-    return rec, sigma
+    return rec, efficiency_numeric(rec, (0.0, 14.0), (40.0, 60.0))
 
 
 _PINNED_RUNS = {
@@ -297,27 +293,24 @@ def test_output_series_and_efficiency_are_pinned(case):
 class TestConvergence:
     def test_refining_grid_changes_echo_energy_little(self):
         cfg = small_config(beta=1.0)
-        coarse = run_gem(cfg, small_pulse(), store_fields=False)
-        fine = run_gem(small_config(beta=1.0, nt=3201, nz=256), small_pulse(),
-                       store_fields=False)
-        e0 = output_energy(coarse, (15.0, 40.0))
-        e1 = output_energy(fine, (15.0, 40.0))
+        coarse = run_gem(cfg, small_pulse())
+        fine = run_gem(small_config(beta=1.0, nt=3201, nz=256), small_pulse())
+        e0, e1 = (window_energy(r.times, r.output_series, (15.0, 40.0), r.grid.dt)
+                  for r in (coarse, fine))
         assert abs(e1 - e0) / e1 < 0.005
 
 
 class TestOutputEnergy:
     def test_zero_field(self):
         cfg = small_config()
-        rec = run_gem(cfg, small_pulse(), store_fields=False)
+        rec = run_gem(cfg, small_pulse())
         # before the pulse arrives the output is essentially dark
-        assert output_energy(rec, (30.0, 40.0)) > 0.0
+        assert window_energy(rec.times, rec.output_series, (30.0, 40.0), rec.grid.dt) > 0.0
         with pytest.raises(ValueError):
-            output_energy(rec, (10.0, 5.0))
-        with pytest.raises(ValueError):
-            output_energy(rec, (-1.0, 5.0))
+            efficiency_numeric(rec, (0.0, 10.0), (10.0, 5.0))
 
     def test_unit_pulse_normalization(self):
         cfg = small_config(switch=20.0, t_max=50.0, nt=2001, nz=160)
-        rec = run_gem(cfg, make_plane_wave_mode(0, 6.0, 10.0), store_fields=False)
+        rec = run_gem(cfg, make_plane_wave_mode(0, 6.0, 10.0))
         e_in = np.trapezoid(np.abs(rec.input_series) ** 2, dx=rec.grid.dt)
         assert e_in == pytest.approx(1.0, abs=0.01)
