@@ -39,7 +39,7 @@ from .metrics import (
     mode_fidelity_sweep,
     window_energy,
 )
-from .solver import run_gem
+from .solver import _snapshot_rows, run_gem
 
 __all__ = ["ExperimentSpec", "ExperimentResult", "SpecValidationError", "balance_residual",
            "load_spec", "run_experiment"]
@@ -275,13 +275,12 @@ def load_spec(path) -> ExperimentSpec:
         default_in, default_echo = entry.windows(config)
         params.setdefault("input_window", default_in)
         params.setdefault("echo_window", default_echo)
-    if entry.check is not None:
-        entry.check(config, pulse, params)
-
     checks = _checks(top.get("checks", {}), "checks")
     for check in checks:
         if kind not in _CHECKS[check][3]:
             raise SpecValidationError(f"checks.{check} does not apply to kind {kind}")
+    if entry.check is not None:
+        entry.check(config, pulse, params, checks)
 
     out_dir = top["output_dir"]
     if Path(out_dir).is_absolute() or ".." in Path(out_dir).parts:
@@ -464,6 +463,12 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     return scalars, None
 
 
+def _hold_rows(config: EitConfig, input_window, field_times: np.ndarray) -> np.ndarray:
+    """Stored rows that score the spin-wave drift: 2 us after the input
+    window until 2 us before the control switches back on."""
+    return (field_times > input_window[1] + 2.0) & (field_times < config.switch_up - 2.0)
+
+
 def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     config: EitConfig = spec.config
     params = spec.params
@@ -479,7 +484,7 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     in_win, echo_win = params["input_window"], params["echo_window"]
     scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
 
-    hold = (record.field_times > in_win[1] + 2.0) & (record.field_times < config.switch_up - 2.0)
+    hold = _hold_rows(config, in_win, record.field_times)
     if np.any(hold):
         profiles = np.abs(record.spin_wave[hold])
         ref = profiles[0]
@@ -581,7 +586,7 @@ def _check_windows(config, pulse: PulseSpec, params: dict):
             f"params.echo_window: {list(echo_win)} ends before the input window starts")
 
 
-def _check_gem_run(config: GemConfig, pulse: PulseSpec, params: dict):
+def _check_gem_run(config: GemConfig, pulse: PulseSpec, params: dict, checks: dict):
     """A grid sample after the switch, where the echo peak is sought, and
     _check_windows."""
     if not config.grid.t_max > config.stark.switch_time:
@@ -591,7 +596,20 @@ def _check_gem_run(config: GemConfig, pulse: PulseSpec, params: dict):
     _check_windows(config, pulse, params)
 
 
-def _check_mode_params(config: GemConfig, pulse, params: dict):
+def _check_eit_run(config: EitConfig, pulse: PulseSpec, params: dict, checks: dict):
+    """_check_windows, and a stored row to score spinwave_drift_max when
+    the spec checks it."""
+    _check_windows(config, pulse, params)
+    if "spinwave_drift_max" in checks:
+        t = config.grid.t_axis[_snapshot_rows(config.grid.nt, params.get("field_stride"))]
+        if not np.any(_hold_rows(config, params["input_window"], t)):
+            raise SpecValidationError(
+                "checks.spinwave_drift_max: no stored row lies between input_window[1] + 2 "
+                f"and switch_up - 2 ({params['input_window'][1] + 2.0:g} to "
+                f"{config.switch_up - 2.0:g} us)")
+
+
+def _check_mode_params(config: GemConfig, pulse, params: dict, checks: dict):
     """Load-time check of the mode kinds (which take no pulse): the window,
     every mode and every optical depth the run will use."""
     interval = params["interval"]
@@ -610,7 +628,7 @@ class _Kind:
     pulse: bool  # the kind requires a pulse; otherwise it rejects one
     required_params: dict
     optional_params: dict
-    check: Optional[Callable]  # check(config, pulse, params), after parsing
+    check: Optional[Callable]  # check(config, pulse, params, checks), after parsing
     run: Callable  # run(spec, writer, workers, dump_fields) -> (scalars, summary)
     # windows(config) -> the (input_window, echo_window) a spec leaves out
     windows: Optional[Callable] = None
@@ -626,7 +644,7 @@ _KINDS = {
                      _gem_windows),
     "kspace_report": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_gem_run, _gem_artifacts,
                            _gem_windows),
-    "eit_run": _Kind(_eit_config, True, {}, _EIT_PARAMS, _check_windows, _eit_artifacts,
+    "eit_run": _Kind(_eit_config, True, {}, _EIT_PARAMS, _check_eit_run, _eit_artifacts,
                      _eit_windows),
     "fidelity_sweep": _Kind(
         _gem_config, False, {"interval": _pair, "mode_indices": _int_list},

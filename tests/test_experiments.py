@@ -183,6 +183,10 @@ class TestLoadSpec:
          "config.stark.switch_time: no grid sample after 130"),
         ("fig4_quick", as_delta_search(0), "params.search_halfwidth must be positive"),
         ("fig4_quick", as_delta_search(-2), "params.search_halfwidth must be positive"),
+        ("fig3_eit", lambda doc: doc["params"].update(input_window=[0, 72]),
+         "checks.spinwave_drift_max: no stored row lies between"),
+        ("fig3_eit", lambda doc: doc["params"].update(field_stride=8000),
+         "checks.spinwave_drift_max: no stored row lies between"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
@@ -191,7 +195,8 @@ class TestLoadSpec:
             "eit_nz_2", "gem_windows_overlap", "gem_input_window_without_energy",
             "gem_echo_window_without_samples", "gem_echo_window_before_input",
             "eit_windows_overlap", "eit_input_window_empty", "eit_echo_window_without_samples",
-            "gem_switch_after_t_max", "delta_halfwidth_0", "delta_halfwidth_negative"])
+            "gem_switch_after_t_max", "delta_halfwidth_0", "delta_halfwidth_negative",
+            "eit_drift_without_hold_rows", "eit_drift_stride_skips_hold"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemsim import run_gem
+from gemsim import metrics, run_gem
 from gemsim.metrics import (
     DeltaSearchResult,
     efficiency_analytic,
@@ -229,3 +230,60 @@ class TestFindDelta:
                                         delta=res.delta)
             for a, b in zip(rows0, rows1):
                 assert b.fidelity >= a.fidelity - 1e-6
+
+
+class TestOffsetScan:
+    """find_delta's blocked scan against one fidelity call per offset."""
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        return metrics._mode_run(small_config(beta=1.0, **SWEEP_KW), 0, (6.0, 10.0))
+
+    @staticmethod
+    def _blocks(monkeypatch):
+        """Row counts of the 2-D forward FFTs, one per block of offsets."""
+        rows = []
+        fft = metrics.fft
+
+        def spy(x, *args, **kwargs):
+            if x.ndim == 2:
+                rows.append(x.shape[0])
+            return fft(x, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "fft", spy)
+        return rows
+
+    @staticmethod
+    def _assert_matches_fidelity(rec, echo_window, deltas):
+        got = metrics._offset_scan(rec, echo_window, deltas)
+        ref = [fidelity(rec.input_series, shifted_output(rec, d), rec.grid.dt, 1.0,
+                        echo_window=echo_window).fidelity for d in deltas]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_scan_shorter_than_one_block(self, probe, monkeypatch):
+        rec, echo_window, _ = probe
+        blocks = self._blocks(monkeypatch)
+        self._assert_matches_fidelity(rec, echo_window, np.linspace(-2.0, 2.0, 22))
+        assert blocks == [22]
+
+    def test_last_block_partly_filled(self, probe, monkeypatch):
+        rec, echo_window, _ = probe
+        monkeypatch.setattr(metrics, "_SCAN_BLOCK_BYTES", 1 << 17)
+        blocks = self._blocks(monkeypatch)
+        self._assert_matches_fidelity(rec, echo_window, np.linspace(-2.0, 2.0, 22))
+        assert len(blocks) > 1 and sum(blocks) == 22
+        assert len(set(blocks[:-1])) == 1 and 0 < blocks[-1] < blocks[0]
+
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_peak_on_a_trimmed_edge(self, probe, edge):
+        # a one-sample input correlates to the output itself, so the
+        # correlation peaks where |output| does: on the echo window's edge
+        rec, echo_window, _ = probe
+        t = rec.times
+        e_in = np.zeros(t.size, dtype=complex)
+        e_in[np.argmax(t >= 7.0)] = 1.0
+        echo = (t >= echo_window[0]) & (t <= echo_window[1])
+        ramp = (t - echo_window[0]) if edge == "last" else (echo_window[1] - t)
+        e_out = np.where(echo, np.exp(0.1 * ramp) * np.exp(0.7j * t), 0.0)
+        synthetic = replace(rec, input_series=e_in, output_series=e_out)
+        self._assert_matches_fidelity(synthetic, echo_window, np.linspace(-1.0, 1.0, 9))
