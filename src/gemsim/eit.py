@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, Grid
+from .core import _EXCHANGE_LIMIT, ConfigError, Grid
 from .solver import _march, _readonly, _snapshot_rows
 from .solver import cumulative_simpson  # noqa: F401  (kept for perfbench/tracing.py)
 
@@ -40,7 +40,9 @@ class EitConfig:
 
     n_atoms is the total atom number; g and omega_c0 are in units of the
     excited decay; gamma_e (1/us) is that decay and fixes the physical
-    time scale; switch_down/switch_up/ramp_tau are in us.
+    time scale; switch_down/switch_up/ramp_tau are in us.  The normalised
+    step dtau = dt*gamma_e must resolve the field/polarisation exchange,
+    g^2*n_atoms*dtau/(2*pi) <= 2, the bound GemConfig applies.
     """
 
     n_atoms: float
@@ -61,6 +63,14 @@ class EitConfig:
             raise ConfigError("switch_down must precede switch_up")
         if self.grid.nz < 3:
             raise ConfigError("nz must be >= 3 for the field quadrature")
+        # the GEM exchange guard with g*N*L -> g^2*n_atoms (z normalised to
+        # the cell) and dt -> the normalised step
+        exchange = self.g**2 * self.n_atoms * self.grid.dt * self.gamma_e / (2.0 * math.pi)
+        if exchange > _EXCHANGE_LIMIT:
+            raise ConfigError(
+                "time step too large for the field/polarisation exchange rate: "
+                f"g^2*n_atoms*dtau/(2*pi) = {exchange:.2f} > {_EXCHANGE_LIMIT}; increase nt"
+            )
 
     @property
     def group_delay(self) -> float:

@@ -11,12 +11,20 @@ i*g*E source is integrated with oscillation-aware (Filon) weights, and the
 field is rebuilt each half step by a cumulative Simpson quadrature in z.
 One predictor/corrector pass makes the midpoint field self-consistent.
 
+The rotations and Filon weights come from a closed form: the phase is
+affine in z, so exp(x) - 1 over the grid is an outer product of two
+vectors of about sqrt(nz) values (`_operator_builder`).  Steps whose
+integrals repeat (the plateaus of abrupt and frozen schedules) share one
+table entry built before the loop; every other step, which is every step
+of a ramp, is built when it comes into buffers allocated once.
+
 The time loop (`_march`) is shared with the EIT solver in `eit.py`; each
 solver supplies only its local propagator over one step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +33,11 @@ import numpy as np
 from .core import GemConfig, Grid, PulseSpec
 
 __all__ = ["FieldRecord", "NonFiniteFieldError", "run_gem", "cumulative_simpson"]
+
+
+# most repeating step keys whose operators run_gem tables, (4, nz) complex
+# each; bounds the table's memory on schedules with many plateaus
+_TABLE_KEYS = 64
 
 
 class NonFiniteFieldError(RuntimeError):
@@ -96,13 +109,120 @@ class FieldRecord:
     switch_time: float
 
 
-def _filon_weight(theta: np.ndarray, damp: float, span: float) -> np.ndarray:
-    """integral_0^span exp(mu*(span-s)) ds with mu*span = -i*theta - damp."""
-    x = -1j * theta - damp
-    small = np.abs(x) < 1e-8
-    xs = np.where(small, 1.0, x)
-    w = np.where(small, 1.0 + x / 2.0 + x * x / 6.0, np.expm1(xs) / xs)
-    return span * w
+def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g: float):
+    """Closed-form step operators on the uniform z grid.
+
+    Over a step the local phase theta_k = z0*I - D + k*dz*I is affine in the
+    site index k (I and D are the step's slope and offset integrals).  Split
+    k into block centres k* + a*m, m = ceil(sqrt(nz)), plus fine offsets
+    |b| <= m/2, where k* is the site nearest theta = 0 (clamped to the grid).
+    With x = -i*theta - damp = x_a + x_b,
+
+        exp(x) - 1 = exp(x_a)*expm1(x_b) + expm1(x_a),
+
+    so one expm1 over about 2*sqrt(nz) values and a small matrix product
+    give the whole vector.  Centring on k* keeps |x_a| + |x_b| within a few
+    |x| at every site, so no digits cancel next to theta = 0.  The rotation
+    is that value plus one; the Filon weight span*(exp(x) - 1)/x divides in
+    real arithmetic, 1/x = conj(x)/(theta^2 + damp^2), with theta = theta_a
+    + theta_b summed from the same terms (1/x = i/theta when damp = 0).
+    Sites with |x| < 1e-8 take the series 1 + x/2 + x^2/6.
+
+    Returns build(key, out): key is one row (I_half, D_half, I_full, D_full)
+    of the per-step integrals; out (4, nz) receives the half- and full-step
+    rotations, then their Filon weights times i*g.
+    """
+    m = math.isqrt(nz - 1) + 1
+    h = m // 2
+    blocks = -(-nz // m) + 1
+    sites = np.concatenate((np.arange(blocks) * float(m), np.arange(m) - float(h)))
+    damp = np.array([[0.25], [0.5]]) * gamma * dt
+    scale = -g * dt * np.array([[0.5], [1.0]])  # -g*span
+    damp_of = damp.ravel().tolist()
+    exact_zero_rows = [r for r in (0, 1) if damp_of[r] < 1e-8]  # where |x| < 1e-8 can occur
+    theta_ab = np.empty((2, sites.size))
+    x = np.zeros((2, sites.size), dtype=complex)
+    x.real[:, :blocks] = -damp
+    # exp(x) - 1 = [exp(x_a), expm1(x_a)] @ [expm1(x_b), 1] and theta =
+    # [theta_a, 1] @ [1, theta_b] as real matrix products; a complex factor
+    # on the left is an (re, im) pair, so the right-hand rows for it are
+    # (e, i*e) and (1, i)
+    left = np.empty((2, blocks, 2), dtype=complex)
+    right = np.zeros((2, 4, m), dtype=complex)
+    right[:, 2] = 1.0
+    right[:, 3] = 1j
+    left_th = np.ones((2, blocks, 2))
+    right_th = np.ones((2, 2, m))
+    em1 = np.empty((2, blocks, m), dtype=complex)
+    theta = np.empty((2, blocks, m))
+    products = ((left.view(float), right.view(float), em1.view(float)),
+                (left_th, right_th, theta))
+    em1, theta = em1.reshape(2, -1), theta.reshape(2, -1)
+    inv = np.empty_like(theta)
+    conj = np.zeros_like(em1)
+
+    def build(key, out):
+        rows, starts = [], []
+        for slope, offset in ((key[0], key[1]), (key[2], key[3])):
+            th0, step = z0 * slope - offset, dz * slope
+            k = 0 if step == 0.0 else int(min(nz - 1.0, max(0.0, -th0 / step)) + 0.5)
+            start = m - (k - h) % m  # flat position of site 0
+            # theta at k = 0, its step, and theta at the centre of block 0
+            rows.append((th0, step, th0 + step * (h - start)))
+            starts.append(start)
+        coef = np.array(rows)
+        np.multiply(coef[:, 1:2], sites, out=theta_ab)
+        theta_ab[:, :blocks] += coef[:, 2:]
+        np.negative(theta_ab, out=x.imag)
+        e = np.expm1(x)
+        left[:, :, 1] = e[:, :blocks]
+        np.add(e[:, :blocks], 1.0, out=left[:, :, 0])
+        right[:, 0] = e[:, blocks:]
+        np.multiply(e[:, blocks:], 1j, out=right[:, 1])
+        left_th[:, :, 0] = theta_ab[:, :blocks]
+        right_th[:, 1] = theta_ab[:, blocks:]
+        for lhs, rhs, res in products:
+            np.matmul(lhs, rhs, out=res)
+        series = []
+        for r in exact_zero_rows:
+            s, d = starts[r], damp_of[r]
+            lo, hi = _near_zero(*rows[r][:2], -s, blocks * m - s)
+            small = [p for p, th in enumerate(theta[r, s + lo:s + hi].tolist(), s + lo)
+                     if math.hypot(th, d) < 1e-8]
+            if small:
+                xs = theta[r, small] * -1j - d
+                theta[r, small] = 1.0  # keeps the division below finite
+                site = np.array(small) - s
+                inside = (site >= 0) & (site < nz)
+                series.append((r, site[inside], xs[inside]))
+        if gamma:
+            np.square(theta, out=inv)
+            np.add(inv, np.square(damp), out=inv)
+            np.divide(scale, inv, out=inv)
+            np.multiply(theta, inv, out=conj.real)
+            np.multiply(inv, damp, out=conj.imag)
+        else:
+            np.divide(scale, theta, out=conj.real)  # 1/x = i/theta
+        for r, s in enumerate(starts):
+            np.add(em1[r, s:s + nz], 1.0, out=out[r])
+            np.multiply(em1[r, s:s + nz], conj[r, s:s + nz], out=out[2 + r])
+        for r, site, xs in series:
+            out[2 + r, site] = -1j * scale[r, 0] * (1.0 + xs / 2.0 + xs * xs / 6.0)
+        return out
+
+    return build
+
+
+def _near_zero(th0: float, step: float, first: int, stop: int):
+    """Sites k in [first, stop) with |th0 + k*step| < 1e-8, as a range
+    [lo, hi) with one site of margin on each side for rounding."""
+    if step == 0.0:
+        return (first, stop) if abs(th0) < 1e-8 else (first, first)
+    centre = -th0 / step
+    half = 1e-8 / abs(step) + 1.0
+    lo = math.floor(min(float(stop), max(float(first), centre - half)))
+    hi = math.ceil(min(float(stop), max(float(first), centre + half + 1.0)))
+    return lo, max(lo, hi)
 
 
 def _snapshot_rows(nt: int, field_stride: Optional[int]) -> np.ndarray:
@@ -192,9 +312,8 @@ def run_gem(
     """
     grid = config.grid
     stark = config.stark
-    nt = grid.nt
+    nt, nz = grid.nt, grid.nz
     dz, dt = grid.dz, grid.dt
-    z = grid.z_axis
     t = grid.t_axis
     g, dens, gamma = config.g, config.linear_density, config.gamma
 
@@ -208,7 +327,6 @@ def run_gem(
 
     # gauge phase at sample and midpoint times
     s = carrier / stark.eta0
-    z_eff = z + s
     phi = np.zeros(nt)
     if carrier != 0.0:
         np.cumsum(s * i_full, out=phi[1:])
@@ -218,31 +336,30 @@ def run_gem(
     ein = ein_true * np.exp(-1j * phi)
     ein_mid = pulse.evaluate(t[:-1] + 0.5 * dt) * np.exp(-1j * phi_mid)
 
-    ig = 1j * g
-    half_damp = 0.25 * gamma * dt
-    full_damp = 0.5 * gamma * dt
-    cache = {}
-    rot_alpha = np.empty(z.size, dtype=complex)
-    scratch = np.empty(z.size, dtype=complex)
+    build = _operator_builder(grid.z_min + s, dz, nz, dt, gamma, g)
+    # keys that repeat (the plateaus of abrupt and frozen schedules) are
+    # built once into a table; the rest, every step of a ramp, are built
+    # when their step comes into a buffer allocated once
+    keys, key_index, counts = np.unique(integrals, axis=0, return_inverse=True,
+                                        return_counts=True)
+    repeating = np.argsort(-counts, kind="stable")[:_TABLE_KEYS]
+    repeating = repeating[counts[repeating] > 1]
+    slot = np.full(keys.shape[0], -1)
+    slot[repeating] = np.arange(repeating.size)
+    step_slot = slot[key_index.reshape(-1)]
+    table = np.empty((repeating.size, 4, nz), dtype=complex)
+    for ops, key in zip(table, keys[repeating].tolist()):
+        build(key, ops)
+    step_ops = np.empty((4, nz), dtype=complex)
+    rot_alpha = np.empty(nz, dtype=complex)
+    scratch = np.empty(nz, dtype=complex)
 
     def advance(n, state):
         # exact phase rotation (and decay) over the half and full step,
         # Filon weights (times i*g) for the i*g*E source
         (alpha,) = state
-        key = tuple(integrals[n].tolist())
-        ops = cache.get(key)
-        if ops is None:
-            ie, de, i_f, d_f = key
-            th_e = z_eff * ie - de
-            th_f = z_eff * i_f - d_f
-            ops = (
-                np.exp(-1j * th_e - half_damp),
-                np.exp(-1j * th_f - full_damp),
-                ig * _filon_weight(th_e, half_damp, 0.5 * dt),
-                ig * _filon_weight(th_f, full_damp, dt),
-            )
-            if len(cache) < 64:
-                cache[key] = ops
+        j = step_slot[n]
+        ops = table[j] if j >= 0 else build(integrals[n].tolist(), step_ops)
         rot_half, rot_full, w_half, w_full = ops
         np.multiply(rot_half, alpha, out=rot_alpha)
 
@@ -260,7 +377,7 @@ def run_gem(
         return half, full
 
     keep = _snapshot_rows(nt, field_stride)
-    alpha0 = np.zeros(z.size, dtype=complex)
+    alpha0 = np.zeros(nz, dtype=complex)
     out, anorm, (e_rows, a_rows) = _march(advance, ein, ein_mid, 1j * dens, dz, t, keep, (alpha0,))
 
     if carrier != 0.0:

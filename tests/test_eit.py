@@ -22,6 +22,10 @@ def eit_config(**kw):
     return EitConfig(**base)
 
 
+# n_atoms = 2000 needs dt <= 2*pi*2/2000 us for the exchange guard
+DENSE_GRID = Grid(z_min=0.0, z_max=1.0, nz=256, t_max=45.0, nt=9001)
+
+
 class TestEitConfig:
     def test_group_delay(self):
         cfg = eit_config()
@@ -34,6 +38,8 @@ class TestEitConfig:
             eit_config(switch_down=30.0, switch_up=14.0)
         with pytest.raises(ConfigError):
             eit_config(omega_c0=-1.0)
+        with pytest.raises(ConfigError, match="exchange"):
+            eit_config(n_atoms=2000.0)  # g^2*N*dtau/(2*pi) = 3.18 on the default grid
 
 
 class TestControlSchedule:
@@ -60,7 +66,7 @@ class TestRunEit:
         assert abs(rec.output_series[i]) > 0.95
 
     def test_spin_wave_frozen_while_dark(self):
-        cfg = eit_config(n_atoms=2000.0, omega_c0=15.0)  # delay ~ 8.9 us
+        cfg = eit_config(n_atoms=2000.0, omega_c0=15.0, grid=DENSE_GRID)  # delay ~ 8.9 us
         pulse = PulseSpec(kind="gaussian", center=8.0, width=2.5)
         rec = run_eit(cfg, pulse)
         hold = (rec.field_times > 18.0) & (rec.field_times < 28.0)
@@ -69,7 +75,7 @@ class TestRunEit:
         assert drift < 0.01
 
     def test_storage_and_recall(self):
-        cfg = eit_config(n_atoms=2000.0, omega_c0=15.0)
+        cfg = eit_config(n_atoms=2000.0, omega_c0=15.0, grid=DENSE_GRID)
         pulse = PulseSpec(kind="gaussian", center=8.0, width=2.5)
         rec = run_eit(cfg, pulse)
         t = rec.times

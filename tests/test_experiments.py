@@ -187,6 +187,8 @@ class TestLoadSpec:
          "checks.spinwave_drift_max: no stored row lies between"),
         ("fig3_eit", lambda doc: doc["params"].update(field_stride=8000),
          "checks.spinwave_drift_max: no stored row lies between"),
+        ("fig3_eit", lambda doc: doc["config"]["grid"].update(nt=2001),
+         "config: time step too large for the field/polarisation exchange rate"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
@@ -196,7 +198,7 @@ class TestLoadSpec:
             "gem_echo_window_without_samples", "gem_echo_window_before_input",
             "eit_windows_overlap", "eit_input_window_empty", "eit_echo_window_without_samples",
             "gem_switch_after_t_max", "delta_halfwidth_0", "delta_halfwidth_negative",
-            "eit_drift_without_hold_rows", "eit_drift_stride_skips_hold"])
+            "eit_drift_without_hold_rows", "eit_drift_stride_skips_hold", "eit_exchange"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gemsim import ConfigError, Grid, PulseSpec, run_gem
+from gemsim import ConfigError, Grid, PulseSpec, run_gem, solver
 from gemsim.core import make_plane_wave_mode
 from gemsim.eit import EitConfig, run_eit
 from gemsim.experiments import balance_residual
@@ -182,6 +184,113 @@ class TestRunGem:
             rec.output_series[0] = 0.0
 
 
+def _reference_operators(z_axis, key, dt, gamma, g):
+    """Rotations and Filon weights (times i*g) from np.exp and np.expm1."""
+    rows = []
+    for (slope, offset), damp, span in zip((key[:2], key[2:]), (0.25 * gamma * dt,
+                                                                 0.5 * gamma * dt), (0.5 * dt, dt)):
+        x = -1j * (z_axis * slope - offset) - damp
+        small = np.abs(x) < 1e-8
+        xs = np.where(small, 1.0, x)
+        w = np.where(small, 1.0 + x / 2.0 + x * x / 6.0, np.expm1(xs) / xs)
+        rows.append((np.exp(x), 1j * g * span * w))
+    (rot_half, w_half), (rot_full, w_full) = rows
+    return np.array([rot_half, rot_full, w_half, w_full])
+
+
+def _check_operators(z_min, z_max, nz, shift, key, dt, gamma, g=1.0):
+    z_axis = np.linspace(z_min, z_max, nz) + shift
+    build = solver._operator_builder(z_min + shift, (z_max - z_min) / (nz - 1), nz, dt, gamma, g)
+    out = np.full((4, nz), np.nan, dtype=complex)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert build(key, out) is out
+    ref = _reference_operators(z_axis, key, dt, gamma, g)
+    err = np.abs(out - ref) / np.abs(ref)
+    assert np.max(err) <= 1e-12, (np.unravel_index(np.argmax(err), err.shape), np.max(err))
+
+
+class TestClosedFormOperators:
+    @settings(max_examples=150, deadline=None)
+    @given(nz=st.integers(3, 4096), shift=st.sampled_from([0.0, 0.37, -1.9]),
+           slopes=st.tuples(*[st.one_of(st.just(0.0), st.floats(-0.8, 0.8))] * 2),
+           offsets=st.tuples(*[st.one_of(st.just(0.0), st.floats(-2.0, 2.0))] * 2),
+           gamma=st.sampled_from([0.0, 0.2, 3.0]), dt=st.floats(0.001, 0.1))
+    def test_match_exp_and_expm1(self, nz, shift, slopes, offsets, gamma, dt):
+        key = [slopes[0], offsets[0], slopes[1], offsets[1]]
+        _check_operators(-3.0, 3.0, nz, shift, key, dt, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    def test_theta_zero_on_a_grid_point(self, gamma):
+        # odd nz, symmetric cell, D = 0: theta is exactly 0 at the centre site
+        assert np.linspace(-1.0, 1.0, 9)[4] == 0.0
+        _check_operators(-1.0, 1.0, 9, 0.0, [0.1, 0.0, 0.2, 0.0], 0.01, gamma)
+
+    @pytest.mark.parametrize("theta", [2e-8, -5e-8, 3e-7])
+    def test_theta_just_off_zero(self, theta):
+        # |theta| just above the series cut at the site nearest the zero
+        # crossing: the split must not cancel there (blocks not centred on
+        # that site are off by 2e-12 relative in the first two cases)
+        nz, slope = 4096, 0.8
+        dz = 6.0 / (nz - 1)
+        offset = slope * (-3.0 + 2000 * dz) - theta
+        _check_operators(-3.0, 3.0, nz, 0.0, [slope, offset, 2 * slope, 2 * offset], 0.01, 0.0)
+
+    @pytest.mark.parametrize("key", [[0.0, 0.0, 0.0, 0.0], [0.0, 0.3, 0.0, 0.6]],
+                             ids=["frozen", "frozen_offset"])
+    def test_frozen_slope_is_constant(self, key):
+        _check_operators(-1.0, 1.0, 64, 0.0, key, 0.01, 0.0)
+
+    def test_fig4_scale(self):
+        # nz = 10240 over 6 mm, eta0*dt ~ 0.63 and a carrier shift: |theta| up to ~3.8 rad
+        slope = 50.26548245743669 * 0.0125
+        _check_operators(-3.0, 3.0, 10240, 2.9, [0.5 * slope, 0.0, slope, 0.0], 0.0125, 0.0)
+        _check_operators(-3.0, 3.0, 10240, 2.9, [-0.5 * slope, 0.1, -slope, 0.2], 0.0125, 0.1)
+
+
+def _count_builds(monkeypatch):
+    """(key, address of the output buffer) of every operator build of a run."""
+    builds = []
+    real = solver._operator_builder
+
+    def counting(*args):
+        build = real(*args)
+
+        def wrapped(key, out):
+            builds.append((tuple(key), out.__array_interface__["data"][0]))
+            return build(key, out)
+
+        return wrapped
+
+    monkeypatch.setattr(solver, "_operator_builder", counting)
+    return builds
+
+
+@pytest.mark.parametrize("config", [small_config(), small_config(freeze=((8.0, 12.0),))],
+                         ids=["abrupt", "freeze"])
+def test_plateau_schedules_build_each_key_once(monkeypatch, config):
+    builds = _count_builds(monkeypatch)
+    run_gem(config, small_pulse())
+    keys = [key for key, _ in builds]
+    assert len(set(keys)) == len(keys)
+    assert len(keys) < (config.grid.nt - 1) / 20
+
+
+def test_ramped_schedule_builds_every_step_into_one_buffer(monkeypatch):
+    config = small_config(ramp_tau=3.0)
+    builds = _count_builds(monkeypatch)
+    run_gem(config, small_pulse())
+    assert len(builds) == config.grid.nt - 1
+    assert len({address for _, address in builds}) == 1
+
+
+def test_operator_table_is_bounded(monkeypatch):
+    # a 1 us ramp on a fine time grid: 139 keys repeat in the saturated tails
+    config = small_config(ramp_tau=1.0, nt=6401)
+    builds = _count_builds(monkeypatch)
+    run_gem(config, small_pulse())
+    assert len({address for _, address in builds}) == solver._TABLE_KEYS + 1
+
+
 @pytest.mark.parametrize("run, config", [
     (run_gem, small_config()),
     (run_eit, EitConfig(n_atoms=400.0, g=1.0, omega_c0=20.0, switch_down=14.0,
@@ -221,12 +330,18 @@ _PINNED_RUNS = {
     "carrier": lambda: _pinned_gem(small_config(switch=20.0, t_max=50.0, nt=2001, nz=160),
                                    make_plane_wave_mode(2, 6.0, 10.0), carrier=np.pi),
     "delta_offset": lambda: _pinned_gem(small_config(delta_offset=0.8), small_pulse()),
+    "tanh_gamma_carrier_offset": lambda: _pinned_gem(
+        small_config(switch=20.0, t_max=50.0, nt=2001, nz=160, ramp_tau=3.0, gamma=0.05,
+                     delta_offset=0.5),
+        make_plane_wave_mode(2, 6.0, 10.0), carrier=np.pi),
     "eit": _pinned_eit,
 }
 
 # (efficiency, {time: output sample}) of each run above, recorded with the
 # stencil-then-cumsum quadrature and per-step arrays the solvers had before
-# they were buffered; the discretisation is the same, so only rounding moves.
+# they were buffered (tanh_gamma_carrier_offset: with the per-step np.exp and
+# expm1 operators the closed-form build replaced); the discretisation is the
+# same, so only rounding moves.
 _PINNED = {
     "abrupt": (0.9962692137449586, {
         3.0: (0.03780718735097727-5.8462500865962864e-06j),
@@ -269,6 +384,13 @@ _PINNED = {
         25.0: (-0.5002031289946437+0.037185702674887244j),
         26.0: (-0.7657383543413407-0.619719578423769j),
         27.0: (-0.19868929427511817-0.4793456883898925j),
+    }),
+    "tanh_gamma_carrier_offset": (0.24772443653359824, {
+        7.0: (0.12810416572044203-0.02637812210166074j),
+        9.0: (-0.040376620911502285-0.0021820500210521752j),
+        33.0: (0.14096786944656345-0.18542860280683482j),
+        34.0: (-0.2621662496204284+0.09371013711797184j),
+        35.0: (0.13025579730711453-0.007347663580214725j),
     }),
     "eit": (0.9729649179423318, {
         46.0: (0.3971527391438509+0j),
