@@ -19,7 +19,6 @@ from importlib import resources
 from pathlib import Path
 
 from .experiments import SpecValidationError, load_spec, run_experiment
-from .metrics import default_workers
 from .solver import NonFiniteFieldError
 
 PRESET_PACKAGE = "gemsim.presets"
@@ -39,6 +38,12 @@ def preset_path(name: str) -> Path:
     return Path(str(path))
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gemsim",
@@ -47,9 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="root directory for artifacts")
     parser.add_argument(
         "--workers",
-        type=int,
-        default=None,
-        help="worker processes for sweeps (default: GEM_SIM_WORKERS or 1)",
+        type=_positive_int,
+        default=1,
+        help="worker processes for sweeps (default: 1)",
     )
     parser.add_argument(
         "--dump-fields",
@@ -79,9 +84,9 @@ def _run_spec_file(path, args) -> int:
     except SpecValidationError as exc:
         print(f"spec rejected: {exc}", file=sys.stderr)
         return 2
-    workers = args.workers if args.workers is not None else default_workers()
     try:
-        result = run_experiment(spec, args.out, workers=workers, dump_fields=args.dump_fields)
+        result = run_experiment(spec, args.out, workers=args.workers,
+                                dump_fields=args.dump_fields)
     except (NonFiniteFieldError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3

@@ -131,27 +131,37 @@ class StarkProfile:
             return float(out)
         return out
 
-    def _base_integral(self, t0: float, t1: float) -> float:
+    def _base_integral(self, t0: float, span: float) -> float:
         ts = self.switch_time
         if self.ramp_tau == 0.0:
-            before = min(t1, ts) - min(t0, ts)
-            after = max(t1, ts) - max(t0, ts)
-            return self.eta0 * (before - after)
+            if t0 + span <= ts:
+                return self.eta0 * span
+            if t0 >= ts:
+                return -self.eta0 * span
+            return self.eta0 * ((ts - t0) - (t0 + span - ts))
         tau = self.ramp_tau
-        return self.eta0 * tau * (_log_cosh((ts - t0) / tau) - _log_cosh((ts - t1) / tau))
+        return self.eta0 * tau * (_log_cosh((ts - t0) / tau) - _log_cosh((ts - t0 - span) / tau))
 
-    def slope_integral(self, t0: float, t1: float) -> float:
-        """Exact integral of eta(t) over [t0, t1], freeze intervals included."""
-        total = self._base_integral(t0, t1)
+    def slope_integral(self, t0: float, span: float) -> float:
+        """Exact integral of eta(t) over [t0, t0 + span], freeze intervals
+        included.  On a plateau it depends on span alone (+-eta0*span off an
+        abrupt switch, exactly 0.0 inside a freeze), so equal steps there
+        give bit-equal values wherever they start."""
+        t1 = t0 + span
+        total = self._base_integral(t0, span)
         for a, b in self.freeze_intervals:
+            if a <= t0 and t1 <= b:
+                return 0.0
             lo, hi = max(t0, a), min(t1, b)
             if lo < hi:
-                total -= self._base_integral(lo, hi)
+                total -= self._base_integral(lo, hi - lo)
         return total
 
-    def offset_integral(self, t0: float, t1: float) -> float:
-        """Integral of the readout offset indicator: delta * |[t0,t1] > switch|."""
-        return self.delta_offset * max(0.0, t1 - max(t0, self.switch_time))
+    def offset_integral(self, t0: float, span: float) -> float:
+        """Integral of the readout offset indicator over [t0, t0 + span]:
+        delta times the part after the switch (delta*span wholly after it)."""
+        ts = self.switch_time
+        return self.delta_offset * (span if t0 >= ts else max(0.0, t0 + span - ts))
 
 
 @dataclass(frozen=True)

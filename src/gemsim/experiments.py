@@ -28,6 +28,7 @@ from .core import ConfigError, GemConfig, Grid, PulseSpec, StarkProfile
 from .eit import EitConfig, EitRecord, eit_polariton, run_eit
 from .kspace import centroid_series, phi_residual, to_kspace
 from .metrics import (
+    _gem_windows,
     _mode_report,
     check_efficiency_windows,
     check_mode_run,
@@ -398,13 +399,6 @@ def balance_residual(record) -> float:
     return float(np.max(np.abs(rate - flux))) / peak
 
 
-def _gem_windows(config: GemConfig):
-    """Default efficiency windows of the GEM kinds: the storage and the
-    recall side of the switch."""
-    ts = config.stark.switch_time
-    return (0.0, ts), (ts, config.grid.t_max)
-
-
 def _eit_windows(config: EitConfig):
     """Default efficiency windows of the EIT kind: until the control is off,
     and from its switch-on to the end."""
@@ -451,7 +445,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
                    (record.field_times, np.abs(record.polarisation)))
 
     if spec.kind == "kspace_report":
-        ks = to_kspace(record, config.linear_density)
+        ks = to_kspace(record)
         khdr = "t_us," + ",".join(f"{v:.9g}" for v in ks.k_axis)
         writer.csv("psi_mag.csv", khdr, (ks.times, np.abs(ks.psi)))
         writer.csv("phi_mag.csv", khdr, (ks.times, np.abs(ks.phi)))
@@ -676,12 +670,15 @@ def run_experiment(
     spec: ExperimentSpec,
     out_root,
     *,
-    workers: Optional[int] = None,
+    workers: int = 1,
     dump_fields: bool = False,
 ) -> ExperimentResult:
     """Run one experiment spec, writing artifacts and a manifest under
     out_root/<output_dir>.  Status is "ok" only if every attached check
-    passed; solver failures mark the manifest incomplete and re-raise."""
+    passed; solver failures mark the manifest incomplete and re-raise.
+    workers > 1 runs the modes of a sweep on a process pool."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_root) / spec.output_dir
     writer = _ArtifactWriter(out_dir)
     try:

@@ -62,9 +62,10 @@ def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft(rows, axis=-1), axes=-1) * scale
 
 
-def to_kspace(record: FieldRecord, linear_density: float) -> KSpaceRecord:
+def to_kspace(record: FieldRecord) -> KSpaceRecord:
     """Transform the stored field rows of a run to k-space normal modes."""
     grid = record.grid
+    linear_density = record.linear_density
     z = grid.z_axis
     if not np.allclose(np.diff(z), grid.dz, rtol=1e-12, atol=0.0):
         raise ValueError("z grid must be uniform")

@@ -12,7 +12,6 @@ phase; the delay scan is restricted to an echo window so prompt
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -278,6 +277,13 @@ def check_mode_run(config: GemConfig, interval, modes: Sequence[int]) -> None:
             raise ConfigError(f"mode {n} lies outside the medium bandwidth")
 
 
+def _gem_windows(config: GemConfig):
+    """Default efficiency windows of a GEM run: the storage and the recall
+    side of the switch."""
+    ts = config.stark.switch_time
+    return (0.0, ts), (ts, config.grid.t_max)
+
+
 def _mode_run(config: GemConfig, n: int, interval):
     """Carrier-gauge run of plane-wave mode n on `interval`: the record (its
     field rows at the first and last step only), its echo window
@@ -286,8 +292,8 @@ def _mode_run(config: GemConfig, n: int, interval):
     pulse = make_plane_wave_mode(n, t1, t2)
     omega = 2.0 * np.pi * n / (t2 - t1)
     rec = run_gem(config, pulse, field_stride=config.grid.nt - 1, carrier=omega)
-    echo_window = (config.stark.switch_time, config.grid.t_max)
-    sigma = efficiency_numeric(rec, (0.0, config.stark.switch_time), echo_window)
+    input_window, echo_window = _gem_windows(config)
+    sigma = efficiency_numeric(rec, input_window, echo_window)
     return rec, echo_window, sigma
 
 
@@ -313,16 +319,6 @@ def _sweep_task(args):
     )
 
 
-def default_workers() -> int:
-    env = os.environ.get("GEM_SIM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def mode_fidelity_sweep(
     config_template: GemConfig,
     interval,
@@ -330,15 +326,18 @@ def mode_fidelity_sweep(
     mode_indices: Sequence[int],
     *,
     delta: str | float = 0.0,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> list[SweepRow]:
     """One run per (beta, mode): ordered rows of sigma, F, F^r, tau, delta.
 
     delta = "auto" searches the readout offset once per beta on the n = 0
     probe mode and applies it to every mode of that beta (the correction
     is a mode-independent frequency shift); a float applies a fixed offset
-    and 0.0 leaves the readout uncorrected.
+    and 0.0 leaves the readout uncorrected.  workers > 1 runs the modes on
+    a process pool.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     check_mode_run(config_template, interval, mode_indices)
     if any(b <= 0 for b in betas):
         raise ConfigError("betas must be positive")
@@ -357,7 +356,6 @@ def mode_fidelity_sweep(
         for beta in betas
         for n in mode_indices
     ]
-    workers = default_workers() if workers is None else max(1, workers)
     if workers == 1:
         return [_sweep_task(a) for a in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

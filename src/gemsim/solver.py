@@ -13,10 +13,11 @@ One predictor/corrector pass makes the midpoint field self-consistent.
 
 The rotations and Filon weights come from a closed form: the phase is
 affine in z, so exp(x) - 1 over the grid is an outer product of two
-vectors of about sqrt(nz) values (`_operator_builder`).  Steps whose
-integrals repeat (the plateaus of abrupt and frozen schedules) share one
-table entry built before the loop; every other step, which is every step
-of a ramp, is built when it comes into buffers allocated once.
+vectors of about sqrt(nz) values (`_operator_builder`).  They are built
+into one buffer, allocated once, on each step whose Stark integrals differ
+from the previous step's: on the plateaus of abrupt and frozen schedules
+the integrals are bit-equal, so a run of equal steps is built once, while a
+ramp builds every step.
 
 The time loop (`_march`) is shared with the EIT solver in `eit.py`; each
 solver supplies only its local propagator over one step.
@@ -33,11 +34,6 @@ import numpy as np
 from .core import GemConfig, Grid, PulseSpec
 
 __all__ = ["FieldRecord", "NonFiniteFieldError", "run_gem", "cumulative_simpson"]
-
-
-# most repeating step keys whose operators run_gem tables, (4, nz) complex
-# each; bounds the table's memory on schedules with many plateaus
-_TABLE_KEYS = 64
 
 
 class NonFiniteFieldError(RuntimeError):
@@ -319,9 +315,9 @@ def run_gem(
 
     # per-step slope and offset integrals over the half and the full step
     integrals = np.fromiter(
-        ((stark.slope_integral(a, m), stark.offset_integral(a, m),
-          stark.slope_integral(a, b), stark.offset_integral(a, b))
-         for a, m, b in zip(t[:-1], t[:-1] + 0.5 * dt, t[1:])),
+        ((stark.slope_integral(a, 0.5 * dt), stark.offset_integral(a, 0.5 * dt),
+          stark.slope_integral(a, dt), stark.offset_integral(a, dt))
+         for a in t[:-1].tolist()),
         dtype=np.dtype((float, 4)), count=nt - 1)
     i_half, _, i_full, _ = integrals.T
 
@@ -337,20 +333,10 @@ def run_gem(
     ein_mid = pulse.evaluate(t[:-1] + 0.5 * dt) * np.exp(-1j * phi_mid)
 
     build = _operator_builder(grid.z_min + s, dz, nz, dt, gamma, g)
-    # keys that repeat (the plateaus of abrupt and frozen schedules) are
-    # built once into a table; the rest, every step of a ramp, are built
-    # when their step comes into a buffer allocated once
-    keys, key_index, counts = np.unique(integrals, axis=0, return_inverse=True,
-                                        return_counts=True)
-    repeating = np.argsort(-counts, kind="stable")[:_TABLE_KEYS]
-    repeating = repeating[counts[repeating] > 1]
-    slot = np.full(keys.shape[0], -1)
-    slot[repeating] = np.arange(repeating.size)
-    step_slot = slot[key_index.reshape(-1)]
-    table = np.empty((repeating.size, 4, nz), dtype=complex)
-    for ops, key in zip(table, keys[repeating].tolist()):
-        build(key, ops)
-    step_ops = np.empty((4, nz), dtype=complex)
+    # a step whose integrals equal the previous step's reuses its operators
+    fresh = [True, *np.any(integrals[1:] != integrals[:-1], axis=1).tolist()]
+    ops = np.empty((4, nz), dtype=complex)
+    rot_half, rot_full, w_half, w_full = ops
     rot_alpha = np.empty(nz, dtype=complex)
     scratch = np.empty(nz, dtype=complex)
 
@@ -358,9 +344,8 @@ def run_gem(
         # exact phase rotation (and decay) over the half and full step,
         # Filon weights (times i*g) for the i*g*E source
         (alpha,) = state
-        j = step_slot[n]
-        ops = table[j] if j >= 0 else build(integrals[n].tolist(), step_ops)
-        rot_half, rot_full, w_half, w_full = ops
+        if fresh[n]:
+            build(integrals[n].tolist(), ops)
         np.multiply(rot_half, alpha, out=rot_alpha)
 
         def half(src, weight, out):

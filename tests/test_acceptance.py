@@ -185,7 +185,7 @@ def test_criterion_6_shape_preservation_low_depth():
 
 def test_criterion_7_normal_mode_invariants(fig2, fig2_abrupt_record, fig2_freeze_record):
     rec = fig2_abrupt_record
-    ks = to_kspace(rec, rec.linear_density)
+    ks = to_kspace(rec)
     storage = np.nonzero((ks.times > 20.0) & (ks.times < 70.0))[0]
     worst_phi = max(phi_residual(ks, int(i)) for i in storage)
 
@@ -196,7 +196,7 @@ def test_criterion_7_normal_mode_invariants(fig2, fig2_abrupt_record, fig2_freez
     slope_err = abs(slope - (-eta0)) / eta0
 
     krec = fig2_freeze_record
-    kks = to_kspace(krec, krec.linear_density)
+    kks = to_kspace(krec)
     fsel = np.nonzero((kks.times > 30.5) & (kks.times < 39.5))[0]
     fcen = [k_centroid(kks, int(i)) for i in fsel]
     cen_drift = (max(fcen) - min(fcen)) / abs(np.mean(fcen))

@@ -10,7 +10,7 @@ from gemsim.cli import preset_path
 from gemsim.core import make_plane_wave_mode
 from gemsim.experiments import load_spec
 
-from conftest import ETA_8MHZ
+from conftest import ETA_8MHZ, small_config
 
 
 class TestGrid:
@@ -93,9 +93,8 @@ class TestStarkProfile:
                                                freeze_start, freeze_len):
         p = StarkProfile(eta0=eta0, switch_time=switch, ramp_tau=ramp,
                          freeze_intervals=((freeze_start, freeze_start + freeze_len),))
-        t1 = t0 + span
-        exact = p.slope_integral(t0, t1)
-        ts = np.linspace(t0, t1, 40001)
+        exact = p.slope_integral(t0, span)
+        ts = np.linspace(t0, t0 + span, 40001)
         mid = 0.5 * (ts[1:] + ts[:-1])
         approx = float(np.sum(p.eval(mid)) * (ts[1] - ts[0]))
         assert exact == pytest.approx(approx, abs=2e-4 * eta0 * max(span, 1.0))
@@ -103,8 +102,33 @@ class TestStarkProfile:
     def test_offset_integral(self):
         p = StarkProfile(eta0=1.0, switch_time=10.0, delta_offset=0.5)
         assert p.offset_integral(0.0, 8.0) == 0.0
-        assert p.offset_integral(8.0, 12.0) == pytest.approx(1.0)
-        assert p.offset_integral(11.0, 13.0) == pytest.approx(1.0)
+        assert p.offset_integral(8.0, 4.0) == pytest.approx(1.0)
+        assert p.offset_integral(11.0, 2.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("config", [
+        load_spec(preset_path("fig2_abrupt")).config,
+        load_spec(preset_path("fig4_quick")).config,
+        small_config(freeze=((8.0, 12.0), (20.0, 24.0)), delta_offset=0.5),
+    ], ids=["fig2_abrupt", "fig4_quick", "freeze_offset"])
+    def test_plateau_steps_have_bit_identical_integrals(self, config):
+        # every grid step clear of the switch and the freeze edges: before
+        # the switch, frozen (on either side of it) or after it
+        p = config.stark
+        t, dt = config.grid.t_axis.tolist(), config.grid.dt
+        edges = [p.switch_time, *(e for iv in p.freeze_intervals for e in iv)]
+        for span in (0.5 * dt, dt):
+            seen = {}
+            for t0, t1 in zip(t, t[1:]):
+                if any(t0 <= e <= max(t1, t0 + dt) for e in edges):
+                    continue
+                frozen = any(a < t0 and t1 < b for a, b in p.freeze_intervals)
+                after = t0 > p.switch_time
+                key = (p.slope_integral(t0, span), p.offset_integral(t0, span))
+                seen.setdefault((frozen, after), set()).add(key)
+            assert len(seen) == 2 + len(p.freeze_intervals)
+            for (frozen, after), keys in seen.items():
+                slope = 0.0 if frozen else (-p.eta0 if after else p.eta0) * span
+                assert keys == {(slope, p.delta_offset * span if after else 0.0)}
 
 
 class TestPulseSpec:

@@ -323,6 +323,17 @@ class TestCli:
         manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
 
+    @pytest.mark.parametrize("workers", ["0", "-4", "abc"])
+    def test_workers_must_be_a_positive_integer(self, tmp_path, capsys, workers):
+        path = tiny_gem_spec(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            cli_main(["--workers", workers, "--out", str(tmp_path / "o"), "run", str(path)])
+        assert info.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(load_spec(path), tmp_path / "o", workers=0)
+
     def test_presets_list(self, capsys):
         assert cli_main(["presets", "list"]) == 0
         out = capsys.readouterr().out.split()

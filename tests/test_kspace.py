@@ -36,7 +36,7 @@ def stored_run():
 
 @pytest.fixture(scope="module")
 def stored_ks(stored_run):
-    return to_kspace(stored_run, stored_run.linear_density)
+    return to_kspace(stored_run)
 
 
 class TestToKspace:
@@ -44,7 +44,7 @@ class TestToKspace:
         grid = Grid(z_min=-1.0, z_max=1.0, nz=64, t_max=1.0, nt=4)
         a = np.ones((1, 64), complex)
         e = np.zeros((1, 64), complex)
-        ks = to_kspace(synthetic_record(e, a, grid, dens=2.0), 2.0)
+        ks = to_kspace(synthetic_record(e, a, grid, dens=2.0))
         i0 = np.argmin(np.abs(ks.k_axis))
         assert ks.k_axis[i0] == 0.0
         a_t = ks.psi[0, i0] / 2.0
@@ -76,7 +76,7 @@ class TestCentroid:
         z = grid.z_axis
         a = np.cos(2.0 * np.pi * 5 * z)[None, :].astype(complex)  # +/-k pair
         e = np.zeros_like(a)
-        ks = to_kspace(synthetic_record(e, a, grid), 2.0)
+        ks = to_kspace(synthetic_record(e, a, grid))
         assert abs(k_centroid(ks, 0)) < 1e-9
 
     def test_transport_slope_matches_minus_eta(self, stored_run, stored_ks):
@@ -101,7 +101,7 @@ class TestCentroid:
     def test_centroid_frozen_during_freeze(self):
         cfg = small_config(beta=1.0, freeze=((9.0, 12.0),))
         rec = run_gem(cfg, small_pulse(), field_stride=10)
-        ks = to_kspace(rec, rec.linear_density)
+        ks = to_kspace(rec)
         sel = (ks.times > 9.2) & (ks.times < 11.8)
         cen = centroid_series(ks)[sel]
         assert np.ptp(cen) / abs(np.mean(cen)) < 0.005
@@ -110,7 +110,7 @@ class TestCentroid:
         grid = Grid(z_min=-1.0, z_max=1.0, nz=64, t_max=1.0, nt=4)
         a = np.vstack([np.ones(64), np.full(64, 1e-9)]).astype(complex)
         e = np.zeros_like(a)
-        ks = to_kspace(synthetic_record(e, a, grid), 2.0)
+        ks = to_kspace(synthetic_record(e, a, grid))
         with pytest.raises(ValueError):
             k_centroid(ks, 1)
 
@@ -130,7 +130,7 @@ class TestPhiResidual:
         a = np.fft.ifft(spec)
         e_spec = np.where(k_axis != 0.0, dens * spec / np.where(k_axis == 0, 1, k_axis), 0.0)
         e = np.fft.ifft(e_spec)
-        ks = to_kspace(synthetic_record(e[None, :], a[None, :], grid, dens), dens)
+        ks = to_kspace(synthetic_record(e[None, :], a[None, :], grid, dens))
         # the raw combination vanishes identically; the production residual
         # carries a small taper floor from the boundary apodization
         assert np.linalg.norm(ks.phi[0]) / np.linalg.norm(ks.psi[0]) < 1e-9
@@ -141,7 +141,7 @@ class TestPhiResidual:
         z = grid.z_axis
         e = (np.exp(-((z / 0.3) ** 2)) * np.exp(40j * z))[None, :].astype(complex)
         a = np.zeros_like(e)
-        ks = to_kspace(synthetic_record(e, a, grid), 2.0)
+        ks = to_kspace(synthetic_record(e, a, grid))
         assert phi_residual(ks, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_small_during_storage(self, stored_ks):
@@ -154,21 +154,21 @@ class TestPolaritonNorm:
     def test_zero_for_dark_medium(self):
         grid = Grid(z_min=-1.0, z_max=1.0, nz=64, t_max=1.0, nt=4)
         dark = np.zeros((1, 64), complex)
-        ks = to_kspace(synthetic_record(dark, dark, grid), 2.0)
+        ks = to_kspace(synthetic_record(dark, dark, grid))
         assert polariton_norm(ks, 0) == 0.0
 
     def test_below_floor_row_rejected(self):
         grid = Grid(z_min=-1.0, z_max=1.0, nz=64, t_max=1.0, nt=4)
         a = np.vstack([np.ones(64), np.full(64, 1e-10)]).astype(complex)
         e = np.zeros_like(a)
-        ks = to_kspace(synthetic_record(e, a, grid), 2.0)
+        ks = to_kspace(synthetic_record(e, a, grid))
         with pytest.raises(ValueError):
             polariton_norm(ks, 1)
 
     def test_constant_during_freeze(self):
         cfg = small_config(beta=1.0, freeze=((9.0, 12.0),))
         rec = run_gem(cfg, small_pulse(), field_stride=10)
-        ks = to_kspace(rec, rec.linear_density)
+        ks = to_kspace(rec)
         sel = np.nonzero((ks.times > 9.2) & (ks.times < 11.8))[0]
         vals = [polariton_norm(ks, int(i)) for i in sel]
         assert (max(vals) - min(vals)) / max(vals) < 0.01
@@ -176,7 +176,7 @@ class TestPolaritonNorm:
     def test_decays_with_gamma(self):
         cfg = small_config(beta=1.0, gamma=0.05, freeze=((9.0, 14.0),), switch=16.0)
         rec = run_gem(cfg, small_pulse(), field_stride=10)
-        ks = to_kspace(rec, rec.linear_density)
+        ks = to_kspace(rec)
         sel = np.nonzero((ks.times > 9.2) & (ks.times < 13.8))[0]
         vals = np.array([polariton_norm(ks, int(i)) for i in sel])
         assert np.all(np.diff(vals) < 0.0)

@@ -191,6 +191,11 @@ class TestModeFidelitySweep:
         sigmas = [r.sigma for r in rows]
         assert (max(sigmas) - min(sigmas)) / np.mean(sigmas) < 0.02
 
+    def test_rejects_workers_below_one(self):
+        cfg = small_config(beta=1.0, **SWEEP_KW)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            mode_fidelity_sweep(cfg, (6.0, 10.0), [1.0], [0], workers=0)
+
     def test_rejects_out_of_band_modes(self):
         cfg = small_config(beta=1.0, **SWEEP_KW)
         with pytest.raises(Exception):
