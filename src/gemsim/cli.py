@@ -7,7 +7,8 @@ Subcommands:
   presets run <name>     run a packaged preset
 
 Exit codes: 0 every check attached to the executed spec passed; 1 a check
-failed; 2 the spec was rejected; 3 the run failed after the spec loaded.
+failed; 2 the spec was rejected; 3 the run failed after the spec loaded
+(solver, analysis or artifact I/O).
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dump-fields",
         action="store_true",
-        help="also write |E| and |alpha| space-time magnitude maps as CSV",
+        help="also write the space-time magnitude maps (|E| with |alpha|, or with the "
+             "EIT spin wave and polariton) as .npy, on the z axis in z_axis.csv",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -87,7 +89,7 @@ def _run_spec_file(path, args) -> int:
     try:
         result = run_experiment(spec, args.out, workers=args.workers,
                                 dump_fields=args.dump_fields)
-    except (NonFiniteFieldError, ValueError) as exc:
+    except (NonFiniteFieldError, ValueError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
     print(f"{result.name}: {result.status}")

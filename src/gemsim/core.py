@@ -140,7 +140,11 @@ class StarkProfile:
                 return -self.eta0 * span
             return self.eta0 * ((ts - t0) - (t0 + span - ts))
         tau = self.ramp_tau
-        return self.eta0 * tau * (_log_cosh((ts - t0) / tau) - _log_cosh((ts - t0 - span) / tau))
+        a, b = (ts - t0) / tau, (ts - t0 - span) / tau
+        if math.isinf(a) or math.isinf(b):
+            # tau below the float range of the step: its tau -> 0 limit
+            return self.eta0 * (abs(ts - t0) - abs(ts - t0 - span))
+        return self.eta0 * tau * (_log_cosh(a) - _log_cosh(b))
 
     def slope_integral(self, t0: float, span: float) -> float:
         """Exact integral of eta(t) over [t0, t0 + span], freeze intervals

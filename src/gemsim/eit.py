@@ -42,7 +42,8 @@ class EitConfig:
     excited decay; gamma_e (1/us) is that decay and fixes the physical
     time scale; switch_down/switch_up/ramp_tau are in us.  The normalised
     step dtau = dt*gamma_e must resolve the field/polarisation exchange,
-    g^2*n_atoms*dtau/(2*pi) <= 2, the bound GemConfig applies.
+    g^2*n_atoms*dtau/(2*pi) <= 2, the bound GemConfig applies, and the
+    group delay must be positive and finite.
     """
 
     n_atoms: float
@@ -65,17 +66,22 @@ class EitConfig:
             raise ConfigError("nz must be >= 3 for the field quadrature")
         # the GEM exchange guard with g*N*L -> g^2*n_atoms (z normalised to
         # the cell) and dt -> the normalised step
-        exchange = self.g**2 * self.n_atoms * self.grid.dt * self.gamma_e / (2.0 * math.pi)
+        exchange = self.g * self.g * self.n_atoms * self.grid.dt * self.gamma_e / (2.0 * math.pi)
         if exchange > _EXCHANGE_LIMIT:
             raise ConfigError(
                 "time step too large for the field/polarisation exchange rate: "
                 f"g^2*n_atoms*dtau/(2*pi) = {exchange:.2f} > {_EXCHANGE_LIMIT}; increase nt"
             )
+        # the envelope map of eit_run moves at 1/group_delay
+        if not (self.omega_c0 * self.omega_c0 * self.gamma_e > 0.0
+                and 0.0 < self.group_delay < math.inf):
+            raise ConfigError(
+                "derived group delay g^2*n_atoms/(omega_c0^2*gamma_e) must be positive and finite")
 
     @property
     def group_delay(self) -> float:
         """Full-medium group delay g^2*N/(omega_c0^2*gamma_e) in us."""
-        return self.g**2 * self.n_atoms / (self.omega_c0**2 * self.gamma_e)
+        return self.g * self.g * self.n_atoms / (self.omega_c0 * self.omega_c0 * self.gamma_e)
 
 
 def omega_c_schedule(config: EitConfig, t):

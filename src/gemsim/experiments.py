@@ -6,10 +6,10 @@ takes a pulse, the params it requires and accepts, its load-time check, its
 runner and, for the kinds that score an echo, its default efficiency
 windows.  `load_spec` rejects unknown keys, wrong types and every
 configuration invariant with the dotted key path, so a spec that loads
-cannot fail on configuration afterwards.  Artifacts are CSV/JSON files
-with fixed full-precision formatting and a manifest listing names,
-checksums and headline scalars; rerunning a spec reproduces every data
-file byte for byte.
+cannot fail on configuration afterwards.  Artifacts are 1-D series as
+CSV with fixed full-precision formatting, 2-D magnitude maps as `.npy`,
+JSON summaries and a manifest listing names, checksums and headline
+scalars; rerunning a spec reproduces every data file byte for byte.
 """
 
 from __future__ import annotations
@@ -319,10 +319,18 @@ class _ArtifactWriter:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def csv(self, name: str, header: str, columns) -> Path:
-        """One CSV file; columns are 1-D series or 2-D blocks, side by side."""
+        """One CSV file; columns are 1-D series, side by side."""
         path = self.out_dir / name
         data = np.column_stack(columns)
         np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
+        self._register(path)
+        return path
+
+    def npy(self, name: str, columns) -> Path:
+        """One .npy file; columns (times, then a 2-D block of one row per
+        time) side by side as a C-order float64 array."""
+        path = self.out_dir / name
+        np.save(path, np.column_stack(columns))
         self._register(path)
         return path
 
@@ -438,23 +446,30 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         scalars["spectrum_corr"] = input_spectrum_correlation(record, t_snap, eta_abs)
 
     if dump_fields:
-        z = record.grid.z_axis
-        zhdr = "t_us," + ",".join(f"{v:.9g}" for v in z)
-        writer.csv("e_field_mag.csv", zhdr, (record.field_times, np.abs(record.e_field)))
-        writer.csv("polarisation_mag.csv", zhdr,
-                   (record.field_times, np.abs(record.polarisation)))
+        # space-time maps: one row per stored time, t_us then |value| on z_axis.csv
+        writer.csv("z_axis.csv", "z_mm", (record.grid.z_axis,))
+        writer.npy("e_field_mag.npy", (record.field_times, np.abs(record.e_field)))
+        writer.npy("polarisation_mag.npy", (record.field_times, np.abs(record.polarisation)))
 
     if spec.kind == "kspace_report":
         ks = to_kspace(record)
-        khdr = "t_us," + ",".join(f"{v:.9g}" for v in ks.k_axis)
-        writer.csv("psi_mag.csv", khdr, (ks.times, np.abs(ks.psi)))
-        writer.csv("phi_mag.csv", khdr, (ks.times, np.abs(ks.phi)))
+        # k-space maps: one row per stored time, t_us then |value| on k_axis.csv
+        writer.csv("k_axis.csv", "k_per_mm", (ks.k_axis,))
+        writer.npy("psi_mag.npy", (ks.times, np.abs(ks.psi)))
+        writer.npy("phi_mag.npy", (ks.times, np.abs(ks.phi)))
         cen = centroid_series(ks)
         writer.csv("centroid.csv", "t_us,k_centroid,eta",
                    (ks.times, cen, config.stark.eval(ks.times)))
-        mid = int(np.argmin(np.abs(ks.times - 0.5 * (in_win[1] + config.stark.switch_time))))
-        scalars["phi_residual_mid_storage"] = phi_residual(ks, mid)
+        row = _residual_row(config, params, ks.times)
+        scalars["phi_residual_mid_storage"] = phi_residual(ks, row)
     return scalars, None
+
+
+def _residual_row(config: GemConfig, params: dict, field_times: np.ndarray) -> int:
+    """Stored row where kspace_report reads its Phi residual: the one
+    nearest mid-storage, halfway from the input window's end to the switch."""
+    t_mid = 0.5 * (params["input_window"][1] + config.stark.switch_time)
+    return int(np.argmin(np.abs(field_times - t_mid)))
 
 
 def _hold_rows(config: EitConfig, input_window, field_times: np.ndarray) -> np.ndarray:
@@ -488,12 +503,11 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     scalars["envelope_corr"] = envelope_correlation(record, t_snap)
 
     if dump_fields:
-        z = record.grid.z_axis
-        zhdr = "t_us," + ",".join(f"{v:.9g}" for v in z)
-        writer.csv("e_field_mag.csv", zhdr, (record.field_times, np.abs(record.e_field)))
-        writer.csv("spin_wave_mag.csv", zhdr, (record.field_times, np.abs(record.spin_wave)))
-        writer.csv("polariton_mag.csv", zhdr,
-                   (record.field_times, np.abs(eit_polariton(record))))
+        # space-time maps: one row per stored time, t_us then |value| on z_axis.csv
+        writer.csv("z_axis.csv", "z_mm", (record.grid.z_axis,))
+        writer.npy("e_field_mag.npy", (record.field_times, np.abs(record.e_field)))
+        writer.npy("spin_wave_mag.npy", (record.field_times, np.abs(record.spin_wave)))
+        writer.npy("polariton_mag.npy", (record.field_times, np.abs(eit_polariton(record))))
     return scalars, None
 
 
@@ -590,6 +604,22 @@ def _check_gem_run(config: GemConfig, pulse: PulseSpec, params: dict, checks: di
     _check_windows(config, pulse, params)
 
 
+def _check_kspace_report(config: GemConfig, pulse: PulseSpec, params: dict, checks: dict):
+    """_check_gem_run, and a residual row the pulse has reached: by that
+    row's time the input, sampled on the grid, has delivered more than half
+    its energy (earlier, the medium holds little or nothing to transform)."""
+    _check_gem_run(config, pulse, params, checks)
+    t, dt = config.grid.t_axis, config.grid.dt
+    e_in = pulse.evaluate(t)
+    t_rows = t[_snapshot_rows(config.grid.nt, params.get("field_stride"))]
+    t_row = t_rows[_residual_row(config, params, t_rows)]
+    if window_energy(t, e_in, (0.0, t_row), dt) <= 0.5 * window_energy(t, e_in, (0.0, t[-1]), dt):
+        raise SpecValidationError(
+            f"params: the k-space residual row (t = {t_row:g} us, the stored row nearest "
+            "(input_window[1] + switch_time)/2) comes before the pulse has delivered more "
+            "than half its energy")
+
+
 def _check_eit_run(config: EitConfig, pulse: PulseSpec, params: dict, checks: dict):
     """_check_windows, and a stored row to score spinwave_drift_max when
     the spec checks it."""
@@ -636,8 +666,8 @@ _EIT_PARAMS = {"input_window": _pair, "echo_window": _pair, "field_stride": _str
 _KINDS = {
     "gem_run": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_gem_run, _gem_artifacts,
                      _gem_windows),
-    "kspace_report": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_gem_run, _gem_artifacts,
-                           _gem_windows),
+    "kspace_report": _Kind(_gem_config, True, {}, _GEM_PARAMS, _check_kspace_report,
+                           _gem_artifacts, _gem_windows),
     "eit_run": _Kind(_eit_config, True, {}, _EIT_PARAMS, _check_eit_run, _eit_artifacts,
                      _eit_windows),
     "fidelity_sweep": _Kind(

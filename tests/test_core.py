@@ -99,6 +99,15 @@ class TestStarkProfile:
         approx = float(np.sum(p.eval(mid)) * (ts[1] - ts[0]))
         assert exact == pytest.approx(approx, abs=2e-4 * eta0 * max(span, 1.0))
 
+    @pytest.mark.parametrize("ramp", [1e-307, 5e-324])
+    def test_ramp_below_float_range_integrates_as_its_step_limit(self, ramp):
+        # (switch - t)/ramp overflows to inf: the tau -> 0 limit, not inf - inf
+        p, step = StarkProfile(eta0=2.0, switch_time=10.0, ramp_tau=ramp), \
+            StarkProfile(eta0=2.0, switch_time=10.0)
+        for t0, span in ((3.0, 0.5), (9.75, 0.5), (12.0, 0.5), (9.5, 0.5)):
+            assert p.slope_integral(t0, span) == pytest.approx(step.slope_integral(t0, span),
+                                                               abs=1e-15)
+
     def test_offset_integral(self):
         p = StarkProfile(eta0=1.0, switch_time=10.0, delta_offset=0.5)
         assert p.offset_integral(0.0, 8.0) == 0.0

@@ -1,12 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemsim.cli import main as cli_main
 from gemsim.cli import preset_names, preset_path
 from gemsim.experiments import SpecValidationError, load_spec, run_experiment
+from gemsim.kspace import to_kspace
+from gemsim.solver import run_gem
 
 
 def tiny_gem_spec(tmp_path, **overrides):
@@ -55,6 +65,16 @@ def tiny_sweep_spec(tmp_path):
     path = tmp_path / "tiny_sweep.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def tiny_eit_spec(tmp_path):
+    """fig3_eit on a 32-site grid with 50 atoms, so 2001 steps resolve the
+    exchange rate."""
+    def edit(doc):
+        doc["config"].update(n_atoms=50.0)
+        doc["config"]["grid"].update(nz=32, nt=2001)
+        doc.update(checks={})
+    return preset_variant(tmp_path, "fig3_eit", edit)
 
 
 def as_delta_search(search_halfwidth):
@@ -189,6 +209,16 @@ class TestLoadSpec:
          "checks.spinwave_drift_max: no stored row lies between"),
         ("fig3_eit", lambda doc: doc["config"]["grid"].update(nt=2001),
          "config: time step too large for the field/polarisation exchange rate"),
+        ("fig3_eit", lambda doc: doc["config"].update(g=1e200),
+         "config: time step too large for the field/polarisation exchange rate"),
+        ("fig3_eit", lambda doc: doc["config"].update(omega_c0=0.0),
+         "config: derived group delay"),
+        ("fig3_eit", lambda doc: doc["config"].update(g=1e-170),
+         "config: derived group delay"),
+        ("fig2_abrupt", lambda doc: doc["params"].update(field_stride=8000),
+         "params: the k-space residual row (t = 0 us"),
+        ("fig2_abrupt", lambda doc: doc["pulse"].update(center=61.0),
+         "params: the k-space residual row (t = 60 us"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
@@ -198,7 +228,9 @@ class TestLoadSpec:
             "gem_echo_window_without_samples", "gem_echo_window_before_input",
             "eit_windows_overlap", "eit_input_window_empty", "eit_echo_window_without_samples",
             "gem_switch_after_t_max", "delta_halfwidth_0", "delta_halfwidth_negative",
-            "eit_drift_without_hold_rows", "eit_drift_stride_skips_hold", "eit_exchange"])
+            "eit_drift_without_hold_rows", "eit_drift_stride_skips_hold", "eit_exchange",
+            "eit_huge_coupling", "eit_no_control", "eit_group_delay_underflow",
+            "kspace_residual_row_at_start", "kspace_residual_row_before_pulse"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)
@@ -256,11 +288,36 @@ class TestRunExperiment:
         spec = load_spec(tiny_gem_spec(tmp_path))
         res = run_experiment(spec, tmp_path / "out", dump_fields=True)
         names = [f["name"] for f in res.files]
-        assert "e_field_mag.csv" in names
-        assert "polarisation_mag.csv" in names
-        # header row carries the z axis
-        header = (tmp_path / "out" / "tiny" / "e_field_mag.csv").read_text().splitlines()[0]
-        assert header.startswith("t_us,-1")
+        assert "e_field_mag.npy" in names
+        assert "polarisation_mag.npy" in names
+        # the z axis is its own file, one value per map column after t_us
+        z = np.loadtxt(tmp_path / "out" / "tiny" / "z_axis.csv", skiprows=1)
+        assert z[0] == -1.0
+        e_map = np.load(tmp_path / "out" / "tiny" / "e_field_mag.npy")
+        assert e_map.shape[1] == 1 + z.size and e_map[0, 0] == 0.0
+
+    def test_kspace_maps_are_the_record_bit_for_bit(self, tmp_path):
+        spec = load_spec(tiny_gem_spec(tmp_path, kind="kspace_report", checks={}))
+        run_experiment(spec, tmp_path / "out")
+        out = tmp_path / "out" / "tiny"
+        ks = to_kspace(run_gem(spec.config, spec.pulse))
+        for name, values in (("psi_mag.npy", ks.psi), ("phi_mag.npy", ks.phi)):
+            saved = np.load(out / name)
+            assert saved.dtype == np.float64 and saved.flags.c_contiguous
+            assert np.array_equal(saved, np.column_stack((ks.times, np.abs(values))))
+        assert np.array_equal(np.loadtxt(out / "k_axis.csv", skiprows=1), ks.k_axis)
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
+        tiny_eit_spec,
+    ], ids=["gem", "eit"])
+    def test_dumped_maps_rerun_byte_identical(self, tmp_path, make_spec):
+        spec = load_spec(make_spec(tmp_path))
+        r1 = run_experiment(spec, tmp_path / "a", dump_fields=True)
+        r2 = run_experiment(spec, tmp_path / "b", dump_fields=True)
+        maps = [f["name"] for f in r1.files if f["name"].endswith(".npy")]
+        assert len(maps) == (4 if spec.kind == "kspace_report" else 3)
+        assert r1.files == r2.files
 
     def test_sweep_workers_equivalent(self, tmp_path):
         spec = load_spec(tiny_sweep_spec(tmp_path))
@@ -323,6 +380,16 @@ class TestCli:
         manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
 
+    def test_unwritable_output_root_exits_3(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "f"
+        not_a_dir.touch()
+        path = tiny_gem_spec(tmp_path)
+        assert cli_main(["--out", str(not_a_dir), "run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("workers", ["0", "-4", "abc"])
     def test_workers_must_be_a_positive_integer(self, tmp_path, capsys, workers):
         path = tiny_gem_spec(tmp_path)
@@ -338,3 +405,145 @@ class TestCli:
         assert cli_main(["presets", "list"]) == 0
         out = capsys.readouterr().out.split()
         assert "fig2_abrupt" in out and "fig4_sweep" in out
+
+
+def _unit(lo=0.0, hi=1.0):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _windows_and_stride(draw, t_max):
+    """params shared by the GEM and EIT kinds: efficiency windows (left to
+    their defaults, or drawn on the early and the late part of the time
+    axis, where they may overlap) and a row stride."""
+    params = {}
+    if draw(st.booleans()):
+        params["input_window"] = sorted(draw(_unit(-0.1, 0.6)) * t_max for _ in range(2))
+        params["echo_window"] = sorted(draw(_unit(0.3, 1.1)) * t_max for _ in range(2))
+    if draw(st.booleans()):
+        params["field_stride"] = draw(st.integers(1, 500))
+    return params
+
+
+@st.composite
+def _pulse_doc(draw, t_max):
+    amplitude = draw(_unit(0.1, 10.0)) * draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["gaussian", "modulated", "plane_wave_window"]))
+    if kind == "plane_wave_window":
+        t1, t2 = sorted((draw(_unit(0.0, 0.6)) * t_max, draw(_unit(0.0, 0.6)) * t_max))
+        return {"kind": kind, "amplitude": amplitude, "mode_index": draw(st.integers(-5, 5)),
+                "window": [t1, t2 + 0.05 * t_max]}
+    doc = {"kind": kind, "amplitude": amplitude, "center": draw(_unit(0.0, 0.4)) * t_max,
+           "width": draw(_unit(0.01, 0.2)) * t_max}
+    if kind == "modulated":
+        doc["mod_freq"] = draw(_unit(0.1, 10.0))
+    return doc
+
+
+def _checks_doc(draw, names):
+    """A random subset of the named checks with random targets."""
+    checks = {}
+    for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names))):
+        if name == "echo_peak_us":
+            checks[name] = sorted((draw(_unit(0.0, 100.0)), draw(_unit(0.0, 100.0))))
+        else:
+            checks[name] = draw(_unit(-1.0, 2.0))
+    return checks
+
+
+@st.composite
+def gem_spec_docs(draw, kind):
+    """Small gem_run / kspace_report documents, most of them loadable: eta0
+    is drawn up to 1.3 times the sampling guard's limit and beta up to 4.
+    Decay stays below gamma*t_max = 10: a medium emptied by decay (power
+    down by 1e12) leaves kspace_report no residual to read, the exit 3
+    that test_analysis_failure_after_load_exits_3 pins."""
+    nz, nt = draw(st.integers(3, 64)), draw(st.integers(2, 401))
+    half, t_max = draw(_unit(0.25, 3.0)), draw(_unit(5.0, 60.0))
+    eta0 = (draw(_unit(0.05, 1.3)) * math.pi * (nz - 2) / (2.0 * half * t_max)
+            * draw(st.sampled_from([1, -1])))
+    g = draw(_unit(0.2, 3.0))
+    stark = {"eta0": eta0, "switch_time": draw(_unit(0.2, 1.05)) * t_max}
+    if draw(st.booleans()):
+        stark["ramp_tau"] = draw(_unit(0.0, 0.3)) * t_max
+    if draw(st.booleans()):
+        stark["delta_offset"] = draw(_unit(-2.0, 2.0))
+    if draw(st.booleans()):
+        stark["freeze_intervals"] = [sorted((draw(_unit()) * t_max, draw(_unit()) * t_max))]
+    params = draw(_windows_and_stride(t_max))
+    if draw(st.booleans()):
+        params["spectrum_time"] = draw(_unit()) * t_max
+    names = ["echo_peak_us", "sigma_abs_vs_analytic", "balance_residual_max",
+             "spectrum_corr_min", "sigma_min", "fidelity_min"]
+    if kind == "kspace_report":
+        names.append("phi_residual_max")
+    return {
+        "name": "prop", "kind": kind, "output_dir": "prop",
+        "config": {
+            "g": g, "linear_density": draw(_unit(0.05, 4.0)) * abs(eta0) / g,
+            "gamma": draw(st.one_of(st.just(0.0), _unit(0.0, 10.0 / t_max))),
+            "stark": stark,
+            "grid": {"z_min": -half, "z_max": half, "nz": nz, "t_max": t_max, "nt": nt},
+        },
+        "pulse": draw(_pulse_doc(t_max)),
+        "params": params,
+        "checks": _checks_doc(draw, names),
+    }
+
+
+@st.composite
+def eit_spec_docs(draw):
+    """Small eit_run documents: n_atoms is drawn through the exchange number
+    g^2*n_atoms*dt*gamma_e/(2*pi), up to 1.2 times its bound."""
+    nz, nt = draw(st.integers(3, 64)), draw(st.integers(2, 401))
+    t_max = draw(_unit(5.0, 100.0))
+    g, gamma_e = draw(_unit(0.1, 2.0)), draw(_unit(0.05, 2.0))
+    exchange = draw(_unit(0.01, 2.4))
+    down, up = sorted((draw(_unit(0.1, 1.0)) * t_max, draw(_unit(0.1, 1.0)) * t_max))
+    params = draw(_windows_and_stride(t_max))
+    if draw(st.booleans()):
+        params["envelope_time"] = draw(_unit()) * t_max
+    return {
+        "name": "prop", "kind": "eit_run", "output_dir": "prop",
+        "config": {
+            "n_atoms": exchange * 2.0 * math.pi * (nt - 1) / (g * g * t_max * gamma_e),
+            "g": g, "omega_c0": draw(_unit(0.1, 20.0)), "switch_down": down, "switch_up": up,
+            "ramp_tau": draw(_unit(0.0, 5.0)), "gamma_e": gamma_e,
+            "grid": {"z_min": 0.0, "z_max": 1.0, "nz": nz, "t_max": t_max, "nt": nt},
+        },
+        "pulse": draw(_pulse_doc(t_max)),
+        "params": params,
+        "checks": _checks_doc(draw, ["envelope_corr_min", "spinwave_drift_max", "sigma_min"]),
+    }
+
+
+class TestLoadedSpecsRun:
+    """A spec that loads cannot fail on configuration afterwards: through
+    the CLI, a small random spec exits 2 at load, or 0 or 1 after its run;
+    never 3, never a traceback."""
+
+    @staticmethod
+    def _exit_code_matches_load(doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(doc))
+            try:
+                load_spec(path)
+                allowed = (0, 1)
+            except SpecValidationError:
+                allowed = (2,)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli_main(["--out", str(Path(tmp) / "out"), "run", str(path)])
+            assert code in allowed, (code, err.getvalue())
+
+    @pytest.mark.parametrize("kind", ["gem_run", "kspace_report"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_gem_kinds(self, kind, data):
+        self._exit_code_matches_load(data.draw(gem_spec_docs(kind)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(doc=eit_spec_docs())
+    def test_eit_run(self, doc):
+        self._exit_code_matches_load(doc)
