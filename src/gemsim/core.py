@@ -120,7 +120,10 @@ class StarkProfile:
     def _base_eval(self, t):
         if self.ramp_tau == 0.0:
             return self.eta0 * np.sign(self.switch_time - t)
-        return self.eta0 * np.tanh((self.switch_time - t) / self.ramp_tau)
+        # a quotient past the float range (tau near the float minimum) is
+        # +-inf, and tanh(+-inf) = +-1 is its tau -> 0 limit
+        with np.errstate(over="ignore"):
+            return self.eta0 * np.tanh((self.switch_time - t) / self.ramp_tau)
 
     def eval(self, t):
         """Slope eta at time t (scalar or array)."""

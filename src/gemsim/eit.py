@@ -91,8 +91,11 @@ def omega_c_schedule(config: EitConfig, t):
         down = np.where(t < config.switch_down, 1.0, 0.0)
         up = np.where(t >= config.switch_up, 1.0, 0.0)
     else:
-        down = 0.5 * (1.0 - np.tanh((t - config.switch_down) / config.ramp_tau))
-        up = 0.5 * (1.0 + np.tanh((t - config.switch_up) / config.ramp_tau))
+        # an overflowing quotient (tau near the float minimum) is +-inf, and
+        # tanh(+-inf) = +-1 is its tau -> 0 limit
+        with np.errstate(over="ignore"):
+            down = 0.5 * (1.0 - np.tanh((t - config.switch_down) / config.ramp_tau))
+            up = 0.5 * (1.0 + np.tanh((t - config.switch_up) / config.ramp_tau))
     return config.omega_c0 * (down + up)
 
 

@@ -29,7 +29,8 @@ from .eit import EitConfig, EitRecord, eit_polariton, run_eit
 from .kspace import centroid_series, phi_residual, to_kspace
 from .metrics import (
     _gem_windows,
-    _mode_report,
+    _mode_run,
+    _score,
     check_efficiency_windows,
     check_mode_run,
     echo_peak_time,
@@ -564,7 +565,7 @@ def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dum
     }
     verify = {}
     for n in params.get("verify_modes", []):
-        rep = _mode_report(spec.config, n, interval, res.delta)
+        rep = _score(_mode_run(spec.config, n, interval), res.delta)
         verify[str(n)] = {"fidelity": rep.fidelity, "sigma": rep.sigma}
     if verify:
         payload["verify_modes"] = verify

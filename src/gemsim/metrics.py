@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -262,6 +263,12 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
     return vals / n_ph
 
 
+def _half_band(config: GemConfig) -> float:
+    """Half the medium bandwidth, |eta0|*L/2: the largest storable mode
+    frequency, and find_delta's default search halfwidth."""
+    return abs(config.stark.eta0) * config.grid.length / 2.0
+
+
 def check_mode_run(config: GemConfig, interval, modes: Sequence[int]) -> None:
     """Raise ConfigError unless plane-wave modes on `interval` can be stored
     and recalled: the window must end by the switch time and each mode's
@@ -271,7 +278,7 @@ def check_mode_run(config: GemConfig, interval, modes: Sequence[int]) -> None:
         raise ConfigError("interval must satisfy t2 > t1")
     if t2 > config.stark.switch_time:
         raise ConfigError("interval must end before the switch time")
-    band = abs(config.stark.eta0) * config.grid.length / 2.0
+    band = _half_band(config)
     for n in modes:
         if abs(2.0 * np.pi * n / (t2 - t1)) > band:
             raise ConfigError(f"mode {n} lies outside the medium bandwidth")
@@ -297,26 +304,12 @@ def _mode_run(config: GemConfig, n: int, interval):
     return rec, echo_window, sigma
 
 
-def _mode_report(config: GemConfig, n: int, interval, delta: float) -> FidelityReport:
-    """Recall of plane-wave mode n on `interval`, read out with offset delta
-    and scored over the echo window (switch_time, t_max)."""
-    rec, echo_window, sigma = _mode_run(config, n, interval)
+def _score(run, delta: float) -> FidelityReport:
+    """Recall of a solved mode run read out with offset delta (the raw
+    output when delta is 0.0), scored over its echo window."""
+    rec, echo_window, sigma = run
     out = shifted_output(rec, delta) if delta != 0.0 else rec.output_series
     return fidelity(rec.input_series, out, rec.grid.dt, sigma, echo_window=echo_window)
-
-
-def _sweep_task(args):
-    config, beta, n, interval, delta = args
-    rep = _mode_report(config.with_beta(beta), n, interval, delta)
-    return SweepRow(
-        beta=beta,
-        mode_n=n,
-        sigma=rep.sigma,
-        fidelity=rep.fidelity,
-        shape=rep.shape,
-        tau_us=rep.tau,
-        delta=delta,
-    )
 
 
 def mode_fidelity_sweep(
@@ -328,13 +321,18 @@ def mode_fidelity_sweep(
     delta: str | float = 0.0,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """One run per (beta, mode): ordered rows of sigma, F, F^r, tau, delta.
+    """One row per listed (beta, mode), in listed order: sigma, F, F^r, tau,
+    delta.
 
     delta = "auto" searches the readout offset once per beta on the n = 0
     probe mode and applies it to every mode of that beta (the correction
     is a mode-independent frequency shift); a float applies a fixed offset
-    and 0.0 leaves the readout uncorrected.  workers > 1 runs the modes on
-    a process pool.
+    and 0.0 leaves the readout uncorrected.  Every distinct (beta, mode)
+    is solved once, the probes first, in this process or with workers > 1
+    on a process pool.  The offset enters a row only through the exact
+    phase of shifted_output, so no solve waits for a search: each probe is
+    searched as its run arrives, and each run is scored as it arrives and
+    then dropped.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -342,24 +340,28 @@ def mode_fidelity_sweep(
     if any(b <= 0 for b in betas):
         raise ConfigError("betas must be positive")
 
-    deltas = {}
-    for beta in betas:
-        if delta == "auto":
-            deltas[beta] = find_delta(
-                config_template.with_beta(beta), interval, probe_mode=0
-            ).delta
-        else:
-            deltas[beta] = float(delta)
-
-    tasks = [
-        (config_template, beta, int(n), tuple(interval), deltas[beta])
-        for beta in betas
-        for n in mode_indices
-    ]
-    if workers == 1:
-        return [_sweep_task(a) for a in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_task, tasks, chunksize=1))
+    deltas = {} if delta == "auto" else {b: float(delta) for b in betas}
+    listed = [(b, int(n)) for b in betas for n in mode_indices]
+    # the first run of each beta without an offset is its n = 0 probe
+    keys = list(dict.fromkeys([(b, 0) for b in betas if b not in deltas] + listed))
+    tasks = ([config_template.with_beta(b) for b, _ in keys], [n for _, n in keys],
+             repeat(interval))
+    halfwidth = _half_band(config_template)
+    rows = {}
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        runs = pool.map(_mode_run, *tasks, chunksize=1) if pool else map(_mode_run, *tasks)
+        for (b, n), run in zip(keys, runs):
+            if b not in deltas:
+                deltas[b] = _search_delta(run, interval, halfwidth).delta
+            rep = _score(run, deltas[b])
+            rows[b, n] = SweepRow(beta=b, mode_n=n, sigma=rep.sigma, fidelity=rep.fidelity,
+                                  shape=rep.shape, tau_us=rep.tau, delta=deltas[b])
+    finally:
+        if pool:
+            # an error or an interrupt in this loop cancels the solves not yet started
+            pool.shutdown(cancel_futures=True)
+    return [rows[k] for k in listed]
 
 
 def find_delta(
@@ -380,23 +382,18 @@ def find_delta(
     halfwidth is half the medium bandwidth eta0*L.  Returns delta = 0
     flagged unimproved when no candidate beats the uncorrected fidelity.
     """
-    T = interval[1] - interval[0]
-    rec, echo_window, sigma = _mode_run(config_template, probe_mode, interval)
-
-    def f_of(d: float) -> float:
-        return fidelity(
-            rec.input_series,
-            shifted_output(rec, d),
-            rec.grid.dt,
-            sigma,
-            echo_window=echo_window,
-        ).fidelity
-
     if search_halfwidth is None:
-        search_halfwidth = abs(config_template.stark.eta0) * config_template.grid.length / 2.0
+        search_halfwidth = _half_band(config_template)
+    run = _mode_run(config_template, probe_mode, interval)
+    return _search_delta(run, interval, search_halfwidth)
+
+
+def _search_delta(run, interval, search_halfwidth: float) -> DeltaSearchResult:
+    """find_delta's search over a solved probe run (see _mode_run)."""
+    rec, echo_window, _ = run
     # The objective is multimodal with period ~2*pi/T, so bracket the best
     # lobe with a dense scan before the golden-section refinement.
-    step = 2.0 * np.pi / T / 8.0
+    step = 2.0 * np.pi / (interval[1] - interval[0]) / 8.0
     n_scan = max(int(np.ceil(2.0 * search_halfwidth / step)) + 1, 17)
     grid = np.linspace(-search_halfwidth, search_halfwidth, n_scan)
     vals = _offset_scan(rec, echo_window, grid)
@@ -409,19 +406,19 @@ def find_delta(
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = f_of(c), f_of(d)
+    fc, fd = _score(run, c).fidelity, _score(run, d).fidelity
     while (b - a) > tol:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = f_of(c)
+            fc = _score(run, c).fidelity
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = f_of(d)
+            fd = _score(run, d).fidelity
     best = 0.5 * (a + b)
-    f_best = f_of(best)
-    f_zero = f_of(0.0)
+    f_best = _score(run, best).fidelity
+    f_zero = _score(run, 0.0).fidelity
     if f_best <= f_zero:
         return DeltaSearchResult(0.0, f_zero, f_zero, False)
     return DeltaSearchResult(float(best), float(f_best), float(f_zero), True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ class TestStarkProfile:
         for t0, span in ((3.0, 0.5), (9.75, 0.5), (12.0, 0.5), (9.5, 0.5)):
             assert p.slope_integral(t0, span) == pytest.approx(step.slope_integral(t0, span),
                                                                abs=1e-15)
+
+    def test_ramp_below_float_range_evaluates_as_its_step_limit(self):
+        # (switch - t)/ramp overflows: the abrupt-switch slope, with no warning
+        p, step = StarkProfile(eta0=2.0, switch_time=5.0, ramp_tau=5e-324), \
+            StarkProfile(eta0=2.0, switch_time=5.0)
+        t = np.array([1.0, 4.9, 5.1, 9.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(p.eval(t), step.eval(t))
+            assert p.eval(1.0) == 2.0
 
     def test_offset_integral(self):
         p = StarkProfile(eta0=1.0, switch_time=10.0, delta_offset=0.5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ class TestControlSchedule:
         cfg = eit_config(ramp_tau=0.0)
         t = np.array([13.9, 14.0, 29.9, 30.0])
         np.testing.assert_allclose(omega_c_schedule(cfg, t), [20.0, 0.0, 0.0, 20.0])
+
+    def test_ramp_below_float_range_is_the_abrupt_control(self):
+        # (t - switch)/ramp overflows: the abrupt-switch control, with no warning
+        t = np.array([13.9, 14.1, 29.9, 30.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(omega_c_schedule(eit_config(ramp_tau=5e-324), t),
+                                          omega_c_schedule(eit_config(ramp_tau=0.0), t))
 
 
 class TestRunEit:

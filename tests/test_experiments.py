@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,7 +521,7 @@ def eit_spec_docs(draw):
 class TestLoadedSpecsRun:
     """A spec that loads cannot fail on configuration afterwards: through
     the CLI, a small random spec exits 2 at load, or 0 or 1 after its run;
-    never 3, never a traceback."""
+    never 3, never a traceback, never a warning."""
 
     @staticmethod
     def _exit_code_matches_load(doc):
@@ -532,10 +533,14 @@ class TestLoadedSpecsRun:
                 allowed = (0, 1)
             except SpecValidationError:
                 allowed = (2,)
+            # pytest captures warnings, so they never reach err: record them
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
+                    contextlib.redirect_stderr(io.StringIO()) as err, \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = cli_main(["--out", str(Path(tmp) / "out"), "run", str(path)])
             assert code in allowed, (code, err.getvalue())
+            assert not caught, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("kind", ["gem_run", "kspace_report"])
     @settings(max_examples=30, deadline=None, derandomize=True)

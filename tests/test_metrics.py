@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -167,13 +168,14 @@ SWEEP_KW = dict(switch=20.0, t_max=50.0, nt=2001, nz=160)
 
 
 class TestModeFidelitySweep:
-    def test_rows_and_determinism_across_workers(self):
+    @pytest.mark.parametrize("delta", [0.0, "auto"])
+    def test_rows_and_determinism_across_workers(self, delta):
         cfg = small_config(beta=1.0, **SWEEP_KW)
         interval = (6.0, 10.0)
         betas = [0.5, 1.0]
         modes = [-2, 0, 1]
-        rows1 = mode_fidelity_sweep(cfg, interval, betas, modes, workers=1)
-        rows2 = mode_fidelity_sweep(cfg, interval, betas, modes, workers=2)
+        rows1 = mode_fidelity_sweep(cfg, interval, betas, modes, delta=delta, workers=1)
+        rows2 = mode_fidelity_sweep(cfg, interval, betas, modes, delta=delta, workers=2)
         assert [r.__dict__ for r in rows1] == [r.__dict__ for r in rows2]
         assert [(r.beta, r.mode_n) for r in rows1] == [
             (b, n) for b in betas for n in modes
@@ -181,6 +183,53 @@ class TestModeFidelitySweep:
         for r in rows1:
             assert 0.0 <= r.fidelity <= r.shape <= 1.0 + 1e-3
             assert r.fidelity <= math.sqrt(r.sigma) * (1.0 + 1e-3)
+        if delta == "auto":
+            # the sweep searches each beta's probe run as find_delta does
+            found = {b: find_delta(cfg.with_beta(b), interval, 0).delta for b in betas}
+            assert [r.delta for r in rows1] == [found[r.beta] for r in rows1]
+        else:
+            assert all(r.delta == 0.0 for r in rows1)
+
+    def test_auto_sweep_solves_each_beta_and_mode_once(self, monkeypatch):
+        # the n = 0 probe of each beta is also its listed mode 0: 2 x 3
+        # solves, where a separate probe solve per beta would make 8
+        calls = []
+        solve = metrics.run_gem
+
+        def counted(config, *args, **kwargs):
+            calls.append((config.beta, kwargs["carrier"]))
+            return solve(config, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "run_gem", counted)
+        cfg = small_config(beta=1.0, **SWEEP_KW)
+        rows = mode_fidelity_sweep(cfg, (6.0, 10.0), [0.5, 1.0], [-1, 0, 1],
+                                   delta="auto", workers=1)
+        assert len(rows) == 6
+        assert len(calls) == len(set(calls)) == 6
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="counts the solves of forked workers, which inherit the patch")
+    def test_a_scoring_error_cancels_the_queued_solves(self, monkeypatch, tmp_path):
+        log = tmp_path / "solves"
+        solve = metrics.run_gem
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write("solve\n")
+            return solve(*args, **kwargs)
+
+        def fail(run, delta):
+            raise ValueError("scoring failed")
+
+        monkeypatch.setattr(metrics, "run_gem", logged)
+        monkeypatch.setattr(metrics, "_score", fail)
+        cfg = small_config(beta=1.0, **SWEEP_KW)
+        betas, modes = [0.5, 1.0, 1.5], [-2, -1, 0, 1, 2]
+        with pytest.raises(ValueError, match="scoring failed"):
+            mode_fidelity_sweep(cfg, (6.0, 10.0), betas, modes, workers=2)
+        # the first run fails in this process; at most the solves already
+        # handed to the two workers finish after it
+        assert len(log.read_text().split()) < len(betas) * len(modes)
 
     def test_flat_spectral_response(self):
         # this miniature medium has under one sinc lobe of spectral margin,
