@@ -565,8 +565,11 @@ def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dum
     }
     verify = {}
     for n in params.get("verify_modes", []):
-        rep = _score(_mode_run(spec.config, n, interval), res.delta)
-        verify[str(n)] = {"fidelity": rep.fidelity, "sigma": rep.sigma}
+        if n == probe:  # find_delta scored its probe run at res.delta
+            verify[str(n)] = {"fidelity": res.fidelity, "sigma": res.sigma}
+        else:
+            rep = _score(_mode_run(spec.config, n, interval), res.delta)
+            verify[str(n)] = {"fidelity": rep.fidelity, "sigma": rep.sigma}
     if verify:
         payload["verify_modes"] = verify
     writer.json("delta.json", payload)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal.windows import tukey
 
 from .solver import FieldRecord
 
@@ -127,15 +126,31 @@ def centroid_series(ks: KSpaceRecord) -> np.ndarray:
     return out
 
 
+def _tukey(n: int, alpha: float) -> np.ndarray:
+    """Symmetric Tukey window of n points, 0 < alpha < 1: a cosine ramp over
+    alpha*(n-1)/2 samples on each edge and ones between.  The expressions
+    are those of scipy.signal.windows.tukey, so the values are the same."""
+    if n <= 1:
+        return np.ones(n)
+    m = np.arange(n, dtype=float)
+    width = int(np.floor(alpha * (n - 1) / 2.0))
+    m1 = m[0:width + 1]
+    m3 = m[n - width - 1:]
+    w1 = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * m1 / alpha / (n - 1))))
+    w3 = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * m3 / alpha / (n - 1))))
+    return np.concatenate((w1, np.ones(n - 2 * (width + 1)), w3))
+
+
 def phi_residual(ks: KSpaceRecord, t_index: int) -> float:
     """||Phi|| / ||Psi|| at one stored time, boundary-apodized, k=0 excluded.
 
     The input/output field at the medium faces breaks periodicity and
     pollutes the raw transforms, so both rows are multiplied by a cosine
-    taper (5% of the span on each edge) before transforming.
+    taper (5% of the span on each edge, the numpy Tukey window _tukey)
+    before transforming with numpy.fft.
     """
     _check_floor(ks, t_index)
-    taper = tukey(ks.nk, _TAPER_FRACTION)
+    taper = _tukey(ks.nk, _TAPER_FRACTION)
     e_t = _transform(ks._e_rows[t_index] * taper, ks._dz)
     a_t = _transform(ks._alpha_rows[t_index] * taper, ks._dz)
     k = ks.k_axis

@@ -18,8 +18,7 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.signal import fftconvolve
+from numpy.fft import fft, ifft
 
 from .core import ConfigError, GemConfig, make_plane_wave_mode
 from .solver import FieldRecord, run_gem
@@ -76,6 +75,7 @@ class DeltaSearchResult:
     fidelity: float
     fidelity_at_zero: float
     improved: bool
+    sigma: float  # the probe run's efficiency
 
 
 def efficiency_analytic(beta: float) -> float:
@@ -135,6 +135,20 @@ def _weighted_input(e_in: np.ndarray, dt: float):
     return e_in * w, n_ph
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n >= 1: an FFT length pocketfft
+    transforms fast (scipy.fft.next_fast_len(n, real=False) returns the
+    same)."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _peak_abs(ac: np.ndarray, dt: float):
     """Maximum of each row of ac (last axis) and its position i*dt, both
     refined by the parabola through the maximum and its two neighbours
@@ -170,7 +184,9 @@ def fidelity(
 
     Both series share the grid t_j = j*dt.  echo_window restricts the
     output samples entering the correlation; a readout frequency offset
-    is applied to the output beforehand (see shifted_output).
+    is applied to the output beforehand (see shifted_output).  The full
+    correlation (2n - 1 delays) is one product of numpy.fft transforms,
+    zero-padded to the 11-smooth length _fast_len(2n - 1).
     """
     if e_in.shape != e_out.shape:
         raise ValueError("series must share one time grid")
@@ -180,7 +196,9 @@ def fidelity(
         w0, w1 = echo_window
         eo = np.where((t >= w0) & (t <= w1), eo, 0.0)
     y, n_ph = _weighted_input(e_in, dt)
-    corr = fftconvolve(np.conj(eo), y, mode="full") * dt
+    size = 2 * e_in.size - 1
+    nfft = _fast_len(size)
+    corr = ifft(fft(np.conj(eo), nfft) * fft(y, nfft))[:size] * dt
     peak, tau = _peak_abs(np.abs(corr), dt)
     if peak == 0.0:
         raise ValueError("correlation vanishes at every delay")
@@ -215,11 +233,11 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
     The correlation is taken between the input trimmed to its nonzero
     samples and the output trimmed to the echo window.  The weighted input
     is transformed once; each block of conjugated, phase-shifted outputs
-    is one 2-D buffer, correlated in place by one forward and one inverse
-    FFT along its rows.  A zero on each side of the trimmed correlation
-    stands for the full correlation's samples there (zero up to FFT
-    rounding), so a peak on the trimmed edge is refined against the same
-    neighbours as in fidelity.  The values agree with fidelity to rounding.
+    is one 2-D buffer, correlated by one forward and one inverse FFT along
+    its rows.  A zero on each side of the trimmed correlation stands for
+    the full correlation's samples there (zero up to FFT rounding), so a
+    peak on the trimmed edge is refined against the same neighbours as in
+    fidelity.  The values agree with fidelity to rounding.
     """
     dt = record.grid.dt
     y, n_ph = _weighted_input(record.input_series, dt)
@@ -233,7 +251,7 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
     x0 = np.conj(record.output_series[a:b])
     ramp = np.clip(record.times[a:b] - record.switch_time, 0.0, None)
     m, size = b - a, (b - a) + (q - p) - 1
-    nfft = next_fast_len(size)
+    nfft = _fast_len(size)
     y_hat = fft(y[p:q], nfft) * dt
     # sample `first` of the full correlation (length 2*nt - 1) is trimmed sample 0
     first = a + p
@@ -253,9 +271,9 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
         np.sin(phase[:k], out=x.imag)
         x *= x0
         buf[:k, m:] = 0.0
-        spec = fft(buf[:k], axis=1, overwrite_x=True)
+        spec = fft(buf[:k], axis=1)
         spec *= y_hat
-        corr = ifft(spec, axis=1, overwrite_x=True)
+        corr = ifft(spec, axis=1)
         np.abs(corr[:, :size], out=ac[:k, lead:lead + size])
         vals[s:s + k] = _peak_abs(ac[:k], dt)[0]
     if not np.all(vals > 0.0):
@@ -390,7 +408,7 @@ def find_delta(
 
 def _search_delta(run, interval, search_halfwidth: float) -> DeltaSearchResult:
     """find_delta's search over a solved probe run (see _mode_run)."""
-    rec, echo_window, _ = run
+    rec, echo_window, sigma = run
     # The objective is multimodal with period ~2*pi/T, so bracket the best
     # lobe with a dense scan before the golden-section refinement.
     step = 2.0 * np.pi / (interval[1] - interval[0]) / 8.0
@@ -420,5 +438,5 @@ def _search_delta(run, interval, search_halfwidth: float) -> DeltaSearchResult:
     f_best = _score(run, best).fidelity
     f_zero = _score(run, 0.0).fidelity
     if f_best <= f_zero:
-        return DeltaSearchResult(0.0, f_zero, f_zero, False)
-    return DeltaSearchResult(float(best), float(f_best), float(f_zero), True)
+        return DeltaSearchResult(0.0, f_zero, f_zero, False, sigma)
+    return DeltaSearchResult(float(best), float(f_best), float(f_zero), True, sigma)

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gemsim import metrics
 from gemsim.cli import main as cli_main
 from gemsim.cli import preset_names, preset_path
 from gemsim.experiments import SpecValidationError, load_spec, run_experiment
@@ -330,8 +333,53 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "w1" / "tiny_sweep" / "summary.json").read_text())
         assert set(summary["per_beta"]) == {"0.5", "1"}
 
+    def test_delta_search_solves_the_probe_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "delta.json"
+        doc = json.loads(tiny_sweep_spec(tmp_path).read_text())
+        doc.update(kind="delta_search", output_dir="delta")
+        doc["params"] = {"interval": [6.0, 10.0], "probe_mode": 0,
+                         "verify_modes": [-1, 0, 2], "search_halfwidth": 2.0}
+        path.write_text(json.dumps(doc))
+        spec = load_spec(path)
+        solves = []
+        solve = metrics.run_gem
+
+        def counted(config, pulse, **kwargs):
+            solves.append(pulse.mode_index)
+            return solve(config, pulse, **kwargs)
+
+        monkeypatch.setattr(metrics, "run_gem", counted)
+        assert run_experiment(spec, tmp_path / "out").ok
+        assert sorted(solves) == [-1, 0, 2]
+        monkeypatch.setattr(metrics, "run_gem", solve)
+        payload = json.loads((tmp_path / "out" / "delta" / "delta.json").read_text())
+        # the probe's entry is what a second solve of it would score
+        rep = metrics._score(metrics._mode_run(spec.config, 0, (6.0, 10.0)), payload["delta"])
+        assert payload["verify_modes"]["0"] == {"fidelity": rep.fidelity, "sigma": rep.sigma}
+
 
 class TestCli:
+    def test_runtime_imports_no_scipy(self):
+        # gemsim depends on numpy only: importing it, loading every preset
+        # and validating one from the CLI must not load scipy
+        import gemsim
+
+        src = str(Path(gemsim.__file__).resolve().parents[1])
+        code = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {src!r})",
+            "import gemsim, gemsim.cli",
+            "from gemsim.experiments import load_spec",
+            "for name in gemsim.cli.preset_names():",
+            "    load_spec(gemsim.cli.preset_path(name))",
+            "assert gemsim.cli.main(['validate', str(gemsim.cli.preset_path('fig2_abrupt'))]) == 0",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_validate_ok(self, tmp_path, capsys):
         path = tiny_gem_spec(tmp_path)
         assert cli_main(["validate", str(path)]) == 0

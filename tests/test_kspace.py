@@ -2,9 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal.windows import tukey
 
 from gemsim import Grid, run_gem, to_kspace
-from gemsim.kspace import centroid_series, k_centroid, phi_residual, polariton_norm
+from gemsim.kspace import _tukey, centroid_series, k_centroid, phi_residual, polariton_norm
 from gemsim.solver import FieldRecord
 
 from conftest import small_config, small_pulse
@@ -148,6 +149,16 @@ class TestPhiResidual:
         t = stored_ks.times
         for i in np.nonzero((t > 8.0) & (t < 13.0))[0]:
             assert phi_residual(stored_ks, int(i)) < 1e-2
+
+
+class TestTukey:
+    """The numpy taper of phi_residual against scipy's Tukey window."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9])
+    def test_equals_scipy_bit_for_bit(self, alpha):
+        for n in [*range(1, 301), 4096, 10240]:
+            got, ref = _tukey(n, alpha), tukey(n, alpha)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), n
 
 
 class TestPolaritonNorm:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from gemsim import metrics, run_gem
 from gemsim.metrics import (
@@ -148,6 +150,56 @@ class TestFidelity:
         rep = fidelity(e_in, e_out, dt, sigma=amp**2)
         assert rep.fidelity == pytest.approx(amp, rel=1e-3)
         assert rep.tau == pytest.approx(tau0 + 12.0, abs=0.05)
+
+
+def scipy_fidelity(e_in, e_out, dt, echo_window=None):
+    """(F, tau, N_ph) of fidelity, the correlation taken by scipy's fftconvolve."""
+    t = np.arange(e_in.size) * dt
+    eo = np.asarray(e_out, dtype=complex)
+    if echo_window is not None:
+        eo = np.where((t >= echo_window[0]) & (t <= echo_window[1]), eo, 0.0)
+    y, n_ph = metrics._weighted_input(e_in, dt)
+    peak, tau = metrics._peak_abs(np.abs(fftconvolve(np.conj(eo), y, mode="full") * dt), dt)
+    return float(peak) / n_ph, float(tau), n_ph
+
+
+class TestScipyReference:
+    """The numpy correlation of fidelity against scipy's, bit for bit."""
+
+    def test_fast_len_is_scipys_complex_fast_length(self):
+        got = [metrics._fast_len(n) for n in range(1, 65537)]
+        assert got == [next_fast_len(n, real=False) for n in range(1, 65537)]
+
+    @staticmethod
+    def _assert_equal(e_in, e_out, dt, echo_window=None):
+        rep = fidelity(e_in, e_out, dt, 0.5, echo_window=echo_window)
+        assert (rep.fidelity, rep.tau, rep.n_ph) == scipy_fidelity(e_in, e_out, dt, echo_window)
+
+    @pytest.mark.parametrize("n", [2, 3, 97, 1000, 1601, 4001])
+    def test_random_complex_series(self, n):
+        rng = np.random.default_rng(n)
+        e_in, e_out = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        dt = 0.025
+        self._assert_equal(e_in, e_out, dt)
+        self._assert_equal(e_in, e_out, dt, echo_window=(0.25 * n * dt, 0.75 * n * dt))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7])
+    def test_probe_run(self, delta):
+        rec, echo_window, _ = metrics._mode_run(small_config(beta=1.0, **SWEEP_KW), 0,
+                                                (6.0, 10.0))
+        out = shifted_output(rec, delta)
+        self._assert_equal(rec.input_series, out, rec.grid.dt)
+        self._assert_equal(rec.input_series, out, rec.grid.dt, echo_window)
+
+    def test_real_input_agrees_to_rounding(self):
+        # scipy transforms a real series by a real FFT, numpy by a complex
+        # one; the solvers' series are complex, so only rounding differs here
+        t = np.arange(3000) * 0.02
+        e_in = np.exp(-(((t - 10.0) / 1.5) ** 2))
+        e_out = 0.5 * np.exp(-(((t - 40.0) / 1.5) ** 2)) * np.exp(0.3j * t)
+        rep = fidelity(e_in, e_out, 0.02, 0.25)
+        ref = scipy_fidelity(e_in, e_out, 0.02)
+        np.testing.assert_allclose((rep.fidelity, rep.tau, rep.n_ph), ref, rtol=1e-12)
 
 
 class TestShiftedOutput:
