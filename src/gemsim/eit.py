@@ -14,9 +14,12 @@ The control schedule is a tanh switch-off/switch-on pair at the
 configured times.
 
 Time stepping uses the exponential-midpoint loop of the GEM solver
-(`solver._march`): the field rebuild, predictor/corrector pass, snapshot
-rows and finiteness guard are shared, and this module supplies the exact
-2x2 propagator of the (P, S) pair over each step.
+(`solver._march`): the field rebuild (and with it every cumulative_simpson
+call), predictor/corrector pass, snapshot rows and finiteness guard are
+shared, and this module supplies the exact 2x2 propagator of the (P, S)
+pair over each step.  Its coefficients come from a table with one row per
+distinct control value; P and S are updated in place through two scratch
+rows allocated once per run, so a step allocates no arrays.
 """
 
 from __future__ import annotations
@@ -172,18 +175,31 @@ def run_eit(
     for row, w in zip(table, values.tolist()):
         row[:] = coefficients(w)
 
+    # rot: the source-free half-step propagation of (P, S) into P; tmp: scratch
+    rot = np.empty(grid.nz, dtype=complex)
+    tmp = np.empty(grid.nz, dtype=complex)
+
     def advance(n, state):
         P, S = state
         h11, h12, src_half, f11, f12, f21, f22, src_p, src_s = table[value_index[n]].tolist()
-        rot = h11 * P + h12 * S
+        np.multiply(h11, P, out=rot)
+        np.add(rot, np.multiply(h12, S, out=tmp), out=rot)
 
         def half(src, weight, out):
             np.multiply(src, weight * src_half, out=out)
             out += rot
 
         def full(src):
-            return (f11 * P + f12 * S + src_p * src,
-                    f21 * P + f22 * S + src_s * src)
+            # P <- f11*P + f12*S + src_p*src and S <- f21*P + f22*S + src_s*src,
+            # in place; src is spent last
+            np.multiply(f12, S, out=tmp)
+            np.multiply(f22, S, out=S)
+            np.add(S, np.multiply(f21, P, out=rot), out=S)
+            np.multiply(f11, P, out=P)
+            np.add(P, tmp, out=P)
+            np.add(P, np.multiply(src_p, src, out=tmp), out=P)
+            np.add(S, np.multiply(src_s, src, out=src), out=S)
+            return state
 
         return half, full
 

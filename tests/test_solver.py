@@ -44,6 +44,23 @@ class TestCumulativeSimpson:
         for row, f_row in zip(got, f):
             np.testing.assert_allclose(row, cumulative_simpson(f_row, 0.1), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("shape, order", [((3, 17), (1, 0)), ((2, 4, 17), (2, 1, 0))],
+                             ids=["2d", "3d"])
+    def test_rows_fill_a_non_contiguous_out(self, shape, order):
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = np.full(shape[::-1], np.nan, dtype=complex).transpose(order)
+        assert out.shape == f.shape and not out.flags.c_contiguous
+        assert cumulative_simpson(f, 0.1j, out=out) is out
+        for row in np.ndindex(shape[:-1]):
+            assert np.array_equal(out[row], cumulative_simpson(f[row], 0.1j))
+
+    def test_rejects_an_out_of_another_shape(self):
+        f = np.ones((3, 17), dtype=complex)
+        for shape in [(17,), (4, 17), (3, 16), (1, 3, 17)]:
+            with pytest.raises(ValueError):
+                cumulative_simpson(f, 0.1, out=np.empty(shape, dtype=complex))
+
     def test_polynomial_exact(self):
         x = np.linspace(0.0, 2.0, 41)
         f = 3.0 * x**2 - 2.0 * x + 1.0
@@ -309,6 +326,32 @@ def test_non_finite_input_stops_at_the_first_bad_step(run, config):
     assert info.value.time == t[first]
 
 
+@pytest.mark.parametrize("run, config", [
+    (run_gem, small_config(switch=6.0, t_max=10.0, nt=201, nz=32)),
+    (run_eit, EitConfig(n_atoms=400.0, g=1.0, omega_c0=20.0, switch_down=14.0,
+                        switch_up=30.0, ramp_tau=1.0,
+                        grid=Grid(z_min=0.0, z_max=1.0, nz=16, t_max=40.0, nt=1601))),
+], ids=["gem", "eit"])
+def test_each_step_rebuilds_the_field_three_times_through_the_module_global(
+        monkeypatch, run, config):
+    # perfbench/tracing.py counts solver.cumulative_simpson calls by patching
+    # this name: each call must go through it, with the 1-D integrand first
+    calls = []
+    real = solver.cumulative_simpson
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "cumulative_simpson", counting)
+    run(config, small_pulse())
+    assert len(calls) == 3 * (config.grid.nt - 1)
+    for args, kwargs in calls:
+        f, _ = args
+        assert f.shape == (config.grid.nz,)
+        assert set(kwargs) == {"out"} and kwargs["out"].shape == f.shape
+
+
 def _pinned_gem(config, pulse, **kwargs):
     rec = run_gem(config, pulse, **kwargs)
     return rec, efficiency_numeric(rec, *_gem_windows(config))
@@ -400,6 +443,32 @@ _PINNED = {
         50.0: (-0.027652712841195495+0j),
     }),
 }
+
+
+# alpha_norm_series samples of three runs above, recorded before the norm
+# was summed by einsum (it was np.sum of the squared real view)
+_PINNED_NORMS = {
+    "abrupt": {
+        3.0: 0.017943202516335702, 5.0: 0.3574643802567157, 12.0: 0.37528617572300615,
+        25.0: 0.3571527745343504, 26.0: 0.19165158902792556, 27.0: 0.020661658616067034,
+    },
+    "gamma": {
+        3.0: 0.017078628161152475, 5.0: 0.2907168703649276, 12.0: 0.07631358932456639,
+        25.0: 0.005319504217245031, 26.0: 0.0021541409351254095, 27.0: 0.0001643760630356824,
+    },
+    "carrier": {
+        7.0: 0.056006285350078476, 9.0: 0.18534643639500958, 15.0: 0.2381722781239375,
+        33.0: 0.14765534733583235, 34.0: 0.08359274847051144, 35.0: 0.04601487779460319,
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_NORMS))
+def test_alpha_norm_series_is_pinned(case):
+    rec, _ = _PINNED_RUNS[case]()
+    for t, ref in _PINNED_NORMS[case].items():
+        i = int(np.argmin(np.abs(rec.times - t)))
+        assert rec.alpha_norm_series[i] == pytest.approx(ref, rel=1e-12, abs=0), t
 
 
 @pytest.mark.parametrize("case", list(_PINNED))
