@@ -14,12 +14,12 @@ The control schedule is a tanh switch-off/switch-on pair at the
 configured times.
 
 Time stepping uses the exponential-midpoint loop of the GEM solver
-(`solver._march`): the field rebuild (and with it every cumulative_simpson
-call), predictor/corrector pass, snapshot rows and finiteness guard are
-shared, and this module supplies the exact 2x2 propagator of the (P, S)
-pair over each step.  Its coefficients come from a table with one row per
-distinct control value; P and S are updated in place through two scratch
-rows allocated once per run, so a step allocates no arrays.
+(`solver._march`), which owns the field rebuild (every cumulative_simpson
+call), the predictor/corrector pass, the snapshot rows and the finiteness
+guard.  This module hands it the exact 2x2 propagator of the (P, S) pair:
+begin propagates P source-free over the half step, finish advances P and S
+in place over the full step, both from a table with one row per distinct
+control value.
 """
 
 from __future__ import annotations
@@ -118,24 +118,23 @@ class EitRecord:
     config: EitConfig
 
 
-def _pair_propagator(omega: float, gamma_norm: float, span: float):
-    """exp(span*M) for M = [[-gamma, i*w], [i*w, 0]] (normalized units)."""
-    half = 0.5 * gamma_norm
-    mu = complex(math.sqrt(abs(half**2 - omega**2)))
-    if half**2 < omega**2:
-        mu = 1j * math.sqrt(omega**2 - half**2)
-    scale = np.exp(-half * span)
-    if abs(mu) < 1e-300:
-        ch, sh_over = 1.0, span
-    else:
-        ch = np.cosh(mu * span)
-        sh_over = np.sinh(mu * span) / mu
-    # expm(A*span) with A = [[-half, i w],[i w, half]]
-    a11 = scale * (ch - half * sh_over)
+def _pair_propagator(omega: np.ndarray, span: float):
+    """exp(span*M) for M = [[-1, i*w], [i*w, 0]] (normalized units) at each
+    control value w: the entries (a11, a12 = a21, a22).  With M = A - 1/2,
+    mu = sqrt(1/4 - w^2) is real below w = 1/2, zero at it and imaginary
+    above; one complex square root covers the three cases."""
+    mu = np.sqrt(0.25 - np.square(omega) + 0j)
+    scale = math.exp(-0.5 * span)
+    arg = mu * span
+    ch = np.cosh(arg)
+    # sinh(mu*span)/mu, whose limit at mu = 0 is span
+    zero = np.abs(mu) < 1e-300
+    sh_over = np.where(zero, span, np.sinh(arg) / np.where(zero, 1.0, mu))
+    # expm(A*span) with A = [[-1/2, i w], [i w, 1/2]]
+    a11 = scale * (ch - 0.5 * sh_over)
     a12 = scale * (1j * omega * sh_over)
-    a21 = a12
-    a22 = scale * (ch + half * sh_over)
-    return a11, a12, a21, a22
+    a22 = scale * (ch + 0.5 * sh_over)
+    return a11, a12, a22
 
 
 def run_eit(
@@ -156,57 +155,44 @@ def run_eit(
     ein_mid = pulse.evaluate(t[:-1] + 0.5 * dt)
     omega_mid = omega_c_schedule(config, t[:-1] + 0.5 * dt)
     omega_series = omega_c_schedule(config, t)
-    ig = 1j * config.g
 
-    def coefficients(w):
-        h11, h12, h21, _ = _pair_propagator(w, 1.0, 0.5 * dtau)
-        f11, f12, f21, f22 = _pair_propagator(w, 1.0, dtau)
-        # source weights: the (P,P) / (S,P) propagator entries at the
-        # midpoint of the half / full step (the source varies slowly)
-        q11 = _pair_propagator(w, 1.0, 0.25 * dtau)[0]
-        return (h11, h12, 0.5 * dtau * q11 * ig,
-                f11, f12, f21, f22, dtau * h11 * ig, dtau * h21 * ig)
-
-    # the step coefficients depend on the control value alone: one table row
-    # per distinct value, filled row by row (a list of tuples would leave
-    # thousands of small objects on the heap)
+    # one table row (h11, h12, w, f11, f12, f22, src_p, src_s) per distinct
+    # control value: h and f propagate (P, S) over the half and the full
+    # step; the source weights are the (P,P) / (S,P) entries at the midpoint
+    # of the span, times its length and i*g (the source varies slowly)
     values, value_index = np.unique(omega_mid, return_inverse=True)
-    table = np.empty((values.size, 9), dtype=complex)
-    for row, w in zip(table, values.tolist()):
-        row[:] = coefficients(w)
+    h = _pair_propagator(values, 0.5 * dtau)
+    f = _pair_propagator(values, dtau)
+    q11 = _pair_propagator(values, 0.25 * dtau)[0]
+    ig = 1j * config.g
+    table = np.stack((h[0], h[1], 0.5 * dtau * q11 * ig,
+                      *f, dtau * h[0] * ig, dtau * h[1] * ig), axis=1)
 
+    P, S = np.zeros((2, grid.nz), dtype=complex)
     # rot: the source-free half-step propagation of (P, S) into P; tmp: scratch
-    rot = np.empty(grid.nz, dtype=complex)
-    tmp = np.empty(grid.nz, dtype=complex)
+    rot, tmp = np.empty((2, grid.nz), dtype=complex)
 
-    def advance(n, state):
-        P, S = state
-        h11, h12, src_half, f11, f12, f21, f22, src_p, src_s = table[value_index[n]].tolist()
+    def begin(n):
+        h11, h12, w = table[value_index[n], :3].tolist()
         np.multiply(h11, P, out=rot)
         np.add(rot, np.multiply(h12, S, out=tmp), out=rot)
+        return rot, w
 
-        def half(src, weight, out):
-            np.multiply(src, weight * src_half, out=out)
-            out += rot
-
-        def full(src):
-            # P <- f11*P + f12*S + src_p*src and S <- f21*P + f22*S + src_s*src,
-            # in place; src is spent last
-            np.multiply(f12, S, out=tmp)
-            np.multiply(f22, S, out=S)
-            np.add(S, np.multiply(f21, P, out=rot), out=S)
-            np.multiply(f11, P, out=P)
-            np.add(P, tmp, out=P)
-            np.add(P, np.multiply(src_p, src, out=tmp), out=P)
-            np.add(S, np.multiply(src_s, src, out=src), out=S)
-            return state
-
-        return half, full
+    def finish(n, src):
+        # P <- f11*P + f12*S + src_p*src and S <- f12*P + f22*S + src_s*src,
+        # in place; src is spent last
+        f11, f12, f22, src_p, src_s = table[value_index[n], 3:].tolist()
+        np.multiply(f12, S, out=tmp)
+        np.multiply(f22, S, out=S)
+        np.add(S, np.multiply(f12, P, out=rot), out=S)
+        np.multiply(f11, P, out=P)
+        np.add(P, tmp, out=P)
+        np.add(P, np.multiply(src_p, src, out=tmp), out=P)
+        np.add(S, np.multiply(src_s, src, out=src), out=S)
 
     keep = _snapshot_rows(nt, field_stride)
-    zeros = np.zeros(grid.nz, dtype=complex)
-    out, _, (e_rows, p_rows, s_rows) = _march(advance, ein, ein_mid, 1j * kappa,
-                                               1.0 / (grid.nz - 1), t, keep, (zeros, zeros))
+    out, _, (e_rows, p_rows, s_rows) = _march(begin, finish, ein, ein_mid, 1j * kappa,
+                                               1.0 / (grid.nz - 1), t, keep, (P, S))
 
     _readonly(out, e_rows, p_rows, s_rows)
     return EitRecord(

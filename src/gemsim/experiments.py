@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -28,6 +28,7 @@ from .core import ConfigError, GemConfig, Grid, PulseSpec, StarkProfile
 from .eit import EitConfig, EitRecord, eit_polariton, run_eit
 from .kspace import centroid_series, phi_residual, to_kspace
 from .metrics import (
+    SweepRow,
     _gem_windows,
     _mode_run,
     _score,
@@ -521,19 +522,9 @@ def _sweep_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dum
         spec.config, interval, betas, modes,
         delta=params.get("delta", 0.0), workers=workers,
     )
-    writer.csv(
-        "sweep.csv",
-        "beta,mode_n,sigma,fidelity,shape,tau_us,delta",
-        (
-            np.array([r.beta for r in rows]),
-            np.array([float(r.mode_n) for r in rows]),
-            np.array([r.sigma for r in rows]),
-            np.array([r.fidelity for r in rows]),
-            np.array([r.shape for r in rows]),
-            np.array([r.tau_us for r in rows]),
-            np.array([r.delta for r in rows]),
-        ),
-    )
+    names = [f.name for f in fields(SweepRow)]
+    writer.csv("sweep.csv", ",".join(names),
+               [[getattr(r, name) for r in rows] for name in names])
     summary = {}
     for beta in betas:
         fs = [r.fidelity for r in rows if r.beta == beta]
@@ -715,30 +706,16 @@ def run_experiment(
         raise ValueError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_root) / spec.output_dir
     writer = _ArtifactWriter(out_dir)
+    manifest = {"name": spec.name, "status": "incomplete", "files": writer.files,
+                "scalars": {}, "checks": []}
+    manifest_path = out_dir / "manifest.json"
     try:
         scalars, summary = _KINDS[spec.kind].run(spec, writer, workers, dump_fields)
-    except Exception:
-        manifest = {
-            "name": spec.name,
-            "status": "incomplete",
-            "files": writer.files,
-            "scalars": {},
-            "checks": [],
-        }
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        raise
-
-    checks = _evaluate_checks(spec, scalars, summary)
-    status = "ok" if all(c["passed"] for c in checks) else "failed"
-    manifest = {
-        "name": spec.name,
-        "status": status,
-        "files": writer.files,
-        "scalars": scalars,
-        "checks": checks,
-    }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        checks = _evaluate_checks(spec, scalars, summary)
+        status = "ok" if all(c["passed"] for c in checks) else "failed"
+        manifest.update(status=status, scalars=scalars, checks=checks)
+    finally:
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(
         name=spec.name,
         status=status,

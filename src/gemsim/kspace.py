@@ -65,9 +65,6 @@ def to_kspace(record: FieldRecord) -> KSpaceRecord:
     """Transform the stored field rows of a run to k-space normal modes."""
     grid = record.grid
     linear_density = record.linear_density
-    z = grid.z_axis
-    if not np.allclose(np.diff(z), grid.dz, rtol=1e-12, atol=0.0):
-        raise ValueError("z grid must be uniform")
     dz = grid.dz
     nz = grid.nz
     k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(nz, d=dz))

@@ -19,8 +19,10 @@ from the previous step's: on the plateaus of abrupt and frozen schedules
 the integrals are bit-equal, so a run of equal steps is built once, while a
 ramp builds every step.
 
-The time loop (`_march`) is shared with the EIT solver in `eit.py`; each
-solver supplies only its local propagator over one step.
+The time loop (`_march`) is shared with the EIT solver in `eit.py` and
+holds the whole predictor/corrector pass; each solver hands it two calls
+per step, begin (the source-free half step and the source weight) and
+finish (the state update to the end of the step).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ _END_WEIGHTS = (-3.0 / 12.0, 4.0 / 12.0, -1.0 / 12.0)
 
 
 def cumulative_simpson(f: np.ndarray, dx, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cumulative integral along the last axis (uniform spacing, n >= 3).
+    """Cumulative integral of a 1-D array (uniform spacing, n >= 3).
 
     Each sub-interval increment comes from quadratic interpolation; interior
     increments average the two bracketing parabola estimates, giving a
@@ -64,25 +66,15 @@ def cumulative_simpson(f: np.ndarray, dx, out: Optional[np.ndarray] = None) -> n
     once the opening parabola is folded into p_0 and the closing one into
     p_{n-2}, so a single cumulative sum does the work.  dx may be complex
     (a coupling constant folded into the spacing); the result is written
-    into `out` when one is given.  Leading axes go row by row through the
-    same 1-D kernel.
+    into `out` when one is given.  np.add.accumulate is the loop of
+    ndarray.cumsum without the method's dispatch (about 1.5 us a call).
     """
+    if f.ndim != 1:
+        raise ValueError(f"f must be 1-D, got shape {f.shape}")
     if out is None:
         out = np.empty(f.shape, dtype=np.result_type(f, dx))
     elif out.shape != f.shape:
         raise ValueError(f"out has shape {out.shape}, expected {f.shape}")
-    if f.ndim == 1:
-        return _simpson_row(f, dx, out)
-    for row in np.ndindex(f.shape[:-1]):
-        _simpson_row(f[row], dx, out[row])
-    return out
-
-
-def _simpson_row(f, dx, out):
-    """cumulative_simpson of one row: the pair sums, the two end parabolas
-    as Python scalars, one cumulative sum, then the stencil and the scale in
-    place.  np.add.accumulate is the loop ndarray.cumsum runs, without the
-    method's dispatch (about 1.5 us a call)."""
     q = out[1:]
     np.add(f[:-1], f[1:], out=q)
     w0, w1, w2 = _END_WEIGHTS
@@ -254,26 +246,23 @@ def _readonly(*arrays):
         arr.setflags(write=False)
 
 
-def _march(advance, ein, ein_mid, coupling, dz, times, keep, state):
+def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state):
     """Exponential-midpoint time loop shared by the GEM and EIT solvers.
 
-    state holds per-site arrays (copied, then advanced step by step);
-    state[0] radiates the field E = ein + coupling * cumint(state[0]).
-    advance(n, state) returns the step-n propagators: half(src, weight, out)
-    writes into out the midpoint coherence driven by weight*src (the
-    corrector passes E + e_mid with weight 0.5, in place); full(src)
-    advances the state arrays in place to the end of the step and returns
-    the state, and may overwrite src, the midpoint field, which is spent by
-    then.  The field, the midpoint field and the corrector source live in
-    buffers allocated once; each field rebuild is one call of the
-    module-global cumulative_simpson(f, dx, out=...) on a 1-D row, three per
-    step.  Returns the output E(z_max, t), the norm dz*sum|state[-1]|^2 (one
-    einsum over the real view of state[-1]: a single pass, no BLAS call)
+    state holds the solver's per-site arrays, which finish advances in
+    place; state[0] radiates the field E = ein + coupling * cumint(state[0]).
+    begin(n) returns (rot, w): the source-free half-step value of state[0]
+    and the half-step source weight (per-site array or scalar).  The
+    midpoint coherence is w*E + rot (predictor), then 0.5*w*(E + e_mid) +
+    rot (corrector); finish(n, src) takes the corrected midpoint field and
+    may overwrite it.  Each field rebuild is one call of the module-global
+    cumulative_simpson(f, dx, out=...), three per step, into buffers
+    allocated once.  Returns the output E(z_max, t), the norm
+    dz*sum|state[-1]|^2 (one einsum pass over its real view, no BLAS call)
     and the (E, *state) rows at `keep`; raises NonFiniteFieldError at the
     first step where the output or the norm is not finite.
     """
     nt = times.size
-    state = tuple(np.array(s, dtype=complex) for s in state)
     E = np.full(state[0].size, ein[0], dtype=complex)
     e_mid = np.empty_like(E)
     src = np.empty_like(E)
@@ -284,25 +273,28 @@ def _march(advance, ein, ein_mid, coupling, dz, times, keep, state):
     v = state[-1].view(float)
     norm[0] = float(np.einsum("i,i->", v, v)) * dz
     keep_set = {int(i): j for j, i in enumerate(keep)}
-    rows = [np.empty((len(keep), E.size), dtype=complex) for _ in (E, *state)]
-    for arr, row in zip(rows, (E, *state)):
+    fields = (E, *state)
+    rows = [np.empty((len(keep), E.size), dtype=complex) for _ in fields]
+    for arr, row in zip(rows, fields):
         arr[0] = row
 
     for n in range(nt - 1):
-        half, full = advance(n, state)
-        half(E, 1.0, src)
+        rot, w = begin(n)
+        np.multiply(w, E, out=src)
+        src += rot
         cumulative_simpson(src, step, out=e_mid)
         e_mid += ein_mid[n]
         np.add(E, e_mid, out=src)
-        half(src, 0.5, src)
+        np.multiply(w, src, out=src)
+        src *= 0.5
+        src += rot
         cumulative_simpson(src, step, out=e_mid)
         e_mid += ein_mid[n]
-        state = full(e_mid)
+        finish(n, e_mid)
         cumulative_simpson(state[0], step, out=E)
         E += ein[n + 1]
 
         e_out = E.item(-1)
-        v = state[-1].view(float)
         a_norm = float(np.einsum("i,i->", v, v)) * dz
         out[n + 1] = e_out
         norm[n + 1] = a_norm
@@ -311,7 +303,7 @@ def _march(advance, ein, ein_mid, coupling, dz, times, keep, state):
             raise NonFiniteFieldError(n + 1, times[n + 1])
         j = keep_set.get(n + 1)
         if j is not None:
-            for arr, row in zip(rows, (E, *state)):
+            for arr, row in zip(rows, fields):
                 arr[j] = row
     return out, norm, rows
 
@@ -363,32 +355,22 @@ def run_gem(
     fresh = [True, *np.any(integrals[1:] != integrals[:-1], axis=1).tolist()]
     ops = np.empty((4, nz), dtype=complex)
     rot_half, rot_full, w_half, w_full = ops
-    rot_alpha = np.empty(nz, dtype=complex)
+    alpha, rot_alpha = np.zeros((2, nz), dtype=complex)
 
-    def advance(n, state):
-        # exact phase rotation (and decay) over the half and full step,
-        # Filon weights (times i*g) for the i*g*E source
-        (alpha,) = state
+    # exact phase rotation (and decay) over the half and full step, Filon
+    # weights (times i*g) for the i*g*E source
+    def begin(n):
         if fresh[n]:
             build(integrals[n].tolist(), ops)
-        np.multiply(rot_half, alpha, out=rot_alpha)
+        return np.multiply(rot_half, alpha, out=rot_alpha), w_half
 
-        def half(src, weight, out):
-            np.multiply(w_half, src, out=out)
-            if weight != 1.0:
-                out *= weight
-            out += rot_alpha
-
-        def full(src):
-            np.multiply(rot_full, alpha, out=alpha)
-            np.add(alpha, np.multiply(w_full, src, out=src), out=alpha)
-            return state
-
-        return half, full
+    def finish(n, src):
+        np.multiply(rot_full, alpha, out=alpha)
+        np.add(alpha, np.multiply(w_full, src, out=src), out=alpha)
 
     keep = _snapshot_rows(nt, field_stride)
-    alpha0 = np.zeros(nz, dtype=complex)
-    out, anorm, (e_rows, a_rows) = _march(advance, ein, ein_mid, 1j * dens, dz, t, keep, (alpha0,))
+    out, anorm, (e_rows, a_rows) = _march(begin, finish, ein, ein_mid, 1j * dens, dz, t, keep,
+                                          (alpha,))
 
     if carrier != 0.0:
         out = out * np.exp(1j * phi)

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gemsim import ConfigError, Grid, PulseSpec
-from gemsim.eit import EitConfig, eit_polariton, omega_c_schedule, run_eit
+from gemsim.eit import EitConfig, _pair_propagator, eit_polariton, omega_c_schedule, run_eit
 
 
 def eit_config(**kw):
@@ -25,6 +26,19 @@ def eit_config(**kw):
 
 # n_atoms = 2000 needs dt <= 2*pi*2/2000 us for the exchange guard
 DENSE_GRID = Grid(z_min=0.0, z_max=1.0, nz=256, t_max=45.0, nt=9001)
+
+
+class TestPairPropagator:
+    @pytest.mark.parametrize("span", [0.000375, 0.0015, 0.05, 0.5])
+    def test_matches_expm_below_at_and_above_the_critical_control(self, span):
+        # mu = sqrt(1/4 - w^2) is real below w = 1/2, zero at it and
+        # imaginary above; the table takes all three in one array pass
+        omega = np.array([0.0, 0.2, 0.4999999, 0.5, 0.5000001, 0.7, 3.0, 50.0])
+        a11, a12, a22 = _pair_propagator(omega, span)
+        for i, w in enumerate(omega.tolist()):
+            want = expm(span * np.array([[-1.0, 1j * w], [1j * w, 0.0]]))
+            got = np.array([[a11[i], a12[i]], [a12[i], a22[i]]])
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
 
 
 class TestEitConfig:

@@ -55,6 +55,17 @@ class TestToKspace:
         mask = np.arange(64) != i0
         assert np.max(np.abs(ks.psi[0, mask])) < 1e-10 * np.abs(ks.psi[0, i0])
 
+    @pytest.mark.parametrize("z_min, z_max, nz", [(-3.0, 3.0, 10240), (10.0, 16.0, 4096)])
+    def test_accepts_a_linspace_axis_whose_steps_round_away_from_dz(self, z_min, z_max, nz):
+        # the z axis is a linspace, uniform by construction, though its
+        # differences stray from dz by more than 1e-12 relative on these grids
+        grid = Grid(z_min=z_min, z_max=z_max, nz=nz, t_max=1.0, nt=4)
+        assert not np.allclose(np.diff(grid.z_axis), grid.dz, rtol=1e-12, atol=0.0)
+        a = np.ones((1, nz), complex)
+        ks = to_kspace(synthetic_record(np.zeros_like(a), a, grid, dens=2.0))
+        i0 = np.argmin(np.abs(ks.k_axis))
+        assert ks.psi[0, i0] == pytest.approx(2.0 * nz * grid.dz / np.sqrt(2.0 * np.pi))
+
     def test_parseval(self, stored_run, stored_ks):
         dz = stored_run.grid.dz
         for i in (3, 20, 40):

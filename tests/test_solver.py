@@ -38,28 +38,26 @@ class TestCumulativeSimpson:
         np.testing.assert_allclose(out, expect, rtol=0, atol=tol)
         assert np.array_equal(f, f_before)
 
-    def test_integrates_along_the_last_axis(self):
-        f = np.random.default_rng(1).standard_normal((3, 17))
-        got = cumulative_simpson(f, 0.1)
-        for row, f_row in zip(got, f):
-            np.testing.assert_allclose(row, cumulative_simpson(f_row, 0.1), rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("shape, order", [((3, 17), (1, 0)), ((2, 4, 17), (2, 1, 0))],
-                             ids=["2d", "3d"])
-    def test_rows_fill_a_non_contiguous_out(self, shape, order):
+    def test_fills_a_non_contiguous_out(self):
         rng = np.random.default_rng(7)
-        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out = np.full(shape[::-1], np.nan, dtype=complex).transpose(order)
-        assert out.shape == f.shape and not out.flags.c_contiguous
+        f = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+        buf = np.full((17, 2), np.nan, dtype=complex)
+        out = buf[:, 0]
+        assert not out.flags.c_contiguous
         assert cumulative_simpson(f, 0.1j, out=out) is out
-        for row in np.ndindex(shape[:-1]):
-            assert np.array_equal(out[row], cumulative_simpson(f[row], 0.1j))
+        assert np.array_equal(out, cumulative_simpson(f, 0.1j))
+        assert np.all(np.isnan(buf[:, 1]))
 
     def test_rejects_an_out_of_another_shape(self):
-        f = np.ones((3, 17), dtype=complex)
-        for shape in [(17,), (4, 17), (3, 16), (1, 3, 17)]:
+        f = np.ones(17, dtype=complex)
+        for shape in [(16,), (18,), (1, 17), (17, 1)]:
             with pytest.raises(ValueError):
                 cumulative_simpson(f, 0.1, out=np.empty(shape, dtype=complex))
+        # the kernel is 1-D only: a 2-D f is rejected with or without out
+        f2 = np.ones((3, 17), dtype=complex)
+        for out in (None, np.empty((3, 17), dtype=complex)):
+            with pytest.raises(ValueError):
+                cumulative_simpson(f2, 0.1, out=out)
 
     def test_polynomial_exact(self):
         x = np.linspace(0.0, 2.0, 41)
