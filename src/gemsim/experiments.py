@@ -6,7 +6,10 @@ takes a pulse, the params it requires and accepts, its load-time check, its
 runner and, for the kinds that score an echo, its default efficiency
 windows.  `load_spec` rejects unknown keys, wrong types and every
 configuration invariant with the dotted key path, so a spec that loads
-cannot fail on configuration afterwards.  Artifacts are 1-D series as
+cannot fail on configuration afterwards.  A runner returns the scalars
+its run records, and each check compares one of them with its target.
+GEM and EIT runs write their input/output series and their space-time
+maps through one function.  Artifacts are 1-D series as
 CSV with fixed full-precision formatting, 2-D magnitude maps as `.npy`,
 JSON summaries and a manifest listing names, checksums and headline
 scalars; rerunning a spec reproduces every data file byte for byte.
@@ -24,7 +27,8 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .core import ConfigError, GemConfig, Grid, PulseSpec, StarkProfile
+from .core import (ConfigError, GemConfig, Grid, PulseSpec, StarkProfile,
+                   make_plane_wave_mode)
 from .eit import EitConfig, EitRecord, eit_polariton, run_eit
 from .kspace import centroid_series, phi_residual, to_kspace
 from .metrics import (
@@ -200,21 +204,6 @@ class ExperimentSpec:
     checks: dict = field(default_factory=dict)
 
 
-def _scalar(name):
-    return lambda scalars, summary, checks: scalars.get(name)
-
-
-def _sigma_error(scalars, summary, checks):
-    return abs(scalars["sigma"] - scalars["sigma_analytic"])
-
-
-def _worst_fidelity(scalars, summary, checks):
-    """Lowest per-beta min fidelity over betas >= min_fidelity_beta_from."""
-    beta_from = checks.get("min_fidelity_beta_from", 0.0)
-    fs = [s["min_fidelity"] for beta, s in summary.items() if float(beta) >= beta_from]
-    return min(fs) if fs else None
-
-
 def _within(v, target):
     return target[0] <= v <= target[1]
 
@@ -223,19 +212,20 @@ _GEM_KINDS = ("gem_run", "kspace_report")
 _KSPACE = ("kspace_report",)
 _EIT = ("eit_run",)
 
-# check -> (target parser, value it tests, comparator, kinds whose runs
-# produce that value); a comparator of None marks a modifier of another check
+# check -> (target parser, scalar it tests, comparator, kinds whose runs
+# record that scalar); a scalar and comparator of None mark a modifier of
+# another check
 _CHECKS = {
-    "echo_peak_us": (_pair, _scalar("echo_peak_us"), _within, _GEM_KINDS),
-    "sigma_abs_vs_analytic": (_number, _sigma_error, operator.lt, _GEM_KINDS),
-    "balance_residual_max": (_number, _scalar("balance_residual"), operator.lt, _GEM_KINDS),
-    "phi_residual_max": (_number, _scalar("phi_residual_mid_storage"), operator.lt, _KSPACE),
-    "spectrum_corr_min": (_number, _scalar("spectrum_corr"), operator.gt, _GEM_KINDS),
-    "envelope_corr_min": (_number, _scalar("envelope_corr"), operator.gt, _EIT),
-    "spinwave_drift_max": (_number, _scalar("spinwave_drift"), operator.lt, _EIT),
-    "sigma_min": (_number, _scalar("sigma"), operator.gt, _GEM_KINDS + _EIT),
-    "fidelity_min": (_number, _scalar("fidelity"), operator.gt, _GEM_KINDS + ("delta_search",)),
-    "min_fidelity": (_number, _worst_fidelity, operator.gt, ("fidelity_sweep",)),
+    "echo_peak_us": (_pair, "echo_peak_us", _within, _GEM_KINDS),
+    "sigma_abs_vs_analytic": (_number, "sigma_abs_error", operator.lt, _GEM_KINDS),
+    "balance_residual_max": (_number, "balance_residual", operator.lt, _GEM_KINDS),
+    "phi_residual_max": (_number, "phi_residual_mid_storage", operator.lt, _KSPACE),
+    "spectrum_corr_min": (_number, "spectrum_corr", operator.gt, _GEM_KINDS),
+    "envelope_corr_min": (_number, "envelope_corr", operator.gt, _EIT),
+    "spinwave_drift_max": (_number, "spinwave_drift", operator.lt, _EIT),
+    "sigma_min": (_number, "sigma", operator.gt, _GEM_KINDS + _EIT),
+    "fidelity_min": (_number, "fidelity", operator.gt, _GEM_KINDS + ("delta_search",)),
+    "min_fidelity": (_number, "min_fidelity", operator.gt, ("fidelity_sweep",)),
     "min_fidelity_beta_from": (_number, None, None, ("fidelity_sweep",)),
 }
 _checks = _object(dict, {}, {name: c[0] for name, c in _CHECKS.items()})
@@ -415,43 +405,49 @@ def _eit_windows(config: EitConfig):
     return (0.0, config.switch_down + 4.0 * config.ramp_tau), (config.switch_up, config.grid.t_max)
 
 
+def _write_record(writer: _ArtifactWriter, record, dump_fields: bool, columns: dict, maps):
+    """input_output.csv: t_us, the input and output series, then the named
+    extra columns.  With dump_fields also the space-time maps, one row per
+    stored time, t_us then |value| on z_axis.csv: |E| and the named row
+    blocks that maps() returns, as <name>_mag.npy."""
+    writer.csv(
+        "input_output.csv",
+        ",".join(["t_us,in_re,in_im,out_re,out_im", *columns]),
+        (record.times, record.input_series.real, record.input_series.imag,
+         record.output_series.real, record.output_series.imag, *columns.values()),
+    )
+    if dump_fields:
+        writer.csv("z_axis.csv", "z_mm", (record.grid.z_axis,))
+        for name, rows in {"e_field": record.e_field, **maps()}.items():
+            writer.npy(f"{name}_mag.npy", (record.field_times, np.abs(rows)))
+
+
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     config: GemConfig = spec.config
     params = spec.params
     record = run_gem(config, spec.pulse, field_stride=params.get("field_stride"))
-    t = record.times
-    writer.csv(
-        "input_output.csv",
-        "t_us,in_re,in_im,out_re,out_im",
-        (t, record.input_series.real, record.input_series.imag,
-         record.output_series.real, record.output_series.imag),
-    )
-    scalars = {}
+    _write_record(writer, record, dump_fields, {}, lambda: {"polarisation": record.polarisation})
     in_win, echo_win = params["input_window"], params["echo_window"]
     sigma = efficiency_numeric(record, in_win, echo_win)
+    sigma_analytic = efficiency_analytic(config.beta)
     rep = fidelity(record.input_series, record.output_series, record.grid.dt, sigma,
                    echo_window=echo_win)
-    scalars.update(
-        sigma=sigma,
-        sigma_analytic=efficiency_analytic(config.beta),
-        fidelity=rep.fidelity,
-        shape=rep.shape,
-        tau_us=rep.tau,
-        echo_peak_us=echo_peak_time(record),
-        balance_residual=balance_residual(record),
-        beta=config.beta,
-    )
+    scalars = {
+        "sigma": sigma,
+        "sigma_analytic": sigma_analytic,
+        "sigma_abs_error": abs(sigma - sigma_analytic),
+        "fidelity": rep.fidelity,
+        "shape": rep.shape,
+        "tau_us": rep.tau,
+        "echo_peak_us": echo_peak_time(record),
+        "balance_residual": balance_residual(record),
+        "beta": config.beta,
+    }
 
     if "spectrum_time" in params:
         t_snap = params["spectrum_time"]
         eta_abs = config.stark.eval(spec.pulse.center)
         scalars["spectrum_corr"] = input_spectrum_correlation(record, t_snap, eta_abs)
-
-    if dump_fields:
-        # space-time maps: one row per stored time, t_us then |value| on z_axis.csv
-        writer.csv("z_axis.csv", "z_mm", (record.grid.z_axis,))
-        writer.npy("e_field_mag.npy", (record.field_times, np.abs(record.e_field)))
-        writer.npy("polarisation_mag.npy", (record.field_times, np.abs(record.polarisation)))
 
     if spec.kind == "kspace_report":
         ks = to_kspace(record)
@@ -464,7 +460,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
                    (ks.times, cen, config.stark.eval(ks.times)))
         row = _residual_row(config, params, ks.times)
         scalars["phi_residual_mid_storage"] = phi_residual(ks, row)
-    return scalars, None
+    return scalars
 
 
 def _residual_row(config: GemConfig, params: dict, field_times: np.ndarray) -> int:
@@ -484,14 +480,8 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     config: EitConfig = spec.config
     params = spec.params
     record = run_eit(config, spec.pulse, field_stride=params.get("field_stride"))
-    t = record.times
-    writer.csv(
-        "input_output.csv",
-        "t_us,in_re,in_im,out_re,out_im,omega_c",
-        (t, record.input_series.real, record.input_series.imag,
-         record.output_series.real, record.output_series.imag,
-         record.omega_c_series),
-    )
+    _write_record(writer, record, dump_fields, {"omega_c": record.omega_c_series},
+                  lambda: {"spin_wave": record.spin_wave, "polariton": eit_polariton(record)})
     in_win, echo_win = params["input_window"], params["echo_window"]
     scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
 
@@ -503,14 +493,7 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         scalars["spinwave_drift"] = float(drift)
     t_snap = params.get("envelope_time", 0.5 * (config.switch_down + config.switch_up))
     scalars["envelope_corr"] = envelope_correlation(record, t_snap)
-
-    if dump_fields:
-        # space-time maps: one row per stored time, t_us then |value| on z_axis.csv
-        writer.csv("z_axis.csv", "z_mm", (record.grid.z_axis,))
-        writer.npy("e_field_mag.npy", (record.field_times, np.abs(record.e_field)))
-        writer.npy("spin_wave_mag.npy", (record.field_times, np.abs(record.spin_wave)))
-        writer.npy("polariton_mag.npy", (record.field_times, np.abs(eit_polariton(record))))
-    return scalars, None
+    return scalars
 
 
 def _sweep_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
@@ -534,10 +517,12 @@ def _sweep_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dum
             "delta": next(r.delta for r in rows if r.beta == beta),
         }
     writer.json("summary.json", {"interval": list(interval), "per_beta": summary})
-    scalars = {"n_rows": len(rows)}
+    beta_from = spec.checks.get("min_fidelity_beta_from", 0.0)
+    scalars = {"n_rows": len(rows),
+               "min_fidelity": min(r.fidelity for r in rows if r.beta >= beta_from)}
     for beta, s in summary.items():
         scalars[f"min_F_beta_{beta}"] = s["min_fidelity"]
-    return scalars, summary
+    return scalars
 
 
 def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
@@ -564,9 +549,7 @@ def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dum
     if verify:
         payload["verify_modes"] = verify
     writer.json("delta.json", payload)
-    scalars = {"delta": res.delta, "fidelity": res.fidelity,
-               "fidelity_at_zero": res.fidelity_at_zero}
-    return scalars, None
+    return {"delta": res.delta, "fidelity": res.fidelity, "fidelity_at_zero": res.fidelity_at_zero}
 
 
 def _check_windows(config, pulse: PulseSpec, params: dict):
@@ -590,13 +573,18 @@ def _check_windows(config, pulse: PulseSpec, params: dict):
 
 
 def _check_gem_run(config: GemConfig, pulse: PulseSpec, params: dict, checks: dict):
-    """A grid sample after the switch, where the echo peak is sought, and
-    _check_windows."""
+    """A grid sample after the switch, where the echo peak is sought,
+    _check_windows, and a spectrum time when the spec checks the spectrum
+    correlation."""
     if not config.grid.t_max > config.stark.switch_time:
         raise SpecValidationError(
             f"config.stark.switch_time: no grid sample after {config.stark.switch_time:g} "
             f"(t_max = {config.grid.t_max:g})")
     _check_windows(config, pulse, params)
+    if "spectrum_corr_min" in checks and "spectrum_time" not in params:
+        raise SpecValidationError(
+            "checks.spectrum_corr_min: needs params.spectrum_time, the time the stored "
+            "spectrum is read")
 
 
 def _check_kspace_report(config: GemConfig, pulse: PulseSpec, params: dict, checks: dict):
@@ -630,15 +618,37 @@ def _check_eit_run(config: EitConfig, pulse: PulseSpec, params: dict, checks: di
 
 def _check_mode_params(config: GemConfig, pulse, params: dict, checks: dict):
     """Load-time check of the mode kinds (which take no pulse): the window,
-    every mode and every optical depth the run will use."""
+    which sampled on the grid must carry a mode's energy into the storage
+    window, every mode and every optical depth the run will use, one
+    summary label per depth, and a min_fidelity_beta_from that modifies a
+    min_fidelity check and selects at least one depth."""
     interval = params["interval"]
     _at("params.interval", check_mode_run, config, interval, ())
+    t = config.grid.t_axis
+    mode = make_plane_wave_mode(0, *interval).evaluate(t)  # |u_n| is the same for every n
+    if window_energy(t, mode, _gem_windows(config)[0], config.grid.dt) <= 0.0:
+        raise SpecValidationError(
+            f"params.interval: a mode on {list(interval)}, sampled on the grid, carries no "
+            f"energy by the switch (t = {config.stark.switch_time:g} us)")
     for key in ("mode_indices", "probe_mode", "verify_modes"):
         if key in params:
             modes = params[key] if isinstance(params[key], list) else [params[key]]
             _at(f"params.{key}", check_mode_run, config, interval, modes)
+    labels = set()
     for i, beta in enumerate(params.get("betas", ())):
         _at(f"params.betas[{i}]", config.with_beta, beta)
+        if f"{beta:g}" in labels:
+            raise SpecValidationError(
+                f"params.betas[{i}]: {beta!r} has the summary label {beta:g}, as an earlier beta")
+        labels.add(f"{beta:g}")
+    if "min_fidelity_beta_from" in checks:
+        beta_from = checks["min_fidelity_beta_from"]
+        if "min_fidelity" not in checks:
+            raise SpecValidationError(
+                "checks.min_fidelity_beta_from: modifies checks.min_fidelity, which is not set")
+        if beta_from > max(params.get("betas", [config.beta])):
+            raise SpecValidationError(
+                f"checks.min_fidelity_beta_from: {beta_from!r} exceeds every beta the sweep runs")
 
 
 @dataclass(frozen=True)
@@ -648,7 +658,7 @@ class _Kind:
     required_params: dict
     optional_params: dict
     check: Optional[Callable]  # check(config, pulse, params, checks), after parsing
-    run: Callable  # run(spec, writer, workers, dump_fields) -> (scalars, summary)
+    run: Callable  # run(spec, writer, workers, dump_fields) -> scalars
     # windows(config) -> the (input_window, echo_window) a spec leaves out
     windows: Optional[Callable] = None
 
@@ -675,13 +685,13 @@ _KINDS = {
 }
 
 
-def _evaluate_checks(spec: ExperimentSpec, scalars: dict, summary: Optional[dict]) -> list:
+def _evaluate_checks(spec: ExperimentSpec, scalars: dict) -> list:
     out = []
     for name, target in spec.checks.items():
-        _, value_of, passes, _ = _CHECKS[name]
+        _, scalar, passes, _ = _CHECKS[name]
         if passes is None:
             continue
-        v = value_of(scalars, summary, spec.checks)
+        v = scalars.get(scalar)
         out.append({
             "name": name,
             "passed": v is not None and bool(passes(v, target)),
@@ -710,8 +720,8 @@ def run_experiment(
                 "scalars": {}, "checks": []}
     manifest_path = out_dir / "manifest.json"
     try:
-        scalars, summary = _KINDS[spec.kind].run(spec, writer, workers, dump_fields)
-        checks = _evaluate_checks(spec, scalars, summary)
+        scalars = _KINDS[spec.kind].run(spec, writer, workers, dump_fields)
+        checks = _evaluate_checks(spec, scalars)
         status = "ok" if all(c["passed"] for c in checks) else "failed"
         manifest.update(status=status, scalars=scalars, checks=checks)
     finally:

@@ -223,6 +223,20 @@ class TestLoadSpec:
          "params: the k-space residual row (t = 0 us"),
         ("fig2_abrupt", lambda doc: doc["pulse"].update(center=61.0),
          "params: the k-space residual row (t = 60 us"),
+        ("fig4_quick", lambda doc: doc["checks"].pop("min_fidelity"),
+         "checks.min_fidelity_beta_from: modifies checks.min_fidelity, which is not set"),
+        ("fig4_quick", lambda doc: (doc["params"].update(betas=[0.5]),
+                                    doc["checks"].update(min_fidelity_beta_from=5)),
+         "checks.min_fidelity_beta_from: 5.0 exceeds every beta the sweep runs"),
+        ("fig4_quick", lambda doc: (doc["params"].pop("betas"),
+                                    doc["checks"].update(min_fidelity_beta_from=1.5)),
+         "checks.min_fidelity_beta_from: 1.5 exceeds every beta the sweep runs"),
+        ("fig3_gem", lambda doc: doc["params"].pop("spectrum_time"),
+         "checks.spectrum_corr_min: needs params.spectrum_time"),
+        ("fig4_quick", lambda doc: doc["params"].update(betas=[1.0, 1.0000001]),
+         "params.betas[1]: 1.0000001 has the summary label 1, as an earlier beta"),
+        ("fig4_quick", lambda doc: doc["params"].update(interval=[35.001, 35.01]),
+         "params.interval: a mode on [35.001, 35.01], sampled on the grid, carries no energy"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
@@ -234,7 +248,10 @@ class TestLoadSpec:
             "gem_switch_after_t_max", "delta_halfwidth_0", "delta_halfwidth_negative",
             "eit_drift_without_hold_rows", "eit_drift_stride_skips_hold", "eit_exchange",
             "eit_huge_coupling", "eit_no_control", "eit_group_delay_underflow",
-            "kspace_residual_row_at_start", "kspace_residual_row_before_pulse"])
+            "kspace_residual_row_at_start", "kspace_residual_row_before_pulse",
+            "sweep_beta_from_without_min_fidelity", "sweep_beta_from_above_every_beta",
+            "sweep_beta_from_above_the_config_beta", "gem_spectrum_check_without_time",
+            "sweep_betas_with_one_label", "sweep_interval_between_grid_samples"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)
@@ -332,6 +349,22 @@ class TestRunExperiment:
         assert hashlib.sha256(c1).hexdigest() == hashlib.sha256(c2).hexdigest()
         summary = json.loads((tmp_path / "w1" / "tiny_sweep" / "summary.json").read_text())
         assert set(summary["per_beta"]) == {"0.5", "1"}
+
+    def test_min_fidelity_reads_the_betas_from_the_floor_not_their_labels(self, tmp_path):
+        # 1.0000004 is labelled "1" in summary.json, below the 1.0000002 floor
+        doc = json.loads(tiny_sweep_spec(tmp_path).read_text())
+        doc["params"]["betas"] = [0.5, 1.0000004]
+        doc["checks"] = {"min_fidelity": 0.0, "min_fidelity_beta_from": 1.0000002}
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps(doc))
+        res = run_experiment(load_spec(path), tmp_path / "out")
+        rows = np.loadtxt(tmp_path / "out" / "tiny_sweep" / "sweep.csv", delimiter=",",
+                          skiprows=1)
+        worst = rows[rows[:, 0] == 1.0000004, 3].min()
+        assert worst != rows[:, 3].min()
+        assert res.scalars["min_fidelity"] == worst
+        assert res.checks == [{"name": "min_fidelity", "passed": True, "value": worst,
+                               "expected": 0.0}]
 
     def test_delta_search_solves_the_probe_once(self, tmp_path, monkeypatch):
         path = tmp_path / "delta.json"
@@ -566,10 +599,48 @@ def eit_spec_docs(draw):
     }
 
 
+@st.composite
+def sweep_spec_docs(draw):
+    """Small fidelity_sweep documents: up to two depths and two modes, drawn
+    inside the band (one draw in ten from three times the band), a mode
+    window ending by the switch, and a min_fidelity check whose beta floor
+    may lie above every depth or stand without the check."""
+    nz, nt = draw(st.integers(3, 64)), draw(st.integers(2, 401))
+    half, t_max = draw(_unit(0.25, 3.0)), draw(_unit(5.0, 60.0))
+    eta0 = (draw(_unit(0.05, 1.3)) * math.pi * (nz - 2) / (2.0 * half * t_max)
+            * draw(st.sampled_from([1, -1])))
+    switch = draw(_unit(0.3, 0.9)) * t_max
+    t1 = draw(_unit(0.0, 0.5)) * switch
+    t2 = t1 + draw(_unit(0.1, 1.0)) * (switch - t1)
+    n_max = int(abs(eta0) * half * (t2 - t1) / (2.0 * math.pi) * draw(
+        st.sampled_from([1.0] * 9 + [3.0])))
+    params = {"interval": [t1, t2],
+              "mode_indices": draw(st.lists(st.integers(-n_max, n_max), min_size=1, max_size=2)),
+              "delta": draw(st.sampled_from([0.0, "auto"]))}
+    if draw(st.booleans()):
+        params["betas"] = draw(st.lists(_unit(0.1, 4.0), min_size=1, max_size=2))
+    checks = {}
+    if draw(st.booleans()):
+        checks["min_fidelity"] = draw(_unit(-1.0, 2.0))
+    if draw(st.booleans()):
+        checks["min_fidelity_beta_from"] = draw(_unit(0.0, 5.0))
+    return {
+        "name": "prop", "kind": "fidelity_sweep", "output_dir": "prop",
+        "config": {
+            "g": 1.0, "linear_density": draw(_unit(0.1, 4.0)) * abs(eta0), "gamma": 0.0,
+            "stark": {"eta0": eta0, "switch_time": switch},
+            "grid": {"z_min": -half, "z_max": half, "nz": nz, "t_max": t_max, "nt": nt},
+        },
+        "params": params,
+        "checks": checks,
+    }
+
+
 class TestLoadedSpecsRun:
     """A spec that loads cannot fail on configuration afterwards: through
-    the CLI, a small random spec exits 2 at load, or 0 or 1 after its run;
-    never 3, never a traceback, never a warning."""
+    the CLI, a small random spec exits 2 at load, or 0 or 1 after its run
+    with a value for every check; never 3, never a traceback, never a
+    warning."""
 
     @staticmethod
     def _exit_code_matches_load(doc):
@@ -589,6 +660,9 @@ class TestLoadedSpecsRun:
                 code = cli_main(["--out", str(Path(tmp) / "out"), "run", str(path)])
             assert code in allowed, (code, err.getvalue())
             assert not caught, [str(w.message) for w in caught]
+            if code != 2:
+                manifest = json.loads((Path(tmp) / "out" / "prop" / "manifest.json").read_text())
+                assert all(c["value"] is not None for c in manifest["checks"]), manifest["checks"]
 
     @pytest.mark.parametrize("kind", ["gem_run", "kspace_report"])
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -599,4 +673,9 @@ class TestLoadedSpecsRun:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(doc=eit_spec_docs())
     def test_eit_run(self, doc):
+        self._exit_code_matches_load(doc)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(doc=sweep_spec_docs())
+    def test_fidelity_sweep(self, doc):
         self._exit_code_matches_load(doc)
