@@ -80,12 +80,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_spec_file(path, args) -> int:
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    if args.command == "presets" and args.preset_command == "list":
+        for name in preset_names():
+            print(name)
+        return 0
     try:
-        spec = load_spec(path)
+        spec = load_spec(preset_path(args.name) if args.command == "presets" else args.spec)
     except SpecValidationError as exc:
         print(f"spec rejected: {exc}", file=sys.stderr)
         return 2
+    if args.command == "validate":
+        print(json.dumps({"name": spec.name, "kind": spec.kind, "valid": True}))
+        return 0
     try:
         result = run_experiment(spec, args.out, workers=args.workers,
                                 dump_fields=args.dump_fields)
@@ -98,32 +106,6 @@ def _run_spec_file(path, args) -> int:
         print(f"  [{state}] {check['name']}: value={check['value']} expected={check['expected']}")
     print(f"  manifest: {result.manifest_path}")
     return 0 if result.ok else 1
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "validate":
-        try:
-            spec = load_spec(args.spec)
-        except SpecValidationError as exc:
-            print(f"spec rejected: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps({"name": spec.name, "kind": spec.kind, "valid": True}))
-        return 0
-    if args.command == "run":
-        return _run_spec_file(args.spec, args)
-    if args.command == "presets":
-        if args.preset_command == "list":
-            for name in preset_names():
-                print(name)
-            return 0
-        try:
-            path = preset_path(args.name)
-        except SpecValidationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        return _run_spec_file(path, args)
-    return 2  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -110,7 +110,6 @@ class EitRecord:
     times: np.ndarray
     input_series: np.ndarray
     output_series: np.ndarray
-    omega_c_series: np.ndarray
     field_times: np.ndarray
     e_field: np.ndarray
     polarisation: np.ndarray
@@ -154,7 +153,6 @@ def run_eit(
     ein = pulse.evaluate(t)
     ein_mid = pulse.evaluate(t[:-1] + 0.5 * dt)
     omega_mid = omega_c_schedule(config, t[:-1] + 0.5 * dt)
-    omega_series = omega_c_schedule(config, t)
 
     # one table row (h11, h12, w, f11, f12, f22, src_p, src_s) per distinct
     # control value: h and f propagate (P, S) over the half and the full
@@ -200,7 +198,6 @@ def run_eit(
         times=t,
         input_series=ein,
         output_series=out,
-        omega_c_series=omega_series,
         field_times=t[keep],
         e_field=e_rows,
         polarisation=p_rows,

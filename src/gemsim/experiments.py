@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import (ConfigError, GemConfig, Grid, PulseSpec, StarkProfile,
                    make_plane_wave_mode)
-from .eit import EitConfig, EitRecord, eit_polariton, run_eit
+from .eit import EitConfig, EitRecord, eit_polariton, omega_c_schedule, run_eit
 from .kspace import centroid_series, phi_residual, to_kspace
 from .metrics import (
     SweepRow,
@@ -390,7 +390,7 @@ def envelope_correlation(record: EitRecord, t_snap: float) -> float:
 def balance_residual(record) -> float:
     """Worst |d/dt (N/g int|alpha|^2 dz) - boundary flux| over peak flux."""
     dt = record.grid.dt
-    stored = record.alpha_norm_series * (record.linear_density / record.g)
+    stored = record.alpha_norm_series * (record.config.linear_density / record.config.g)
     rate = np.gradient(stored, dt)
     flux = np.abs(record.input_series) ** 2 - np.abs(record.output_series) ** 2
     peak = float(np.max(np.abs(record.input_series) ** 2))
@@ -480,7 +480,8 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     config: EitConfig = spec.config
     params = spec.params
     record = run_eit(config, spec.pulse, field_stride=params.get("field_stride"))
-    _write_record(writer, record, dump_fields, {"omega_c": record.omega_c_series},
+    _write_record(writer, record, dump_fields,
+                  {"omega_c": omega_c_schedule(config, record.times)},
                   lambda: {"spin_wave": record.spin_wave, "polariton": eit_polariton(record)})
     in_win, echo_win = params["input_window"], params["echo_window"]
     scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
@@ -564,22 +565,33 @@ def _check_windows(config, pulse: PulseSpec, params: dict):
     if window_energy(t, pulse.evaluate(t), in_win, config.grid.dt) <= 0.0:
         raise SpecValidationError(
             f"params.input_window: the pulse carries no energy in {list(in_win)}")
-    if np.count_nonzero((t >= echo_win[0]) & (t <= echo_win[1])) < 2:
-        raise SpecValidationError(
-            f"params.echo_window: {list(echo_win)} holds fewer than two grid samples")
+    _check_echo_samples(config, echo_win, "params.echo_window")
     if echo_win[1] <= in_win[0]:
         raise SpecValidationError(
             f"params.echo_window: {list(echo_win)} ends before the input window starts")
 
 
-def _check_gem_run(config: GemConfig, pulse: PulseSpec, params: dict, checks: dict):
-    """A grid sample after the switch, where the echo peak is sought,
-    _check_windows, and a spectrum time when the spec checks the spectrum
-    correlation."""
+def _check_echo_samples(config, echo_win, where: str):
+    """The echo window holds at least two grid samples (on one sample its
+    energy quadrature is zero); a rejection starts with `where`."""
+    t = config.grid.t_axis
+    if np.count_nonzero((t >= echo_win[0]) & (t <= echo_win[1])) < 2:
+        raise SpecValidationError(f"{where}: {list(echo_win)} holds fewer than two grid samples")
+
+
+def _check_switch(config: GemConfig):
+    """A grid sample after the switch, where the echo is sought."""
     if not config.grid.t_max > config.stark.switch_time:
         raise SpecValidationError(
             f"config.stark.switch_time: no grid sample after {config.stark.switch_time:g} "
             f"(t_max = {config.grid.t_max:g})")
+
+
+def _check_gem_run(config: GemConfig, pulse: PulseSpec, params: dict, checks: dict):
+    """_check_switch (the echo peak is sought after the switch),
+    _check_windows, and a spectrum time when the spec checks the spectrum
+    correlation."""
+    _check_switch(config)
     _check_windows(config, pulse, params)
     if "spectrum_corr_min" in checks and "spectrum_time" not in params:
         raise SpecValidationError(
@@ -617,11 +629,15 @@ def _check_eit_run(config: EitConfig, pulse: PulseSpec, params: dict, checks: di
 
 
 def _check_mode_params(config: GemConfig, pulse, params: dict, checks: dict):
-    """Load-time check of the mode kinds (which take no pulse): the window,
-    which sampled on the grid must carry a mode's energy into the storage
-    window, every mode and every optical depth the run will use, one
-    summary label per depth, and a min_fidelity_beta_from that modifies a
-    min_fidelity check and selects at least one depth."""
+    """Load-time check of the mode kinds (which take no pulse): the GEM
+    kinds' switch rules on their fixed echo window (switch_time, t_max),
+    the interval, which sampled on the grid must carry a mode's energy into
+    the storage window, every mode and every optical depth the run will
+    use, one summary label per depth, and a min_fidelity_beta_from that
+    modifies a min_fidelity check and selects at least one depth."""
+    _check_switch(config)
+    _check_echo_samples(config, _gem_windows(config)[1],
+                        "config.stark.switch_time: the echo window (switch_time, t_max)")
     interval = params["interval"]
     _at("params.interval", check_mode_run, config, interval, ())
     t = config.grid.t_axis

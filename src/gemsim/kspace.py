@@ -30,30 +30,24 @@ _TAPER_FRACTION = 0.10  # Tukey alpha: 5% cosine ramp on each z edge
 
 @dataclass(frozen=True)
 class KSpaceRecord:
-    """k-space view of a run at the record's stored field times.
+    """k-space view of a run (record) at its stored field times.
 
     psi/phi rows correspond to times; k_axis is the centered discrete
-    Fourier dual of the z grid and norm_factor = sqrt(k^2 + N^2) is the
-    polariton normalization.  Transforms are scaled so that
-    sum |f~|^2 dk equals the plain rectangle sum of |f|^2 dz.
+    Fourier dual of the z grid, with spacing dk = 2*pi/(nz*dz).  Transforms
+    are scaled so that sum |f~|^2 dk equals the plain rectangle sum of
+    |f|^2 dz.  The grid and the linear density are read from the record.
     """
 
-    times: np.ndarray
+    record: FieldRecord
     k_axis: np.ndarray
     psi: np.ndarray
     phi: np.ndarray
-    norm_factor: np.ndarray
-    linear_density: float
-    dk: float
-    _e_rows: np.ndarray
-    _alpha_rows: np.ndarray
-    _dz: float
     _row_power: np.ndarray  # sum_k |Psi|^2 at each stored time
     _peak: float  # the largest row power
 
     @property
-    def nk(self) -> int:
-        return self.k_axis.size
+    def times(self) -> np.ndarray:
+        return self.record.field_times
 
 
 def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
@@ -63,11 +57,9 @@ def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
 
 def to_kspace(record: FieldRecord) -> KSpaceRecord:
     """Transform the stored field rows of a run to k-space normal modes."""
-    grid = record.grid
-    linear_density = record.linear_density
-    dz = grid.dz
-    nz = grid.nz
-    k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(nz, d=dz))
+    linear_density = record.config.linear_density
+    dz = record.grid.dz
+    k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(record.grid.nz, d=dz))
     e_t = _transform(record.e_field, dz)
     a_t = _transform(record.polarisation, dz)
     psi = k * e_t + linear_density * a_t
@@ -76,16 +68,10 @@ def to_kspace(record: FieldRecord) -> KSpaceRecord:
     for arr in (psi, phi, k, row_power):
         arr.setflags(write=False)
     return KSpaceRecord(
-        times=record.field_times,
+        record=record,
         k_axis=k,
         psi=psi,
         phi=phi,
-        norm_factor=np.sqrt(k**2 + linear_density**2),
-        linear_density=linear_density,
-        dk=2.0 * np.pi / (nz * dz),
-        _e_rows=record.e_field,
-        _alpha_rows=record.polarisation,
-        _dz=dz,
         _row_power=row_power,
         _peak=float(np.max(row_power)),
     )
@@ -147,13 +133,15 @@ def phi_residual(ks: KSpaceRecord, t_index: int) -> float:
     before transforming with numpy.fft.
     """
     _check_floor(ks, t_index)
-    taper = _tukey(ks.nk, _TAPER_FRACTION)
-    e_t = _transform(ks._e_rows[t_index] * taper, ks._dz)
-    a_t = _transform(ks._alpha_rows[t_index] * taper, ks._dz)
+    record = ks.record
+    dz, linear_density = record.grid.dz, record.config.linear_density
+    taper = _tukey(record.grid.nz, _TAPER_FRACTION)
+    e_t = _transform(record.e_field[t_index] * taper, dz)
+    a_t = _transform(record.polarisation[t_index] * taper, dz)
     k = ks.k_axis
     sel = k != 0.0
-    psi = k[sel] * e_t[sel] + ks.linear_density * a_t[sel]
-    phi = k[sel] * e_t[sel] - ks.linear_density * a_t[sel]
+    psi = k[sel] * e_t[sel] + linear_density * a_t[sel]
+    phi = k[sel] * e_t[sel] - linear_density * a_t[sel]
     denom = float(np.linalg.norm(psi))
     if denom == 0.0:
         raise ValueError("apodized Psi vanishes at this time index")
@@ -170,5 +158,7 @@ def polariton_norm(ks: KSpaceRecord, t_index: int) -> float:
     if ks._peak == 0.0:
         return 0.0
     _check_floor(ks, t_index)
-    q = np.abs(ks.psi[t_index] / ks.norm_factor) ** 2
-    return float(np.sum(q) * ks.dk)
+    grid, linear_density = ks.record.grid, ks.record.config.linear_density
+    norm_factor = np.sqrt(ks.k_axis**2 + linear_density**2)
+    q = np.abs(ks.psi[t_index] / norm_factor) ** 2
+    return float(np.sum(q) * (2.0 * np.pi / (grid.nz * grid.dz)))

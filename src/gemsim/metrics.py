@@ -166,7 +166,7 @@ def _peak_abs(ac: np.ndarray, dt: float):
 
 def echo_peak_time(record: FieldRecord) -> float:
     """Time of max |output| after the switch (parabolic refinement)."""
-    after = record.times > record.switch_time
+    after = record.times > record.config.stark.switch_time
     if not np.any(after):
         raise ValueError("no samples after switch_time")
     return float(_peak_abs(np.abs(record.output_series) * after, record.grid.dt)[1])
@@ -222,7 +222,7 @@ def shifted_output(record: FieldRecord, delta: float) -> np.ndarray:
     corrected output is obtained exactly by this phase factor.
     """
     t = record.times
-    ts = record.switch_time
+    ts = record.config.stark.switch_time
     return record.output_series * np.exp(1j * delta * np.clip(t - ts, 0.0, None))
 
 
@@ -249,7 +249,7 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
     support = np.nonzero(y)[0]
     a, b, p, q = echo[0], echo[-1] + 1, support[0], support[-1] + 1
     x0 = np.conj(record.output_series[a:b])
-    ramp = np.clip(record.times[a:b] - record.switch_time, 0.0, None)
+    ramp = np.clip(record.times[a:b] - record.config.stark.switch_time, 0.0, None)
     m, size = b - a, (b - a) + (q - p) - 1
     nfft = _fast_len(size)
     y_hat = fft(y[p:q], nfft) * dt
@@ -347,10 +347,10 @@ def mode_fidelity_sweep(
     is a mode-independent frequency shift); a float applies a fixed offset
     and 0.0 leaves the readout uncorrected.  Every distinct (beta, mode)
     is solved once, the probes first, in this process or with workers > 1
-    on a process pool.  The offset enters a row only through the exact
-    phase of shifted_output, so no solve waits for a search: each probe is
-    searched as its run arrives, and each run is scored as it arrives and
-    then dropped.
+    on a process pool of at most one worker per distinct run.  The offset
+    enters a row only through the exact phase of shifted_output, so no
+    solve waits for a search: each probe is searched as its run arrives,
+    and each run is scored as it arrives and then dropped.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -366,6 +366,9 @@ def mode_fidelity_sweep(
              repeat(interval))
     halfwidth = _half_band(config_template)
     rows = {}
+    # under fork the pool starts all its workers at the first submit, so it
+    # gets no more than there are runs
+    workers = min(workers, len(keys))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         runs = pool.map(_mode_run, *tasks, chunksize=1) if pool else map(_mode_run, *tasks)

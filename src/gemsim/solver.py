@@ -98,7 +98,8 @@ class FieldRecord:
     input_series/output_series/alpha_norm_series are kept at every step;
     e_field and polarisation hold rows at the strided times in field_times.
     The discrete Maxwell relation E(z,t) = input_series(t) + i*N*cumint(alpha)
-    holds row by row.
+    holds row by row.  config is the run's configuration, the one place its
+    parameters are read from.
     """
 
     grid: Grid
@@ -109,10 +110,7 @@ class FieldRecord:
     field_times: np.ndarray
     e_field: np.ndarray
     polarisation: np.ndarray
-    linear_density: float
-    g: float
-    gamma: float
-    switch_time: float
+    config: GemConfig
 
 
 def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g: float):
@@ -388,8 +386,5 @@ def run_gem(
         field_times=t[keep],
         e_field=e_rows,
         polarisation=a_rows,
-        linear_density=dens,
-        g=g,
-        gamma=gamma,
-        switch_time=stark.switch_time,
+        config=config,
     )

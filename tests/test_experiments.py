@@ -237,6 +237,18 @@ class TestLoadSpec:
          "params.betas[1]: 1.0000001 has the summary label 1, as an earlier beta"),
         ("fig4_quick", lambda doc: doc["params"].update(interval=[35.001, 35.01]),
          "params.interval: a mode on [35.001, 35.01], sampled on the grid, carries no energy"),
+        ("fig4_quick", lambda doc: doc["config"]["stark"].update(switch_time=100.0),
+         "config.stark.switch_time: no grid sample after 100 (t_max = 100)"),
+        ("fig4_quick", lambda doc: doc["config"]["stark"].update(switch_time=99.99),
+         "config.stark.switch_time: the echo window (switch_time, t_max): [99.99, 100.0] holds "
+         "fewer than two grid samples"),
+        ("fig4_quick", lambda doc: (as_delta_search(1.0)(doc),
+                                    doc["config"]["stark"].update(switch_time=120.0)),
+         "config.stark.switch_time: no grid sample after 120 (t_max = 100)"),
+        ("fig4_quick", lambda doc: (as_delta_search(1.0)(doc),
+                                    doc["config"]["stark"].update(switch_time=99.99)),
+         "config.stark.switch_time: the echo window (switch_time, t_max): [99.99, 100.0] holds "
+         "fewer than two grid samples"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
@@ -251,7 +263,9 @@ class TestLoadSpec:
             "kspace_residual_row_at_start", "kspace_residual_row_before_pulse",
             "sweep_beta_from_without_min_fidelity", "sweep_beta_from_above_every_beta",
             "sweep_beta_from_above_the_config_beta", "gem_spectrum_check_without_time",
-            "sweep_betas_with_one_label", "sweep_interval_between_grid_samples"])
+            "sweep_betas_with_one_label", "sweep_interval_between_grid_samples",
+            "sweep_switch_at_t_max", "sweep_one_sample_after_switch",
+            "delta_switch_after_t_max", "delta_one_sample_after_switch"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)
@@ -425,6 +439,24 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli_main(["validate", str(path)]) == 2
         assert "Nyquist guard" in capsys.readouterr().err
+
+    def test_run_of_a_rejected_spec_exits_2(self, tmp_path, capsys):
+        path = tiny_gem_spec(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["config"]["grid"]["nz"] = 16
+        path.write_text(json.dumps(doc))
+        assert cli_main(["--out", str(tmp_path / "o"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec rejected: config: Nyquist guard")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_presets_run_of_an_unknown_preset_exits_2(self, tmp_path, capsys):
+        assert cli_main(["--out", str(tmp_path / "o"), "presets", "run", "fig9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec rejected: unknown preset 'fig9'; available: fig2_abrupt")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_run_exit_codes(self, tmp_path, capsys):
         good = tiny_gem_spec(tmp_path)
@@ -609,7 +641,9 @@ def sweep_spec_docs(draw):
     half, t_max = draw(_unit(0.25, 3.0)), draw(_unit(5.0, 60.0))
     eta0 = (draw(_unit(0.05, 1.3)) * math.pi * (nz - 2) / (2.0 * half * t_max)
             * draw(st.sampled_from([1, -1])))
-    switch = draw(_unit(0.3, 0.9)) * t_max
+    # the switch may reach or pass t_max, or leave one grid sample after it
+    switch = draw(st.one_of(_unit(0.3, 1.05).map(lambda u: u * t_max),
+                            _unit(0.0, 1.5).map(lambda u: t_max * (1.0 - u / (nt - 1)))))
     t1 = draw(_unit(0.0, 0.5)) * switch
     t2 = t1 + draw(_unit(0.1, 1.0)) * (switch - t1)
     n_max = int(abs(eta0) * half * (t2 - t1) / (2.0 * math.pi) * draw(
@@ -661,8 +695,11 @@ class TestLoadedSpecsRun:
             assert code in allowed, (code, err.getvalue())
             assert not caught, [str(w.message) for w in caught]
             if code != 2:
-                manifest = json.loads((Path(tmp) / "out" / "prop" / "manifest.json").read_text())
+                out = Path(tmp) / "out" / "prop"
+                manifest = json.loads((out / "manifest.json").read_text())
                 assert all(c["value"] is not None for c in manifest["checks"]), manifest["checks"]
+                if (out / "sweep.csv").exists():
+                    assert "nan" not in (out / "sweep.csv").read_text().lower()
 
     @pytest.mark.parametrize("kind", ["gem_run", "kspace_report"])
     @settings(max_examples=30, deadline=None, derandomize=True)

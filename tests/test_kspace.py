@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal.windows import tukey
 
-from gemsim import Grid, run_gem, to_kspace
+from gemsim import GemConfig, Grid, StarkProfile, run_gem, to_kspace
 from gemsim.kspace import _tukey, centroid_series, k_centroid, phi_residual, polariton_norm
 from gemsim.solver import FieldRecord
 
@@ -23,10 +23,8 @@ def synthetic_record(e_rows, a_rows, grid, dens=2.0):
         field_times=t[: e_rows.shape[0]],
         e_field=e_rows,
         polarisation=a_rows,
-        linear_density=dens,
-        g=1.0,
-        gamma=0.0,
-        switch_time=grid.t_max / 2,
+        config=GemConfig(g=1.0, linear_density=dens, gamma=0.0,
+                         stark=StarkProfile(eta0=1.0, switch_time=grid.t_max / 2), grid=grid),
     )
 
 
@@ -72,14 +70,20 @@ class TestToKspace:
             a = stored_run.polarisation[i]
             scale = dz / np.sqrt(2.0 * np.pi)
             a_t = np.fft.fftshift(np.fft.fft(a)) * scale
-            lhs = np.sum(np.abs(a_t) ** 2) * stored_ks.dk
+            lhs = np.sum(np.abs(a_t) ** 2) * (2.0 * np.pi / (stored_run.grid.nz * dz))
             rhs = np.sum(np.abs(a) ** 2) * dz
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
+    def test_views_its_record_at_the_stored_times(self, stored_run, stored_ks):
+        assert stored_ks.record is stored_run
+        assert stored_ks.times is stored_run.field_times
+
     def test_k_axis_is_dual_grid(self, stored_run, stored_ks):
-        assert stored_ks.nk == stored_run.grid.nz
+        grid = stored_run.grid
+        assert stored_ks.k_axis.size == grid.nz
         assert stored_ks.k_axis[0] < 0 < stored_ks.k_axis[-1]
-        np.testing.assert_allclose(np.diff(stored_ks.k_axis), stored_ks.dk, rtol=1e-9)
+        np.testing.assert_allclose(np.diff(stored_ks.k_axis), 2.0 * np.pi / (grid.nz * grid.dz),
+                                   rtol=1e-9)
 
 
 class TestCentroid:

@@ -283,6 +283,34 @@ class TestModeFidelitySweep:
         # handed to the two workers finish after it
         assert len(log.read_text().split()) < len(betas) * len(modes)
 
+    @pytest.mark.parametrize("workers, betas, modes, delta, pool_size", [
+        (5000, [0.5, 1.0], [-1, 1], "auto", 6),  # the two n = 0 probes and four listed runs
+        (3, [0.5, 1.0], [-1, 1], 0.0, 3),
+        (5000, [1.0], [0], 0.0, None),  # one run: no pool
+    ], ids=["probes_and_modes", "fewer_workers_than_runs", "one_run"])
+    def test_pool_has_at_most_one_worker_per_distinct_run(self, monkeypatch, workers, betas,
+                                                         modes, delta, pool_size):
+        # a stand-in records the pool size and solves in this process, so no
+        # worker process is started
+        sizes = []
+
+        class StandInPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", StandInPool)
+        cfg = small_config(beta=1.0, **SWEEP_KW)
+        rows = mode_fidelity_sweep(cfg, (6.0, 10.0), betas, modes, delta=delta,
+                                   workers=workers)
+        assert len(rows) == len(betas) * len(modes)
+        assert sizes == ([] if pool_size is None else [pool_size])
+
     def test_flat_spectral_response(self):
         # this miniature medium has under one sinc lobe of spectral margin,
         # so only the central modes are compared here; the 1% flatness over

@@ -98,6 +98,12 @@ class TestRunGem:
         assert np.array_equal(a.output_series, b.output_series)
         assert np.array_equal(a.e_field, b.e_field)
 
+    def test_record_carries_the_run_config(self):
+        cfg = small_config(beta=0.5, gamma=0.1)
+        rec = run_gem(cfg, small_pulse())
+        assert rec.config is cfg
+        assert not {"linear_density", "g", "gamma", "switch_time"} & set(vars(rec))
+
     def test_linearity_in_the_input(self):
         cfg = small_config()
         c = 0.7 - 1.3j
@@ -161,7 +167,7 @@ class TestRunGem:
         dz = rec.grid.dz
         for i, tv in enumerate(rec.field_times):
             j = np.argmin(np.abs(rec.times - tv))
-            expect = rec.input_series[j] + 1j * rec.linear_density * cumulative_simpson(
+            expect = rec.input_series[j] + 1j * rec.config.linear_density * cumulative_simpson(
                 rec.polarisation[i], dz)
             np.testing.assert_allclose(rec.e_field[i], expect, rtol=0, atol=1e-12)
 
