@@ -106,7 +106,6 @@ def omega_c_schedule(config: EitConfig, t):
 class EitRecord:
     """Histories of a storage run (same snapshot layout as FieldRecord)."""
 
-    grid: Grid
     times: np.ndarray
     input_series: np.ndarray
     output_series: np.ndarray
@@ -115,6 +114,10 @@ class EitRecord:
     polarisation: np.ndarray
     spin_wave: np.ndarray
     config: EitConfig
+
+    @property
+    def grid(self) -> Grid:
+        return self.config.grid
 
 
 def _pair_propagator(omega: np.ndarray, span: float):
@@ -194,7 +197,6 @@ def run_eit(
 
     _readonly(out, e_rows, p_rows, s_rows)
     return EitRecord(
-        grid=grid,
         times=t,
         input_series=ein,
         output_series=out,

@@ -52,6 +52,9 @@ __all__ = ["ExperimentSpec", "ExperimentResult", "SpecValidationError", "balance
            "load_spec", "run_experiment"]
 
 _FMT = "%.17e"
+# bytes read at a time when an artifact is hashed, so hashing holds no
+# second copy of a large file
+_HASH_CHUNK_BYTES = 1 << 16
 
 
 class SpecValidationError(ValueError):
@@ -319,10 +322,16 @@ class _ArtifactWriter:
         return path
 
     def npy(self, name: str, columns) -> Path:
-        """One .npy file; columns (times, then a 2-D block of one row per
-        time) side by side as a C-order float64 array."""
+        """One .npy file from columns = (times, rows), one complex row per
+        time: the C-order float64 array of times, then |rows|.  The
+        magnitudes go straight into the one buffer that is saved, beside the
+        times column, so no other copy of the map is made."""
+        times, rows = columns
+        data = np.empty((rows.shape[0], rows.shape[1] + 1))
+        data[:, 0] = times
+        np.abs(rows, out=data[:, 1:])
         path = self.out_dir / name
-        np.save(path, np.column_stack(columns))
+        np.save(path, data)
         self._register(path)
         return path
 
@@ -333,8 +342,11 @@ class _ArtifactWriter:
         return path
 
     def _register(self, path: Path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.files.append({"name": path.name, "sha256": digest, "bytes": path.stat().st_size})
+        h = hashlib.sha256()
+        with path.open("rb") as f:
+            while chunk := f.read(_HASH_CHUNK_BYTES):
+                h.update(chunk)
+        self.files.append({"name": path.name, "sha256": h.hexdigest(), "bytes": path.stat().st_size})
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -419,7 +431,7 @@ def _write_record(writer: _ArtifactWriter, record, dump_fields: bool, columns: d
     if dump_fields:
         writer.csv("z_axis.csv", "z_mm", (record.grid.z_axis,))
         for name, rows in {"e_field": record.e_field, **maps()}.items():
-            writer.npy(f"{name}_mag.npy", (record.field_times, np.abs(rows)))
+            writer.npy(f"{name}_mag.npy", (record.field_times, rows))
 
 
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
@@ -453,8 +465,8 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         ks = to_kspace(record)
         # k-space maps: one row per stored time, t_us then |value| on k_axis.csv
         writer.csv("k_axis.csv", "k_per_mm", (ks.k_axis,))
-        writer.npy("psi_mag.npy", (ks.times, np.abs(ks.psi)))
-        writer.npy("phi_mag.npy", (ks.times, np.abs(ks.phi)))
+        writer.npy("psi_mag.npy", (ks.times, ks.psi))
+        writer.npy("phi_mag.npy", (ks.times, ks.phi))
         cen = centroid_series(ks)
         writer.csv("centroid.csv", "t_us,k_centroid,eta",
                    (ks.times, cen, config.stark.eval(ks.times)))

@@ -26,6 +26,9 @@ __all__ = [
 
 _FLOOR_FRACTION = 1e-12  # minimum |Psi|^2 weight relative to the peak row
 _TAPER_FRACTION = 0.10  # Tukey alpha: 5% cosine ramp on each z edge
+# bytes of one block of complex rows in to_kspace and centroid_series (16 rows
+# at nz = 4096); each block's temporaries are this size, not the record's
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,21 +53,61 @@ class KSpaceRecord:
         return self.record.field_times
 
 
-def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
-    scale = dz / np.sqrt(2.0 * np.pi)
-    return np.fft.fftshift(np.fft.fft(rows, axis=-1), axes=-1) * scale
+def _block_rows(nz: int) -> int:
+    """Rows of one complex block of _BLOCK_BYTES on an nz-point grid."""
+    return max(1, _BLOCK_BYTES // (16 * nz))
+
+
+def _weights(rows: np.ndarray) -> np.ndarray:
+    """|rows|^2, squared in place in the one |rows| array."""
+    w = np.abs(rows)
+    return np.square(w, out=w)
+
+
+def _transform(rows: np.ndarray, dz: float, out=None) -> np.ndarray:
+    """fftshift(fft(rows)) * dz/sqrt(2*pi) along the last axis, into out when
+    given; the shift is two slice copies."""
+    f = np.fft.fft(rows, axis=-1)
+    if out is None:
+        out = np.empty_like(f)
+    n = f.shape[-1]
+    half = n // 2
+    out[..., :half] = f[..., n - half:]
+    out[..., half:] = f[..., :n - half]
+    out *= dz / np.sqrt(2.0 * np.pi)
+    return out
 
 
 def to_kspace(record: FieldRecord) -> KSpaceRecord:
-    """Transform the stored field rows of a run to k-space normal modes."""
+    """Transform the stored field rows of a run to k-space normal modes.
+
+    Psi and Phi are filled a block of rows at a time (_BLOCK_BYTES of complex
+    values per block): the block's N*alpha~ is built in Phi's own rows and
+    k*E~ in one block buffer, so beyond Psi and Phi the build holds two
+    blocks (that buffer and the FFT's output).  Each block takes the
+    full-array operations in the same order -- fft, shift, times scale, then
+    times k and times N, then the sum and the difference -- so the values
+    are those of the full-array transform bit for bit.
+    """
     linear_density = record.config.linear_density
     dz = record.grid.dz
     k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(record.grid.nz, d=dz))
-    e_t = _transform(record.e_field, dz)
-    a_t = _transform(record.polarisation, dz)
-    psi = k * e_t + linear_density * a_t
-    phi = k * e_t - linear_density * a_t
-    row_power = np.sum(np.abs(psi) ** 2, axis=-1)
+    nrows, nz = record.e_field.shape
+    psi = np.empty((nrows, nz), dtype=complex)
+    phi = np.empty((nrows, nz), dtype=complex)
+    row_power = np.empty(nrows)
+    size = _block_rows(nz)
+    e_t = np.empty((min(size, nrows), nz), dtype=complex)
+    for lo in range(0, nrows, size):
+        hi = min(lo + size, nrows)
+        e, a_t = e_t[:hi - lo], phi[lo:hi]  # N*alpha~ waits in Phi's rows
+        _transform(record.e_field[lo:hi], dz, out=e)
+        _transform(record.polarisation[lo:hi], dz, out=a_t)
+        e *= k
+        a_t *= linear_density
+        np.add(e, a_t, out=psi[lo:hi])
+        np.subtract(e, a_t, out=a_t)
+        row_power[lo:hi] = np.sum(_weights(psi[lo:hi]), axis=-1)
     for arr in (psi, phi, k, row_power):
         arr.setflags(write=False)
     return KSpaceRecord(
@@ -98,14 +141,17 @@ def _centroid(k: np.ndarray, w: np.ndarray):
 def k_centroid(ks: KSpaceRecord, t_index: int) -> float:
     """Weighted centroid sum(k |Psi|^2) / sum(|Psi|^2), k = 0 bin excluded."""
     _check_floor(ks, t_index)
-    return float(_centroid(ks.k_axis, np.abs(ks.psi[t_index]) ** 2))
+    return float(_centroid(ks.k_axis, _weights(ks.psi[t_index])))
 
 
 def centroid_series(ks: KSpaceRecord) -> np.ndarray:
     """k_centroid at every stored time (rows below the floor give nan)."""
-    lit = _lit(ks)
+    lit = np.flatnonzero(_lit(ks))
     out = np.full(ks.times.size, np.nan)
-    out[lit] = _centroid(ks.k_axis, np.abs(ks.psi[lit]) ** 2)
+    size = _block_rows(ks.k_axis.size)
+    for lo in range(0, lit.size, size):
+        rows = lit[lo:lo + size]
+        out[rows] = _centroid(ks.k_axis, _weights(ks.psi[rows]))
     return out
 
 

@@ -99,10 +99,9 @@ class FieldRecord:
     e_field and polarisation hold rows at the strided times in field_times.
     The discrete Maxwell relation E(z,t) = input_series(t) + i*N*cumint(alpha)
     holds row by row.  config is the run's configuration, the one place its
-    parameters are read from.
+    parameters are read from; grid is config.grid.
     """
 
-    grid: Grid
     times: np.ndarray
     input_series: np.ndarray
     output_series: np.ndarray
@@ -111,6 +110,10 @@ class FieldRecord:
     e_field: np.ndarray
     polarisation: np.ndarray
     config: GemConfig
+
+    @property
+    def grid(self) -> Grid:
+        return self.config.grid
 
 
 def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g: float):
@@ -378,7 +381,6 @@ def run_gem(
 
     _readonly(out, anorm, e_rows, a_rows, ein_true)
     return FieldRecord(
-        grid=grid,
         times=t,
         input_series=ein_true,
         output_series=out,

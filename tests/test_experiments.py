@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from gemsim import metrics
 from gemsim.cli import main as cli_main
 from gemsim.cli import preset_names, preset_path
-from gemsim.experiments import SpecValidationError, load_spec, run_experiment
+from gemsim.eit import eit_polariton, run_eit
+from gemsim.experiments import (_HASH_CHUNK_BYTES, SpecValidationError, load_spec,
+                                run_experiment)
 from gemsim.kspace import to_kspace
 from gemsim.solver import run_gem
 
@@ -71,12 +73,13 @@ def tiny_sweep_spec(tmp_path):
     return path
 
 
-def tiny_eit_spec(tmp_path):
+def tiny_eit_spec(tmp_path, **params):
     """fig3_eit on a 32-site grid with 50 atoms, so 2001 steps resolve the
-    exchange rate."""
+    exchange rate; params replace entries of the spec's params."""
     def edit(doc):
         doc["config"].update(n_atoms=50.0)
         doc["config"]["grid"].update(nz=32, nt=2001)
+        doc["params"].update(params)
         doc.update(checks={})
     return preset_variant(tmp_path, "fig3_eit", edit)
 
@@ -353,6 +356,33 @@ class TestRunExperiment:
         maps = [f["name"] for f in r1.files if f["name"].endswith(".npy")]
         assert len(maps) == (4 if spec.kind == "kspace_report" else 3)
         assert r1.files == r2.files
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
+        lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=1),
+    ], ids=["gem", "eit"])
+    def test_maps_are_the_saved_magnitudes_hashed_in_chunks(self, tmp_path, make_spec):
+        spec = load_spec(make_spec(tmp_path))
+        res = run_experiment(spec, tmp_path / "out", dump_fields=True)
+        stride = spec.params.get("field_stride")
+        if spec.kind == "eit_run":
+            record = run_eit(spec.config, spec.pulse, field_stride=stride)
+            maps = {"spin_wave": record.spin_wave, "polariton": eit_polariton(record)}
+        else:
+            record = run_gem(spec.config, spec.pulse, field_stride=stride)
+            ks = to_kspace(record)
+            maps = {"polarisation": record.polarisation, "psi": ks.psi, "phi": ks.phi}
+        maps["e_field"] = record.e_field
+        manifest = {f["name"]: f for f in res.files}
+        for name, rows in maps.items():
+            data = (res.manifest_path.parent / f"{name}_mag.npy").read_bytes()
+            assert len(data) > _HASH_CHUNK_BYTES
+            ref = io.BytesIO()
+            np.save(ref, np.column_stack((record.field_times, np.abs(rows))))
+            assert data == ref.getvalue(), name
+            entry = manifest[f"{name}_mag.npy"]
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+            assert entry["bytes"] == len(data)
 
     def test_sweep_workers_equivalent(self, tmp_path):
         spec = load_spec(tiny_sweep_spec(tmp_path))

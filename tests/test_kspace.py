@@ -1,11 +1,15 @@
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.signal.windows import tukey
 
 from gemsim import GemConfig, Grid, StarkProfile, run_gem, to_kspace
-from gemsim.kspace import _tukey, centroid_series, k_centroid, phi_residual, polariton_norm
+from gemsim.experiments import _ArtifactWriter
+from gemsim.kspace import (_block_rows, _tukey, centroid_series, k_centroid, phi_residual,
+                           polariton_norm)
 from gemsim.solver import FieldRecord
 
 from conftest import small_config, small_pulse
@@ -15,7 +19,6 @@ def synthetic_record(e_rows, a_rows, grid, dens=2.0):
     nt = grid.nt
     t = grid.t_axis
     return FieldRecord(
-        grid=grid,
         times=t,
         input_series=np.zeros(nt, complex),
         output_series=np.zeros(nt, complex),
@@ -84,6 +87,91 @@ class TestToKspace:
         assert stored_ks.k_axis[0] < 0 < stored_ks.k_axis[-1]
         np.testing.assert_allclose(np.diff(stored_ks.k_axis), 2.0 * np.pi / (grid.nz * grid.dz),
                                    rtol=1e-9)
+
+
+def full_array_view(record):
+    """Psi, Phi, the row powers, the peak and the centroid series as the
+    whole-array expressions that the block build must equal bit for bit."""
+    dz, dens = record.grid.dz, record.config.linear_density
+    scale = dz / np.sqrt(2.0 * np.pi)
+    k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(record.grid.nz, d=dz))
+    e_t = np.fft.fftshift(np.fft.fft(record.e_field, axis=-1), axes=-1) * scale
+    a_t = np.fft.fftshift(np.fft.fft(record.polarisation, axis=-1), axes=-1) * scale
+    psi = k * e_t + dens * a_t
+    phi = k * e_t - dens * a_t
+    row_power = np.sum(np.abs(psi) ** 2, axis=-1)
+    peak = float(np.max(row_power))
+    lit = row_power > 1e-12 * peak
+    sel = k != 0.0
+    w = np.abs(psi[lit]) ** 2
+    centroid = np.full(len(psi), np.nan)
+    centroid[lit] = np.sum(k[sel] * w[..., sel], axis=-1) / np.sum(w[..., sel], axis=-1)
+    return psi, phi, row_power, peak, centroid
+
+
+def assert_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.fixture(scope="module", params=[128, 127], ids=["nz128", "nz127"])
+def decayed_run(request):
+    # gamma = 2 empties the medium: row 0 and rows 703 on fall below the floor
+    cfg = small_config(beta=1.0, gamma=2.0, nz=request.param)
+    return run_gem(cfg, small_pulse(), field_stride=1)
+
+
+class TestBlockBuild:
+    """to_kspace and centroid_series work a block of rows at a time."""
+
+    @pytest.mark.parametrize("count", [
+        lambda b: 1, lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 3,
+    ], ids=["1", "B-1", "B", "B+1", "2B+3"])
+    def test_equals_the_full_array_expressions(self, decayed_run, count):
+        n = count(_block_rows(decayed_run.grid.nz))
+        assert n <= decayed_run.field_times.size
+        # rows 350-1000 hold lit and dark rows; shuffled, so both share blocks
+        rows = np.linspace(350, 1000, n).round().astype(int)
+        rows = np.random.default_rng(n).permutation(rows)
+        record = replace(decayed_run, field_times=decayed_run.field_times[rows],
+                         e_field=decayed_run.e_field[rows],
+                         polarisation=decayed_run.polarisation[rows])
+        ks = to_kspace(record)
+        psi, phi, row_power, peak, centroid = full_array_view(record)
+        assert_bits(ks.psi, psi)
+        assert_bits(ks.phi, phi)
+        assert_bits(ks._row_power, row_power)
+        assert ks._peak == peak
+        series = centroid_series(ks)
+        assert_bits(series, centroid)
+        if n > 1:
+            assert np.isnan(series).any() and not np.isnan(series).all()
+
+    def test_kspace_stage_holds_psi_phi_one_map_and_two_blocks(self, tmp_path):
+        # to_kspace, centroid_series and the two k-space map writes of a
+        # kspace_report run, on a record of 2.5 blocks
+        nz = 1024
+        nrows = 5 * _block_rows(nz) // 2
+        grid = Grid(z_min=-1.0, z_max=1.0, nz=nz, t_max=1.0, nt=nrows)
+        rng = np.random.default_rng(17)
+        e, a = (rng.normal(size=(nrows, nz)) + 1j * rng.normal(size=(nrows, nz))
+                for _ in range(2))
+        record = synthetic_record(e, a, grid)
+        writer = _ArtifactWriter(tmp_path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ks = to_kspace(record)
+            centroid_series(ks)
+            writer.npy("psi_mag.npy", (ks.times, ks.psi))
+            writer.npy("phi_mag.npy", (ks.times, ks.phi))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        complex_rows = nrows * nz * 16
+        map_buffer = nrows * (nz + 1) * 8
+        block = _block_rows(nz) * nz * 16
+        assert peak <= 2 * complex_rows + map_buffer + 2 * block
 
 
 class TestCentroid:
