@@ -15,7 +15,7 @@ configured times.
 
 Time stepping uses the exponential-midpoint loop of the GEM solver
 (`solver._march`), which owns the field rebuild (every cumulative_simpson
-call), the predictor/corrector pass, the snapshot rows and the finiteness
+call), the predictor/corrector pass, the stored rows and the finiteness
 guard.  This module hands it the exact 2x2 propagator of the (P, S) pair:
 begin propagates P source-free over the half step, finish advances P and S
 in place over the full step, both from a table with one row per distinct
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .core import _EXCHANGE_LIMIT, ConfigError, Grid
-from .solver import _march, _readonly, _snapshot_rows
+from .solver import _march, _readonly, _stored_rows
 from .solver import cumulative_simpson  # noqa: F401  (kept for perfbench/tracing.py)
 
 __all__ = ["EitConfig", "EitRecord", "run_eit", "eit_polariton", "omega_c_schedule"]
@@ -104,7 +104,8 @@ def omega_c_schedule(config: EitConfig, t):
 
 @dataclass(frozen=True)
 class EitRecord:
-    """Histories of a storage run (same snapshot layout as FieldRecord)."""
+    """Histories of a storage run: the series at every step, and E, P and
+    S rows at the stored times in field_times (as in FieldRecord)."""
 
     times: np.ndarray
     input_series: np.ndarray
@@ -143,14 +144,18 @@ def run_eit(
     config: EitConfig,
     pulse,
     *,
-    field_stride: Optional[int] = None,
+    rows=None,
 ) -> EitRecord:
-    """Integrate the probe `pulse` (a PulseSpec) through the storage cycle."""
+    """Integrate the probe `pulse` (a PulseSpec) through the storage cycle.
+
+    rows: the time indices whose E, P and S rows the record stores, as in
+    run_gem (None stores about 512 evenly strided rows)."""
     grid = config.grid
     nt = grid.nt
     dt = grid.dt
     dtau = dt * config.gamma_e
     t = grid.t_axis
+    keep = _stored_rows(nt, rows)
 
     kappa = config.g * config.n_atoms  # coupling per normalized length
     ein = pulse.evaluate(t)
@@ -191,7 +196,6 @@ def run_eit(
         np.add(P, np.multiply(src_p, src, out=tmp), out=P)
         np.add(S, np.multiply(src_s, src, out=src), out=S)
 
-    keep = _snapshot_rows(nt, field_stride)
     out, _, (e_rows, p_rows, s_rows) = _march(begin, finish, ein, ein_mid, 1j * kappa,
                                                1.0 / (grid.nz - 1), t, keep, (P, S))
 
@@ -208,16 +212,21 @@ def run_eit(
     )
 
 
-def eit_polariton(record: EitRecord, omega_c_series: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dark-state mixture cos(th)*E - sin(th)*sqrt(N)*S at the stored times,
-    with tan(th)^2 = g^2*N/omega_c^2."""
+def eit_polariton(record: EitRecord, omega_c_series: Optional[np.ndarray] = None,
+                  rows=slice(None)) -> np.ndarray:
+    """Dark-state mixture cos(th)*E - sin(th)*sqrt(N)*S at the stored times
+    field_times[rows] (all of them by default), with tan(th)^2 =
+    g^2*N/omega_c^2; omega_c_series, when given, holds omega_c at those
+    times.  Each row is the same elementwise expression whichever rows are
+    taken."""
     cfg = record.config
+    times = record.field_times[rows]
     if omega_c_series is None:
-        omega_c_series = omega_c_schedule(cfg, record.field_times)
-    if omega_c_series.shape[0] != record.field_times.shape[0]:
+        omega_c_series = omega_c_schedule(cfg, times)
+    if omega_c_series.shape[0] != times.shape[0]:
         raise ValueError("omega_c series must match the stored field times")
     gn = cfg.g * math.sqrt(cfg.n_atoms)
     theta = np.arctan2(gn, omega_c_series)
     cos_t = np.cos(theta)[:, None]
     sin_t = np.sin(theta)[:, None]
-    return cos_t * record.e_field - sin_t * math.sqrt(cfg.n_atoms) * record.spin_wave
+    return cos_t * record.e_field[rows] - sin_t * math.sqrt(cfg.n_atoms) * record.spin_wave[rows]

@@ -9,7 +9,8 @@ configuration invariant with the dotted key path, so a spec that loads
 cannot fail on configuration afterwards.  A runner returns the scalars
 its run records, and each check compares one of them with its target.
 GEM and EIT runs write their input/output series and their space-time
-maps through one function.  Artifacts are 1-D series as
+maps through one function, and store only the field rows that a map or
+a scalar reads.  Artifacts are 1-D series as
 CSV with fixed full-precision formatting, 2-D magnitude maps as `.npy`,
 JSON summaries and a manifest listing names, checksums and headline
 scalars; rerunning a spec reproduces every data file byte for byte.
@@ -349,6 +350,12 @@ class _ArtifactWriter:
         self.files.append({"name": path.name, "sha256": h.hexdigest(), "bytes": path.stat().st_size})
 
 
+def _nearest_row(field_times: np.ndarray, t: float) -> int:
+    """Index of the stored row nearest time t (the first of a tie).  A run
+    that stores a subset of rows holding this row reads the same row."""
+    return int(np.argmin(np.abs(field_times - t)))
+
+
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -363,7 +370,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 def input_spectrum_correlation(record, t_snap: float, eta_at_absorption: float) -> float:
     """Pearson correlation of |alpha(z, t_snap)| against the input amplitude
     spectrum resampled through the frequency map omega = -eta*z."""
-    idx = int(np.argmin(np.abs(record.field_times - t_snap)))
+    idx = _nearest_row(record.field_times, t_snap)
     prof = np.abs(record.polarisation[idx])
     t = record.times
     dt = record.grid.dt
@@ -386,8 +393,8 @@ def envelope_correlation(record: EitRecord, t_snap: float) -> float:
     correlation is reported.
     """
     cfg = record.config
-    idx = int(np.argmin(np.abs(record.field_times - t_snap)))
-    pol = np.abs(eit_polariton(record)[idx])
+    idx = _nearest_row(record.field_times, t_snap)
+    pol = np.abs(eit_polariton(record, rows=slice(idx, idx + 1))[0])
     v_g = 1.0 / cfg.group_delay  # normalized length per us
     z_norm = np.linspace(0.0, 1.0, record.grid.nz)
     env_t = np.abs(record.input_series)
@@ -434,10 +441,30 @@ def _write_record(writer: _ArtifactWriter, record, dump_fields: bool, columns: d
             writer.npy(f"{name}_mag.npy", (record.field_times, rows))
 
 
+def _rows_to_store(spec: ExperimentSpec, dump_fields: bool, picks) -> np.ndarray:
+    """Time indices a GEM or EIT run stores.  A run that writes maps
+    (dump_fields, or kspace_report) stores every field_stride-th step;
+    any other stores only the strided rows its scalars read, each pick
+    mapping the strided rows' times to the index or mask of the rows it
+    reads, as the scalar's reader selects them."""
+    grid = spec.config.grid
+    strided = _snapshot_rows(grid.nt, spec.params.get("field_stride"))
+    if dump_fields or spec.kind in _KSPACE:
+        return strided
+    times = grid.t_axis[strided]
+    read = np.zeros(strided.size, dtype=bool)
+    for pick in picks:
+        read[pick(times)] = True
+    return strided[read]
+
+
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     config: GemConfig = spec.config
     params = spec.params
-    record = run_gem(config, spec.pulse, field_stride=params.get("field_stride"))
+    picks = []
+    if "spectrum_time" in params:
+        picks.append(lambda times: _nearest_row(times, params["spectrum_time"]))
+    record = run_gem(config, spec.pulse, rows=_rows_to_store(spec, dump_fields, picks))
     _write_record(writer, record, dump_fields, {}, lambda: {"polarisation": record.polarisation})
     in_win, echo_win = params["input_window"], params["echo_window"]
     sigma = efficiency_numeric(record, in_win, echo_win)
@@ -479,7 +506,7 @@ def _residual_row(config: GemConfig, params: dict, field_times: np.ndarray) -> i
     """Stored row where kspace_report reads its Phi residual: the one
     nearest mid-storage, halfway from the input window's end to the switch."""
     t_mid = 0.5 * (params["input_window"][1] + config.stark.switch_time)
-    return int(np.argmin(np.abs(field_times - t_mid)))
+    return _nearest_row(field_times, t_mid)
 
 
 def _hold_rows(config: EitConfig, input_window, field_times: np.ndarray) -> np.ndarray:
@@ -491,11 +518,14 @@ def _hold_rows(config: EitConfig, input_window, field_times: np.ndarray) -> np.n
 def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     config: EitConfig = spec.config
     params = spec.params
-    record = run_eit(config, spec.pulse, field_stride=params.get("field_stride"))
+    in_win, echo_win = params["input_window"], params["echo_window"]
+    t_snap = params.get("envelope_time", 0.5 * (config.switch_down + config.switch_up))
+    picks = (lambda times: _hold_rows(config, in_win, times),
+             lambda times: _nearest_row(times, t_snap))
+    record = run_eit(config, spec.pulse, rows=_rows_to_store(spec, dump_fields, picks))
     _write_record(writer, record, dump_fields,
                   {"omega_c": omega_c_schedule(config, record.times)},
                   lambda: {"spin_wave": record.spin_wave, "polariton": eit_polariton(record)})
-    in_win, echo_win = params["input_window"], params["echo_window"]
     scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
 
     hold = _hold_rows(config, in_win, record.field_times)
@@ -504,7 +534,6 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         ref = profiles[0]
         drift = np.max(np.linalg.norm(profiles - ref, axis=1)) / np.linalg.norm(ref)
         scalars["spinwave_drift"] = float(drift)
-    t_snap = params.get("envelope_time", 0.5 * (config.switch_down + config.switch_up))
     scalars["envelope_corr"] = envelope_correlation(record, t_snap)
     return scalars
 

@@ -42,9 +42,10 @@ __all__ = [
 
 # golden-section stopping width of find_delta, relative to the scanned span
 _DELTA_REL_TOL = 1e-3
-# bytes of one block of complex correlation rows in find_delta's offset scan
-# (64 rows at nfft = 4096); larger blocks raise peak memory, and run no faster
-_SCAN_BLOCK_BYTES = 1 << 22
+# bytes of the one buffer of complex correlation rows in find_delta's offset
+# scan (16 rows at nfft = 4096), which each block transforms in place; it is
+# the scan's whole transient, and larger blocks run no faster
+_SCAN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -234,9 +235,10 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
     samples and the output trimmed to the echo window.  The weighted input
     is transformed once; each block of conjugated, phase-shifted outputs
     is one 2-D buffer, correlated by one forward and one inverse FFT along
-    its rows.  A zero on each side of the trimmed correlation stands for
-    the full correlation's samples there (zero up to FFT rounding), so a
-    peak on the trimmed edge is refined against the same neighbours as in
+    its rows, both in place, so a block allocates no spectrum of its own.
+    A zero on each side of the trimmed correlation stands for the full
+    correlation's samples there (zero up to FFT rounding), so a peak on
+    the trimmed edge is refined against the same neighbours as in
     fidelity.  The values agree with fidelity to rounding.
     """
     dt = record.grid.dt
@@ -271,10 +273,11 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
         np.sin(phase[:k], out=x.imag)
         x *= x0
         buf[:k, m:] = 0.0
-        spec = fft(buf[:k], axis=1)
-        spec *= y_hat
-        corr = ifft(spec, axis=1)
-        np.abs(corr[:, :size], out=ac[:k, lead:lead + size])
+        block = buf[:k]
+        fft(block, axis=1, out=block)
+        block *= y_hat
+        ifft(block, axis=1, out=block)
+        np.abs(block[:, :size], out=ac[:k, lead:lead + size])
         vals[s:s + k] = _peak_abs(ac[:k], dt)[0]
     if not np.all(vals > 0.0):
         raise ValueError("correlation vanishes at every delay")
@@ -310,13 +313,13 @@ def _gem_windows(config: GemConfig):
 
 
 def _mode_run(config: GemConfig, n: int, interval):
-    """Carrier-gauge run of plane-wave mode n on `interval`: the record (its
-    field rows at the first and last step only), its echo window
+    """Carrier-gauge run of plane-wave mode n on `interval`: the record (it
+    stores no field rows: the scores read its series only), its echo window
     (switch_time, t_max) and its efficiency."""
     t1, t2 = interval
     pulse = make_plane_wave_mode(n, t1, t2)
     omega = 2.0 * np.pi * n / (t2 - t1)
-    rec = run_gem(config, pulse, field_stride=config.grid.nt - 1, carrier=omega)
+    rec = run_gem(config, pulse, rows=(), carrier=omega)
     input_window, echo_window = _gem_windows(config)
     sigma = efficiency_numeric(rec, input_window, echo_window)
     return rec, echo_window, sigma

@@ -96,7 +96,8 @@ class FieldRecord:
     """Space-time history of a run.
 
     input_series/output_series/alpha_norm_series are kept at every step;
-    e_field and polarisation hold rows at the strided times in field_times.
+    e_field and polarisation hold one row per time in field_times, the
+    steps the run was asked to store (possibly none).
     The discrete Maxwell relation E(z,t) = input_series(t) + i*N*cumint(alpha)
     holds row by row.  config is the run's configuration, the one place its
     parameters are read from; grid is config.grid.
@@ -233,12 +234,28 @@ def _near_zero(th0: float, step: float, first: int, stop: int):
 
 
 def _snapshot_rows(nt: int, field_stride: Optional[int]) -> np.ndarray:
-    """Time indices of the stored rows, last step included."""
+    """Every field_stride-th time index, last step included (about 512
+    rows when field_stride is None)."""
     if field_stride is None:
         field_stride = max(1, nt // 512)
     keep = np.arange(0, nt, field_stride)
     if keep[-1] != nt - 1:
         keep = np.append(keep, nt - 1)
+    return keep
+
+
+def _stored_rows(nt: int, rows) -> np.ndarray:
+    """The time indices a solver stores: _snapshot_rows(nt, None) when rows
+    is None, else rows, which must be strictly increasing integers in
+    [0, nt) (an empty sequence stores none)."""
+    if rows is None:
+        return _snapshot_rows(nt, None)
+    keep = np.asarray(rows)
+    if keep.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    if (keep.ndim != 1 or keep.dtype.kind not in "iu" or keep[0] < 0 or keep[-1] >= nt
+            or np.any(keep[1:] <= keep[:-1])):
+        raise ValueError(f"rows must be strictly increasing time indices in [0, {nt})")
     return keep
 
 
@@ -260,8 +277,10 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state):
     cumulative_simpson(f, dx, out=...), three per step, into buffers
     allocated once.  Returns the output E(z_max, t), the norm
     dz*sum|state[-1]|^2 (one einsum pass over its real view, no BLAS call)
-    and the (E, *state) rows at `keep`; raises NonFiniteFieldError at the
-    first step where the output or the norm is not finite.
+    and the (E, *state) rows at the time indices `keep`: any strictly
+    increasing subset of range(nt), with or without step 0, possibly
+    empty.  Raises NonFiniteFieldError at the first step where the output
+    or the norm is not finite.
     """
     nt = times.size
     E = np.full(state[0].size, ein[0], dtype=complex)
@@ -276,8 +295,13 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state):
     keep_set = {int(i): j for j, i in enumerate(keep)}
     fields = (E, *state)
     rows = [np.empty((len(keep), E.size), dtype=complex) for _ in fields]
-    for arr, row in zip(rows, fields):
-        arr[0] = row
+
+    def store(j):
+        for arr, row in zip(rows, fields):
+            arr[j] = row
+
+    if 0 in keep_set:
+        store(keep_set[0])
 
     for n in range(nt - 1):
         rot, w = begin(n)
@@ -304,8 +328,7 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state):
             raise NonFiniteFieldError(n + 1, times[n + 1])
         j = keep_set.get(n + 1)
         if j is not None:
-            for arr, row in zip(rows, fields):
-                arr[j] = row
+            store(j)
     return out, norm, rows
 
 
@@ -313,10 +336,14 @@ def run_gem(
     config: GemConfig,
     pulse: PulseSpec,
     *,
-    field_stride: Optional[int] = None,
+    rows=None,
     carrier: float = 0.0,
 ) -> FieldRecord:
-    """Integrate the medium response to `pulse` and return the full record.
+    """Integrate the medium response to `pulse` and return its record.
+
+    rows: the time indices whose field and polarisation rows the record
+    stores, strictly increasing in [0, nt); empty stores none, and None
+    stores about 512 evenly strided rows, the last step included.
 
     carrier: optional demodulation frequency (rad/us).  The run is done in
     the gauge alpha -> alpha*exp(-i*Phi(t)), Phi(t) = (carrier/eta0) *
@@ -331,6 +358,7 @@ def run_gem(
     dz, dt = grid.dz, grid.dt
     t = grid.t_axis
     g, dens, gamma = config.g, config.linear_density, config.gamma
+    keep = _stored_rows(nt, rows)
 
     # per-step slope and offset integrals over the half and the full step
     integrals = np.fromiter(
@@ -369,7 +397,6 @@ def run_gem(
         np.multiply(rot_full, alpha, out=alpha)
         np.add(alpha, np.multiply(w_full, src, out=src), out=alpha)
 
-    keep = _snapshot_rows(nt, field_stride)
     out, anorm, (e_rows, a_rows) = _march(begin, finish, ein, ein_mid, 1j * dens, dz, t, keep,
                                           (alpha,))
 

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from gemsim import ConfigError, Grid, PulseSpec
 from gemsim.eit import EitConfig, _pair_propagator, eit_polariton, omega_c_schedule, run_eit
+from gemsim.solver import _snapshot_rows
 
 
 def eit_config(**kw):
@@ -129,11 +130,26 @@ class TestRunEit:
         assert delays[1] / delays[0] == pytest.approx(4.0, rel=0.10)
 
 
+def test_a_row_subset_is_the_strided_run_row_for_row():
+    cfg = eit_config(grid=Grid(z_min=0.0, z_max=1.0, nz=64, t_max=45.0, nt=2001))
+    pulse = PulseSpec(kind="gaussian", center=8.0, width=2.5)
+    strided = _snapshot_rows(cfg.grid.nt, 40)
+    full = run_eit(cfg, pulse, rows=strided)
+    for subset in (strided[1::3], strided[:0]):
+        rec = run_eit(cfg, pulse, rows=subset)
+        at = np.searchsorted(strided, subset)
+        assert np.array_equal(rec.field_times, full.field_times[at])
+        for name in ("e_field", "polarisation", "spin_wave"):
+            assert np.array_equal(getattr(rec, name), getattr(full, name)[at]), name
+            assert getattr(rec, name).shape == (subset.size, 64)
+        assert np.array_equal(rec.output_series, full.output_series)
+
+
 class TestEitPolariton:
     def test_photonic_limit(self):
         cfg = eit_config()
         pulse = PulseSpec(kind="gaussian", center=8.0, width=2.5)
-        rec = run_eit(cfg, pulse, field_stride=500)
+        rec = run_eit(cfg, pulse, rows=_snapshot_rows(cfg.grid.nt, 500))
         strong = np.full(rec.field_times.shape, 1e9)
         pol = eit_polariton(rec, strong)
         scale = np.max(np.abs(rec.e_field))
@@ -143,15 +159,23 @@ class TestEitPolariton:
     def test_spin_limit(self):
         cfg = eit_config()
         pulse = PulseSpec(kind="gaussian", center=8.0, width=2.5)
-        rec = run_eit(cfg, pulse, field_stride=500)
+        rec = run_eit(cfg, pulse, rows=_snapshot_rows(cfg.grid.nt, 500))
         dark = np.zeros(rec.field_times.shape)
         pol = eit_polariton(rec, dark)
         np.testing.assert_allclose(
             pol, -math.sqrt(cfg.n_atoms) * rec.spin_wave, rtol=1e-12, atol=1e-15)
 
+    def test_rows_are_the_full_map_rows_bit_for_bit(self):
+        cfg = eit_config()
+        rec = run_eit(cfg, PulseSpec(kind="gaussian", center=8.0, width=2.5),
+                      rows=_snapshot_rows(cfg.grid.nt, 500))
+        full = eit_polariton(rec)
+        for i in range(rec.field_times.size):
+            assert np.array_equal(eit_polariton(rec, rows=slice(i, i + 1)), full[i:i + 1])
+
     def test_shape_mismatch_rejected(self):
         cfg = eit_config()
         rec = run_eit(cfg, PulseSpec(kind="gaussian", center=8.0, width=2.5),
-                      field_stride=500)
+                      rows=_snapshot_rows(cfg.grid.nt, 500))
         with pytest.raises(ValueError):
             eit_polariton(rec, np.ones(3))

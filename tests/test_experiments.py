@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,10 +23,12 @@ from gemsim.eit import eit_polariton, run_eit
 from gemsim.experiments import (_HASH_CHUNK_BYTES, SpecValidationError, load_spec,
                                 run_experiment)
 from gemsim.kspace import to_kspace
-from gemsim.solver import run_gem
+from gemsim.solver import _snapshot_rows, run_gem
 
 
-def tiny_gem_spec(tmp_path, **overrides):
+def tiny_gem_spec(tmp_path, grid=(), **overrides):
+    """A small gem_run spec; grid replaces entries of its grid, overrides
+    top-level keys."""
     doc = {
         "name": "tiny",
         "kind": "gem_run",
@@ -44,6 +47,7 @@ def tiny_gem_spec(tmp_path, **overrides):
         "checks": {"sigma_abs_vs_analytic": 0.02, "balance_residual_max": 0.01,
                    "echo_peak_us": [25.0, 27.0]},
     }
+    doc["config"]["grid"].update(grid)
     doc.update(overrides)
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
@@ -357,6 +361,41 @@ class TestRunExperiment:
         assert len(maps) == (4 if spec.kind == "kspace_report" else 3)
         assert r1.files == r2.files
 
+    @pytest.mark.parametrize("make_spec, reads", [
+        (lambda tmp_path: tiny_gem_spec(
+            tmp_path, params={"input_window": [0.0, 10.0], "echo_window": [15.0, 40.0],
+                              "spectrum_time": 12.0, "field_stride": 7},
+            checks={"spectrum_corr_min": 0.0}), "spectrum_corr"),
+        (lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
+         "phi_residual_mid_storage"),
+        (lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=7), "spinwave_drift"),
+    ], ids=["gem_run", "kspace_report", "eit_run"])
+    def test_scalars_do_not_depend_on_writing_maps(self, tmp_path, make_spec, reads):
+        # without maps a run stores only the rows its scalars read
+        spec = load_spec(make_spec(tmp_path))
+        plain = run_experiment(spec, tmp_path / "plain")
+        dumped = run_experiment(spec, tmp_path / "dumped", dump_fields=True)
+        assert reads in plain.scalars
+        assert plain.scalars == dumped.scalars
+        series = [next(f for f in r.files if f["name"] == "input_output.csv")
+                  for r in (plain, dumped)]
+        assert series[0] == series[1]
+
+    def test_a_run_without_maps_holds_no_field_rows(self, tmp_path):
+        spec = load_spec(tiny_gem_spec(
+            tmp_path, grid={"nz": 1024, "nt": 2001},
+            params={"input_window": [0.0, 10.0], "echo_window": [15.0, 40.0],
+                    "field_stride": 1}))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_experiment(spec, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        one_field = 2001 * 1024 * 16
+        assert peak < one_field / 4
+
     @pytest.mark.parametrize("make_spec", [
         lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
         lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=1),
@@ -364,12 +403,12 @@ class TestRunExperiment:
     def test_maps_are_the_saved_magnitudes_hashed_in_chunks(self, tmp_path, make_spec):
         spec = load_spec(make_spec(tmp_path))
         res = run_experiment(spec, tmp_path / "out", dump_fields=True)
-        stride = spec.params.get("field_stride")
+        rows = _snapshot_rows(spec.config.grid.nt, spec.params.get("field_stride"))
         if spec.kind == "eit_run":
-            record = run_eit(spec.config, spec.pulse, field_stride=stride)
+            record = run_eit(spec.config, spec.pulse, rows=rows)
             maps = {"spin_wave": record.spin_wave, "polariton": eit_polariton(record)}
         else:
-            record = run_gem(spec.config, spec.pulse, field_stride=stride)
+            record = run_gem(spec.config, spec.pulse, rows=rows)
             ks = to_kspace(record)
             maps = {"polarisation": record.polarisation, "psi": ks.psi, "phi": ks.phi}
         maps["e_field"] = record.e_field

@@ -9,7 +9,7 @@ from gemsim.eit import EitConfig, run_eit
 from gemsim.experiments import balance_residual
 from gemsim.metrics import (_gem_windows, echo_peak_time, efficiency_analytic,
                             efficiency_numeric, shifted_output, window_energy)
-from gemsim.solver import NonFiniteFieldError, cumulative_simpson
+from gemsim.solver import NonFiniteFieldError, _snapshot_rows, cumulative_simpson
 
 from conftest import small_config, small_pulse
 
@@ -163,7 +163,8 @@ class TestRunGem:
         assert ratio == pytest.approx(np.exp(-gamma * 20.0), rel=0.01)
 
     def test_maxwell_relation_rows(self):
-        rec = run_gem(small_config(beta=1.0), small_pulse(), field_stride=100)
+        cfg = small_config(beta=1.0)
+        rec = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 100))
         dz = rec.grid.dz
         for i, tv in enumerate(rec.field_times):
             j = np.argmin(np.abs(rec.times - tv))
@@ -203,6 +204,39 @@ class TestRunGem:
         rec = run_gem(small_config(), small_pulse())
         with pytest.raises(ValueError):
             rec.output_series[0] = 0.0
+
+
+# the three GEM paths a stored row goes through: plain, decaying, and
+# carrier gauge (rows multiplied back by the gauge phase)
+_ROW_RUNS = {
+    "abrupt": lambda rows: run_gem(small_config(nt=801), small_pulse(), rows=rows),
+    "gamma": lambda rows: run_gem(small_config(nt=801, gamma=0.3), small_pulse(), rows=rows),
+    "carrier": lambda rows: run_gem(small_config(nt=801, switch=20.0),
+                                    make_plane_wave_mode(2, 6.0, 10.0), rows=rows,
+                                    carrier=np.pi),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROW_RUNS))
+def test_a_row_subset_is_the_strided_run_row_for_row(case):
+    strided = _snapshot_rows(801, 20)
+    full = _ROW_RUNS[case](strided)
+    for subset in (strided[1::3], strided[:0]):
+        rec = _ROW_RUNS[case](subset)
+        at = np.searchsorted(strided, subset)
+        assert np.array_equal(rec.field_times, full.field_times[at])
+        assert np.array_equal(rec.e_field, full.e_field[at])
+        assert np.array_equal(rec.polarisation, full.polarisation[at])
+        assert rec.e_field.shape == rec.polarisation.shape == (subset.size, 128)
+        assert np.array_equal(rec.output_series, full.output_series)
+        assert np.array_equal(rec.alpha_norm_series, full.alpha_norm_series)
+
+
+@pytest.mark.parametrize("rows", [[5, 3], [3, 3], [-1, 3], [3, 801], [0.0, 3.0], [[0, 3]]],
+                         ids=["descending", "repeated", "negative", "past_nt", "float", "2d"])
+def test_rows_outside_the_run_are_rejected(rows):
+    with pytest.raises(ValueError, match="rows must be"):
+        run_gem(small_config(nt=801), small_pulse(), rows=rows)
 
 
 def _reference_operators(z_axis, key, dt, gamma, g):
