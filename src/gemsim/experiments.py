@@ -11,9 +11,11 @@ its run records, and each check compares one of them with its target.
 GEM and EIT runs write their input/output series and their space-time
 maps through one function, and store only the field rows that a map or
 a scalar reads.  Artifacts are 1-D series as
-CSV with fixed full-precision formatting, 2-D magnitude maps as `.npy`,
-JSON summaries and a manifest listing names, checksums and headline
-scalars; rerunning a spec reproduces every data file byte for byte.
+CSV with fixed full-precision formatting, 2-D magnitude maps as `.npy`
+(made and written a block of rows at a time, so no map, k-space maps
+included, is ever whole in memory), JSON summaries and a manifest
+listing names, checksums and headline scalars; rerunning a spec
+reproduces every data file byte for byte.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import hashlib
 import json
 import math
 import operator
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -31,7 +34,7 @@ import numpy as np
 from .core import (ConfigError, GemConfig, Grid, PulseSpec, StarkProfile,
                    make_plane_wave_mode)
 from .eit import EitConfig, EitRecord, eit_polariton, omega_c_schedule, run_eit
-from .kspace import centroid_series, phi_residual, to_kspace
+from .kspace import _block_rows, centroid_series, phi_residual, to_kspace
 from .metrics import (
     SweepRow,
     _gem_windows,
@@ -322,19 +325,35 @@ class _ArtifactWriter:
         self._register(path)
         return path
 
-    def npy(self, name: str, columns) -> Path:
-        """One .npy file from columns = (times, rows), one complex row per
-        time: the C-order float64 array of times, then |rows|.  The
-        magnitudes go straight into the one buffer that is saved, beside the
-        times column, so no other copy of the map is made."""
-        times, rows = columns
-        data = np.empty((rows.shape[0], rows.shape[1] + 1))
-        data[:, 0] = times
-        np.abs(rows, out=data[:, 1:])
-        path = self.out_dir / name
-        np.save(path, data)
-        self._register(path)
-        return path
+    def npy(self, names, times: np.ndarray, width: int, make_rows) -> None:
+        """.npy files side by side, one per name, each the C-order float64
+        array of times then |rows| (width values), one row per time.
+        make_rows(rows) returns the complex rows at times[rows] of every
+        map, one block per name.  After the headers the maps are made and
+        written a block of rows at a time (_block_rows(width)), each
+        block's magnitudes going into one float64 buffer beside its times,
+        so no map is ever whole in memory; every file holds the bytes
+        np.save writes for the assembled array."""
+        n = times.shape[0]
+        size = _block_rows(width)
+        header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+                  "fortran_order": False, "shape": (n, width + 1)}
+        paths = [self.out_dir / name for name in names]
+        buf = np.empty((min(size, n), width + 1))
+        with ExitStack() as stack:
+            files = [stack.enter_context(path.open("wb")) for path in paths]
+            for f in files:
+                np.lib.format.write_array_header_1_0(f, header)
+            for lo in range(0, n, size):
+                rows = slice(lo, lo + size)
+                for f, block in zip(files, make_rows(rows)):
+                    data = buf[:block.shape[0]]
+                    data[:, 0] = times[rows]
+                    np.abs(block, out=data[:, 1:])
+                    f.write(data)
+                del block  # the next blocks are made without this one
+        for path in paths:
+            self._register(path)
 
     def json(self, name: str, payload: dict) -> Path:
         path = self.out_dir / name
@@ -424,11 +443,12 @@ def _eit_windows(config: EitConfig):
     return (0.0, config.switch_down + 4.0 * config.ramp_tau), (config.switch_up, config.grid.t_max)
 
 
-def _write_record(writer: _ArtifactWriter, record, dump_fields: bool, columns: dict, maps):
+def _write_record(writer: _ArtifactWriter, record, dump_fields: bool, columns: dict, maps: dict):
     """input_output.csv: t_us, the input and output series, then the named
     extra columns.  With dump_fields also the space-time maps, one row per
-    stored time, t_us then |value| on z_axis.csv: |E| and the named row
-    blocks that maps() returns, as <name>_mag.npy."""
+    stored time, t_us then |value| on z_axis.csv: |E| and the named maps,
+    as <name>_mag.npy, written together a block of rows at a time;
+    maps[name](rows) makes a map's complex rows at field_times[rows]."""
     writer.csv(
         "input_output.csv",
         ",".join(["t_us,in_re,in_im,out_re,out_im", *columns]),
@@ -437,8 +457,9 @@ def _write_record(writer: _ArtifactWriter, record, dump_fields: bool, columns: d
     )
     if dump_fields:
         writer.csv("z_axis.csv", "z_mm", (record.grid.z_axis,))
-        for name, rows in {"e_field": record.e_field, **maps()}.items():
-            writer.npy(f"{name}_mag.npy", (record.field_times, rows))
+        maps = {"e_field": lambda rows: record.e_field[rows], **maps}
+        writer.npy([f"{name}_mag.npy" for name in maps], record.field_times, record.grid.nz,
+                   lambda rows: [make(rows) for make in maps.values()])
 
 
 def _rows_to_store(spec: ExperimentSpec, dump_fields: bool, picks) -> np.ndarray:
@@ -465,7 +486,8 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     if "spectrum_time" in params:
         picks.append(lambda times: _nearest_row(times, params["spectrum_time"]))
     record = run_gem(config, spec.pulse, rows=_rows_to_store(spec, dump_fields, picks))
-    _write_record(writer, record, dump_fields, {}, lambda: {"polarisation": record.polarisation})
+    _write_record(writer, record, dump_fields, {},
+                  {"polarisation": lambda rows: record.polarisation[rows]})
     in_win, echo_win = params["input_window"], params["echo_window"]
     sigma = efficiency_numeric(record, in_win, echo_win)
     sigma_analytic = efficiency_analytic(config.beta)
@@ -492,8 +514,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         ks = to_kspace(record)
         # k-space maps: one row per stored time, t_us then |value| on k_axis.csv
         writer.csv("k_axis.csv", "k_per_mm", (ks.k_axis,))
-        writer.npy("psi_mag.npy", (ks.times, ks.psi))
-        writer.npy("phi_mag.npy", (ks.times, ks.phi))
+        writer.npy(("psi_mag.npy", "phi_mag.npy"), ks.times, ks.k_axis.size, ks.modes)
         cen = centroid_series(ks)
         writer.csv("centroid.csv", "t_us,k_centroid,eta",
                    (ks.times, cen, config.stark.eval(ks.times)))
@@ -525,7 +546,8 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     record = run_eit(config, spec.pulse, rows=_rows_to_store(spec, dump_fields, picks))
     _write_record(writer, record, dump_fields,
                   {"omega_c": omega_c_schedule(config, record.times)},
-                  lambda: {"spin_wave": record.spin_wave, "polariton": eit_polariton(record)})
+                  {"spin_wave": lambda rows: record.spin_wave[rows],
+                   "polariton": lambda rows: eit_polariton(record, rows=rows)})
     scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
 
     hold = _hold_rows(config, in_win, record.field_times)

@@ -26,8 +26,8 @@ __all__ = [
 
 _FLOOR_FRACTION = 1e-12  # minimum |Psi|^2 weight relative to the peak row
 _TAPER_FRACTION = 0.10  # Tukey alpha: 5% cosine ramp on each z edge
-# bytes of one block of complex rows in to_kspace and centroid_series (16 rows
-# at nz = 4096); each block's temporaries are this size, not the record's
+# bytes of one block of complex rows in to_kspace and the .npy map writer (16
+# rows at nz = 4096); each block's temporaries are this size, not the record's
 _BLOCK_BYTES = 1 << 20
 
 
@@ -35,22 +35,30 @@ _BLOCK_BYTES = 1 << 20
 class KSpaceRecord:
     """k-space view of a run (record) at its stored field times.
 
-    psi/phi rows correspond to times; k_axis is the centered discrete
-    Fourier dual of the z grid, with spacing dk = 2*pi/(nz*dz).  Transforms
-    are scaled so that sum |f~|^2 dk equals the plain rectangle sum of
-    |f|^2 dz.  The grid and the linear density are read from the record.
+    k_axis is the centered discrete Fourier dual of the z grid, with spacing
+    dk = 2*pi/(nz*dz).  Transforms are scaled so that sum |f~|^2 dk equals
+    the plain rectangle sum of |f|^2 dz.  The grid and the linear density
+    are read from the record.  The view holds no Psi/Phi map: modes(rows)
+    makes the rows a reader asks for, and per stored time it keeps only
+    the |Psi|^2 row power and the k centroid, summed two ways.
     """
 
     record: FieldRecord
     k_axis: np.ndarray
-    psi: np.ndarray
-    phi: np.ndarray
     _row_power: np.ndarray  # sum_k |Psi|^2 at each stored time
+    _series_centroid: np.ndarray  # centroid_series' values, sums left to right
+    _row_centroid: np.ndarray  # k_centroid's values, sums pairwise
     _peak: float  # the largest row power
 
     @property
     def times(self) -> np.ndarray:
         return self.record.field_times
+
+    def modes(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Psi and Phi at the stored times field_times[rows]; rows is any
+        index of the record's rows (a slice, indices, a mask or one index).
+        Each row is the same bit for bit whichever rows are taken."""
+        return _modes(self.record, self.k_axis, rows)
 
 
 def _block_rows(nz: int) -> int:
@@ -64,12 +72,11 @@ def _weights(rows: np.ndarray) -> np.ndarray:
     return np.square(w, out=w)
 
 
-def _transform(rows: np.ndarray, dz: float, out=None) -> np.ndarray:
-    """fftshift(fft(rows)) * dz/sqrt(2*pi) along the last axis, into out when
-    given; the shift is two slice copies."""
+def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
+    """fftshift(fft(rows)) * dz/sqrt(2*pi) along the last axis; the shift is
+    two slice copies."""
     f = np.fft.fft(rows, axis=-1)
-    if out is None:
-        out = np.empty_like(f)
+    out = np.empty_like(f)
     n = f.shape[-1]
     half = n // 2
     out[..., :half] = f[..., n - half:]
@@ -78,44 +85,67 @@ def _transform(rows: np.ndarray, dz: float, out=None) -> np.ndarray:
     return out
 
 
+def _modes(record: FieldRecord, k: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Psi and Phi of the record's rows: fft, shift, times scale, then times
+    k and times N, then the sum and the difference (in alpha~'s own array),
+    the operations and order of the whole-array transform.  Made from a
+    block of rows it holds at most three blocks: E~, alpha~ and the FFT's
+    output, then E~, Psi and Phi."""
+    e = _transform(record.e_field[rows], record.grid.dz)
+    a = _transform(record.polarisation[rows], record.grid.dz)
+    e *= k
+    a *= record.config.linear_density
+    psi = np.add(e, a)
+    return psi, np.subtract(e, a, out=a)
+
+
+def _running_total(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of x along its last axis, accumulated in place."""
+    return np.add.accumulate(x, axis=-1, out=x)[..., -1]
+
+
+def _row_values(record: FieldRecord, k: np.ndarray, rows: slice):
+    """The |Psi|^2 power of each row of one block, and its centroid
+    sum(k w) / sum(w) over k != 0, w = |Psi|^2, summed two ways: left to
+    right along k, as np.sum sums the k-selected rows of a many-row array
+    (a Fortran-ordered copy), and pairwise, as np.sum sums one row.  Each
+    is the same whichever rows share the block."""
+    w = _weights(_modes(record, k, rows)[0])
+    sel = k != 0.0
+    w_sel = np.compress(sel, w, axis=-1)
+    kw = k[sel] * w_sel
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with no weight
+        pairwise = np.sum(kw, axis=-1) / np.sum(w_sel, axis=-1)
+        running = _running_total(kw) / _running_total(w_sel)
+    return np.sum(w, axis=-1), running, pairwise
+
+
 def to_kspace(record: FieldRecord) -> KSpaceRecord:
     """Transform the stored field rows of a run to k-space normal modes.
 
-    Psi and Phi are filled a block of rows at a time (_BLOCK_BYTES of complex
-    values per block): the block's N*alpha~ is built in Phi's own rows and
-    k*E~ in one block buffer, so beyond Psi and Phi the build holds two
-    blocks (that buffer and the FFT's output).  Each block takes the
-    full-array operations in the same order -- fft, shift, times scale, then
-    times k and times N, then the sum and the difference -- so the values
-    are those of the full-array transform bit for bit.
+    One pass over blocks of rows (_BLOCK_BYTES of complex values each)
+    makes each block's Psi by the step of KSpaceRecord.modes and keeps, per
+    row, only the |Psi|^2 power and the k centroid (summed left to right
+    for centroid_series and pairwise for k_centroid, the orders np.sum
+    takes over a many-row array and over one row).  A block's step holds
+    at most three blocks, and no Psi/Phi map is kept.
     """
-    linear_density = record.config.linear_density
-    dz = record.grid.dz
-    k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(record.grid.nz, d=dz))
-    nrows, nz = record.e_field.shape
-    psi = np.empty((nrows, nz), dtype=complex)
-    phi = np.empty((nrows, nz), dtype=complex)
-    row_power = np.empty(nrows)
-    size = _block_rows(nz)
-    e_t = np.empty((min(size, nrows), nz), dtype=complex)
+    k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(record.grid.nz, d=record.grid.dz))
+    k.setflags(write=False)
+    nrows = record.field_times.size
+    row_power, series, row_centroid = np.empty((3, nrows))
+    size = _block_rows(record.grid.nz)
     for lo in range(0, nrows, size):
-        hi = min(lo + size, nrows)
-        e, a_t = e_t[:hi - lo], phi[lo:hi]  # N*alpha~ waits in Phi's rows
-        _transform(record.e_field[lo:hi], dz, out=e)
-        _transform(record.polarisation[lo:hi], dz, out=a_t)
-        e *= k
-        a_t *= linear_density
-        np.add(e, a_t, out=psi[lo:hi])
-        np.subtract(e, a_t, out=a_t)
-        row_power[lo:hi] = np.sum(_weights(psi[lo:hi]), axis=-1)
-    for arr in (psi, phi, k, row_power):
+        rows = slice(lo, lo + size)
+        row_power[rows], series[rows], row_centroid[rows] = _row_values(record, k, rows)
+    for arr in (row_power, series, row_centroid):
         arr.setflags(write=False)
     return KSpaceRecord(
         record=record,
         k_axis=k,
-        psi=psi,
-        phi=phi,
         _row_power=row_power,
+        _series_centroid=series,
+        _row_centroid=row_centroid,
         _peak=float(np.max(row_power)),
     )
 
@@ -132,26 +162,19 @@ def _check_floor(ks: KSpaceRecord, t_index: int) -> None:
         )
 
 
-def _centroid(k: np.ndarray, w: np.ndarray):
-    """sum(k w) / sum(w) along the last axis of w, k = 0 bin excluded."""
-    sel = k != 0.0
-    return np.sum(k[sel] * w[..., sel], axis=-1) / np.sum(w[..., sel], axis=-1)
-
-
 def k_centroid(ks: KSpaceRecord, t_index: int) -> float:
     """Weighted centroid sum(k |Psi|^2) / sum(|Psi|^2), k = 0 bin excluded."""
     _check_floor(ks, t_index)
-    return float(_centroid(ks.k_axis, _weights(ks.psi[t_index])))
+    return float(ks._row_centroid[t_index])
 
 
 def centroid_series(ks: KSpaceRecord) -> np.ndarray:
-    """k_centroid at every stored time (rows below the floor give nan)."""
-    lit = np.flatnonzero(_lit(ks))
+    """k_centroid at every stored time (rows below the floor give nan),
+    summed left to right along k where k_centroid sums pairwise; the two
+    agree to rounding."""
+    lit = _lit(ks)
     out = np.full(ks.times.size, np.nan)
-    size = _block_rows(ks.k_axis.size)
-    for lo in range(0, lit.size, size):
-        rows = lit[lo:lo + size]
-        out[rows] = _centroid(ks.k_axis, _weights(ks.psi[rows]))
+    out[lit] = ks._series_centroid[lit]
     return out
 
 
@@ -206,5 +229,5 @@ def polariton_norm(ks: KSpaceRecord, t_index: int) -> float:
     _check_floor(ks, t_index)
     grid, linear_density = ks.record.grid, ks.record.config.linear_density
     norm_factor = np.sqrt(ks.k_axis**2 + linear_density**2)
-    q = np.abs(ks.psi[t_index] / norm_factor) ** 2
+    q = np.abs(ks.modes(t_index)[0] / norm_factor) ** 2
     return float(np.sum(q) * (2.0 * np.pi / (grid.nz * grid.dz)))

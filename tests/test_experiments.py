@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemsim import metrics
+from gemsim import experiments, kspace, metrics
 from gemsim.cli import main as cli_main
 from gemsim.cli import preset_names, preset_path
 from gemsim.eit import eit_polariton, run_eit
@@ -343,7 +343,7 @@ class TestRunExperiment:
         run_experiment(spec, tmp_path / "out")
         out = tmp_path / "out" / "tiny"
         ks = to_kspace(run_gem(spec.config, spec.pulse))
-        for name, values in (("psi_mag.npy", ks.psi), ("phi_mag.npy", ks.phi)):
+        for name, values in zip(("psi_mag.npy", "phi_mag.npy"), ks.modes()):
             saved = np.load(out / name)
             assert saved.dtype == np.float64 and saved.flags.c_contiguous
             assert np.array_equal(saved, np.column_stack((ks.times, np.abs(values))))
@@ -400,28 +400,46 @@ class TestRunExperiment:
         lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
         lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=1),
     ], ids=["gem", "eit"])
-    def test_maps_are_the_saved_magnitudes_hashed_in_chunks(self, tmp_path, make_spec):
+    def test_maps_are_the_saved_magnitudes_hashed_in_chunks(self, tmp_path, make_spec,
+                                                              monkeypatch):
         spec = load_spec(make_spec(tmp_path))
         res = run_experiment(spec, tmp_path / "out", dump_fields=True)
-        rows = _snapshot_rows(spec.config.grid.nt, spec.params.get("field_stride"))
+        strided = _snapshot_rows(spec.config.grid.nt, spec.params.get("field_stride"))
         if spec.kind == "eit_run":
-            record = run_eit(spec.config, spec.pulse, rows=rows)
+            record = run_eit(spec.config, spec.pulse, rows=strided)
             maps = {"spin_wave": record.spin_wave, "polariton": eit_polariton(record)}
         else:
-            record = run_gem(spec.config, spec.pulse, rows=rows)
-            ks = to_kspace(record)
-            maps = {"polarisation": record.polarisation, "psi": ks.psi, "phi": ks.phi}
+            record = run_gem(spec.config, spec.pulse, rows=strided)
+            psi, phi = to_kspace(record).modes()
+            maps = {"polarisation": record.polarisation, "psi": psi, "phi": phi}
         maps["e_field"] = record.e_field
-        manifest = {f["name"]: f for f in res.files}
-        for name, rows in maps.items():
-            data = (res.manifest_path.parent / f"{name}_mag.npy").read_bytes()
-            assert len(data) > _HASH_CHUNK_BYTES
-            ref = io.BytesIO()
-            np.save(ref, np.column_stack((record.field_times, np.abs(rows))))
-            assert data == ref.getvalue(), name
-            entry = manifest[f"{name}_mag.npy"]
-            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
-            assert entry["bytes"] == len(data)
+
+        def check(res, pick, chunked):
+            manifest = {f["name"]: f for f in res.files}
+            for name, rows in maps.items():
+                data = (res.manifest_path.parent / f"{name}_mag.npy").read_bytes()
+                assert len(data) > _HASH_CHUNK_BYTES or not chunked
+                ref = io.BytesIO()
+                np.save(ref, np.column_stack((record.field_times[pick], np.abs(rows[pick]))))
+                assert data == ref.getvalue(), name
+                entry = manifest[f"{name}_mag.npy"]
+                assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+                assert entry["bytes"] == len(data)
+
+        check(res, slice(None), chunked=True)
+        # maps are made and written a block of rows at a time: with blocks of
+        # 5 rows, runs storing 1, B-1, B, B+1 and 2B+3 of the strided rows
+        # (from the middle of the run) write the same bytes as np.save
+        nz = spec.config.grid.nz
+        monkeypatch.setattr(kspace, "_BLOCK_BYTES", 5 * 16 * nz)
+        size = kspace._block_rows(nz)
+        assert size == 5
+        for n in (1, size - 1, size, size + 1, 2 * size + 3):
+            pick = strided.size // 2 + np.arange(n)
+            monkeypatch.setattr(experiments, "_rows_to_store",
+                                lambda spec, dump_fields, picks: strided[pick])
+            check(run_experiment(spec, tmp_path / f"rows{n}", dump_fields=True), pick,
+                  chunked=False)
 
     def test_sweep_workers_equivalent(self, tmp_path):
         spec = load_spec(tiny_sweep_spec(tmp_path))

@@ -50,12 +50,13 @@ class TestToKspace:
         ks = to_kspace(synthetic_record(e, a, grid, dens=2.0))
         i0 = np.argmin(np.abs(ks.k_axis))
         assert ks.k_axis[i0] == 0.0
-        a_t = ks.psi[0, i0] / 2.0
-        assert ks.psi[0, i0] == pytest.approx(2.0 * a_t)
-        assert ks.phi[0, i0] == pytest.approx(-2.0 * a_t)
+        psi, phi = ks.modes(0)
+        a_t = psi[i0] / 2.0
+        assert psi[i0] == pytest.approx(2.0 * a_t)
+        assert phi[i0] == pytest.approx(-2.0 * a_t)
         # off-DC bins are empty
         mask = np.arange(64) != i0
-        assert np.max(np.abs(ks.psi[0, mask])) < 1e-10 * np.abs(ks.psi[0, i0])
+        assert np.max(np.abs(psi[mask])) < 1e-10 * np.abs(psi[i0])
 
     @pytest.mark.parametrize("z_min, z_max, nz", [(-3.0, 3.0, 10240), (10.0, 16.0, 4096)])
     def test_accepts_a_linspace_axis_whose_steps_round_away_from_dz(self, z_min, z_max, nz):
@@ -66,7 +67,7 @@ class TestToKspace:
         a = np.ones((1, nz), complex)
         ks = to_kspace(synthetic_record(np.zeros_like(a), a, grid, dens=2.0))
         i0 = np.argmin(np.abs(ks.k_axis))
-        assert ks.psi[0, i0] == pytest.approx(2.0 * nz * grid.dz / np.sqrt(2.0 * np.pi))
+        assert ks.modes(0)[0][i0] == pytest.approx(2.0 * nz * grid.dz / np.sqrt(2.0 * np.pi))
 
     def test_parseval(self, stored_run, stored_ks):
         dz = stored_run.grid.dz
@@ -105,8 +106,15 @@ def full_array_view(record):
     lit = row_power > 1e-12 * peak
     sel = k != 0.0
     w = np.abs(psi[lit]) ** 2
+    # left-to-right sums along k, which np.sum takes over many rows
+    # (w[..., sel] is Fortran-ordered) but not over one (pairwise)
+    moment = np.cumsum(k[sel] * w[..., sel], axis=-1)[..., -1]
+    weight = np.cumsum(w[..., sel], axis=-1)[..., -1]
+    if np.count_nonzero(lit) > 1:
+        assert_bits(moment, np.sum(k[sel] * w[..., sel], axis=-1))
+        assert_bits(weight, np.sum(w[..., sel], axis=-1))
     centroid = np.full(len(psi), np.nan)
-    centroid[lit] = np.sum(k[sel] * w[..., sel], axis=-1) / np.sum(w[..., sel], axis=-1)
+    centroid[lit] = moment / weight
     return psi, phi, row_power, peak, centroid
 
 
@@ -123,13 +131,15 @@ def decayed_run(request):
 
 
 class TestBlockBuild:
-    """to_kspace and centroid_series work a block of rows at a time."""
+    """to_kspace works a block of rows at a time and keeps per-row values;
+    KSpaceRecord.modes makes Psi/Phi rows on demand."""
 
     @pytest.mark.parametrize("count", [
         lambda b: 1, lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 3,
     ], ids=["1", "B-1", "B", "B+1", "2B+3"])
     def test_equals_the_full_array_expressions(self, decayed_run, count):
-        n = count(_block_rows(decayed_run.grid.nz))
+        size = _block_rows(decayed_run.grid.nz)
+        n = count(size)
         assert n <= decayed_run.field_times.size
         # rows 350-1000 hold lit and dark rows; shuffled, so both share blocks
         rows = np.linspace(350, 1000, n).round().astype(int)
@@ -139,18 +149,29 @@ class TestBlockBuild:
                          polarisation=decayed_run.polarisation[rows])
         ks = to_kspace(record)
         psi, phi, row_power, peak, centroid = full_array_view(record)
-        assert_bits(ks.psi, psi)
-        assert_bits(ks.phi, phi)
+        # every row on demand, a block's rows, one row and scattered rows
+        picks = [slice(None), slice(size // 2, size // 2 + size), n - 1,
+                 np.random.default_rng(0).permutation(n)[: (n + 1) // 2]]
+        for pick in picks:
+            got_psi, got_phi = ks.modes(pick)
+            assert_bits(got_psi, psi[pick])
+            assert_bits(got_phi, phi[pick])
         assert_bits(ks._row_power, row_power)
         assert ks._peak == peak
         series = centroid_series(ks)
         assert_bits(series, centroid)
         if n > 1:
             assert np.isnan(series).any() and not np.isnan(series).all()
+        # k_centroid is the one row's np.sum ratio, computed on that row alone
+        sel = ks.k_axis != 0.0
+        for i in np.flatnonzero(~np.isnan(series)):
+            w = np.abs(psi[i]) ** 2
+            assert k_centroid(ks, i) == float(np.sum(ks.k_axis[sel] * w[sel]) / np.sum(w[sel]))
 
-    def test_kspace_stage_holds_psi_phi_one_map_and_two_blocks(self, tmp_path):
-        # to_kspace, centroid_series and the two k-space map writes of a
-        # kspace_report run, on a record of 2.5 blocks
+    def test_kspace_stage_holds_row_vectors_and_four_blocks(self, tmp_path):
+        # to_kspace, centroid_series, the two k-space map writes and the Phi
+        # residual of a kspace_report run, on a record of 2.5 blocks: no
+        # Psi/Phi map is held, only values per row and at most four blocks
         nz = 1024
         nrows = 5 * _block_rows(nz) // 2
         grid = Grid(z_min=-1.0, z_max=1.0, nz=nz, t_max=1.0, nt=nrows)
@@ -164,15 +185,14 @@ class TestBlockBuild:
             base = tracemalloc.get_traced_memory()[0]
             ks = to_kspace(record)
             centroid_series(ks)
-            writer.npy("psi_mag.npy", (ks.times, ks.psi))
-            writer.npy("phi_mag.npy", (ks.times, ks.phi))
+            writer.npy(("psi_mag.npy", "phi_mag.npy"), ks.times, nz, ks.modes)
+            phi_residual(ks, nrows // 2)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        complex_rows = nrows * nz * 16
-        map_buffer = nrows * (nz + 1) * 8
+        row_vectors = 8 * nrows * 8
         block = _block_rows(nz) * nz * 16
-        assert peak <= 2 * complex_rows + map_buffer + 2 * block
+        assert peak <= row_vectors + 4 * block
 
 
 class TestCentroid:
@@ -238,7 +258,8 @@ class TestPhiResidual:
         ks = to_kspace(synthetic_record(e[None, :], a[None, :], grid, dens))
         # the raw combination vanishes identically; the production residual
         # carries a small taper floor from the boundary apodization
-        assert np.linalg.norm(ks.phi[0]) / np.linalg.norm(ks.psi[0]) < 1e-9
+        psi, phi = ks.modes(0)
+        assert np.linalg.norm(phi) / np.linalg.norm(psi) < 1e-9
         assert phi_residual(ks, 0) < 0.05
 
     def test_pure_field_gives_unity(self):
@@ -307,7 +328,7 @@ class TestShapeProperties:
         j = int(np.argmin(np.abs(stored_ks.k_axis - k_probe)))
         t = stored_ks.times
         leg = (t > 7.0) & (t < 14.5)  # after the absorption transient
-        series = np.abs(stored_ks.psi[leg, j])
+        series = np.abs(stored_ks.modes(leg)[0][:, j])
         shift = t[leg][np.argmax(series)] - 4.0
         ref = np.abs(small_pulse().evaluate(t[leg] - shift))
         a = series - series.mean()
