@@ -284,9 +284,6 @@ class PulseSpec:
             )
         return np.asarray(out, dtype=complex)
 
-    def scaled(self, c: complex) -> "PulseSpec":
-        return replace(self, amplitude=self.amplitude * c)
-
 
 def make_plane_wave_mode(n: int, t1: float, t2: float) -> PulseSpec:
     """Plane-wave basis mode u_n(t) = exp(i*2*pi*n*t/T)/sqrt(T) on [t1, t2)."""

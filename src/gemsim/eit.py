@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -212,21 +211,15 @@ def run_eit(
     )
 
 
-def eit_polariton(record: EitRecord, omega_c_series: Optional[np.ndarray] = None,
-                  rows=slice(None)) -> np.ndarray:
+def eit_polariton(record: EitRecord, rows=slice(None)) -> np.ndarray:
     """Dark-state mixture cos(th)*E - sin(th)*sqrt(N)*S at the stored times
     field_times[rows] (all of them by default), with tan(th)^2 =
-    g^2*N/omega_c^2; omega_c_series, when given, holds omega_c at those
+    g^2*N/omega_c^2 and omega_c the record's control schedule at those
     times.  Each row is the same elementwise expression whichever rows are
     taken."""
     cfg = record.config
-    times = record.field_times[rows]
-    if omega_c_series is None:
-        omega_c_series = omega_c_schedule(cfg, times)
-    if omega_c_series.shape[0] != times.shape[0]:
-        raise ValueError("omega_c series must match the stored field times")
     gn = cfg.g * math.sqrt(cfg.n_atoms)
-    theta = np.arctan2(gn, omega_c_series)
+    theta = np.arctan2(gn, omega_c_schedule(cfg, record.field_times[rows]))
     cos_t = np.cos(theta)[:, None]
     sin_t = np.sin(theta)[:, None]
     return cos_t * record.e_field[rows] - sin_t * math.sqrt(cfg.n_atoms) * record.spin_wave[rows]

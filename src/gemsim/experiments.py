@@ -34,7 +34,7 @@ import numpy as np
 from .core import (ConfigError, GemConfig, Grid, PulseSpec, StarkProfile,
                    make_plane_wave_mode)
 from .eit import EitConfig, EitRecord, eit_polariton, omega_c_schedule, run_eit
-from .kspace import _block_rows, centroid_series, phi_residual, to_kspace
+from .kspace import centroid_series, phi_residual, to_kspace
 from .metrics import (
     SweepRow,
     _gem_windows,
@@ -50,7 +50,7 @@ from .metrics import (
     mode_fidelity_sweep,
     window_energy,
 )
-from .solver import _snapshot_rows, run_gem
+from .solver import _block_rows, _snapshot_rows, run_gem
 
 __all__ = ["ExperimentSpec", "ExperimentResult", "SpecValidationError", "balance_residual",
            "load_spec", "run_experiment"]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import FieldRecord
+from .core import GemConfig
+from .solver import FieldRecord, _block_rows, _readonly
 
 __all__ = [
     "KSpaceRecord",
@@ -26,9 +27,6 @@ __all__ = [
 
 _FLOOR_FRACTION = 1e-12  # minimum |Psi|^2 weight relative to the peak row
 _TAPER_FRACTION = 0.10  # Tukey alpha: 5% cosine ramp on each z edge
-# bytes of one block of complex rows in to_kspace and the .npy map writer (16
-# rows at nz = 4096); each block's temporaries are this size, not the record's
-_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -40,15 +38,13 @@ class KSpaceRecord:
     the plain rectangle sum of |f|^2 dz.  The grid and the linear density
     are read from the record.  The view holds no Psi/Phi map: modes(rows)
     makes the rows a reader asks for, and per stored time it keeps only
-    the |Psi|^2 row power and the k centroid, summed two ways.
+    the |Psi|^2 row power and the k centroid.
     """
 
     record: FieldRecord
     k_axis: np.ndarray
     _row_power: np.ndarray  # sum_k |Psi|^2 at each stored time
-    _series_centroid: np.ndarray  # centroid_series' values, sums left to right
-    _row_centroid: np.ndarray  # k_centroid's values, sums pairwise
-    _peak: float  # the largest row power
+    _centroid: np.ndarray  # sum(k w) / sum(w), w = |Psi|^2, summed left to right
 
     @property
     def times(self) -> np.ndarray:
@@ -58,12 +54,9 @@ class KSpaceRecord:
         """Psi and Phi at the stored times field_times[rows]; rows is any
         index of the record's rows (a slice, indices, a mask or one index).
         Each row is the same bit for bit whichever rows are taken."""
-        return _modes(self.record, self.k_axis, rows)
-
-
-def _block_rows(nz: int) -> int:
-    """Rows of one complex block of _BLOCK_BYTES on an nz-point grid."""
-    return max(1, _BLOCK_BYTES // (16 * nz))
+        record = self.record
+        return _modes(record.e_field[rows], record.polarisation[rows], self.k_axis,
+                      record.config)
 
 
 def _weights(rows: np.ndarray) -> np.ndarray:
@@ -85,16 +78,17 @@ def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
-def _modes(record: FieldRecord, k: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Psi and Phi of the record's rows: fft, shift, times scale, then times
-    k and times N, then the sum and the difference (in alpha~'s own array),
-    the operations and order of the whole-array transform.  Made from a
-    block of rows it holds at most three blocks: E~, alpha~ and the FFT's
-    output, then E~, Psi and Phi."""
-    e = _transform(record.e_field[rows], record.grid.dz)
-    a = _transform(record.polarisation[rows], record.grid.dz)
+def _modes(e_rows: np.ndarray, a_rows: np.ndarray, k: np.ndarray,
+           config: GemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Psi and Phi of E and alpha rows on config's grid: fft, shift, times
+    scale, then times k and times N, then the sum and the difference (in
+    alpha~'s own array), the operations and order of the whole-array
+    transform.  Made from a block of rows it holds at most three blocks:
+    E~, alpha~ and the FFT's output, then E~, Psi and Phi."""
+    e = _transform(e_rows, config.grid.dz)
+    a = _transform(a_rows, config.grid.dz)
     e *= k
-    a *= record.config.linear_density
+    a *= config.linear_density
     psi = np.add(e, a)
     return psi, np.subtract(e, a, out=a)
 
@@ -106,53 +100,41 @@ def _running_total(x: np.ndarray) -> np.ndarray:
 
 def _row_values(record: FieldRecord, k: np.ndarray, rows: slice):
     """The |Psi|^2 power of each row of one block, and its centroid
-    sum(k w) / sum(w) over k != 0, w = |Psi|^2, summed two ways: left to
-    right along k, as np.sum sums the k-selected rows of a many-row array
-    (a Fortran-ordered copy), and pairwise, as np.sum sums one row.  Each
-    is the same whichever rows share the block."""
-    w = _weights(_modes(record, k, rows)[0])
+    sum(k w) / sum(w) over k != 0, w = |Psi|^2, summed left to right along
+    k.  Each is the same whichever rows share the block."""
+    w = _weights(_modes(record.e_field[rows], record.polarisation[rows], k, record.config)[0])
     sel = k != 0.0
     w_sel = np.compress(sel, w, axis=-1)
     kw = k[sel] * w_sel
     with np.errstate(divide="ignore", invalid="ignore"):  # rows with no weight
-        pairwise = np.sum(kw, axis=-1) / np.sum(w_sel, axis=-1)
-        running = _running_total(kw) / _running_total(w_sel)
-    return np.sum(w, axis=-1), running, pairwise
+        centroid = _running_total(kw) / _running_total(w_sel)
+    return np.sum(w, axis=-1), centroid
 
 
 def to_kspace(record: FieldRecord) -> KSpaceRecord:
     """Transform the stored field rows of a run to k-space normal modes.
 
-    One pass over blocks of rows (_BLOCK_BYTES of complex values each)
-    makes each block's Psi by the step of KSpaceRecord.modes and keeps, per
-    row, only the |Psi|^2 power and the k centroid (summed left to right
-    for centroid_series and pairwise for k_centroid, the orders np.sum
-    takes over a many-row array and over one row).  A block's step holds
-    at most three blocks, and no Psi/Phi map is kept.
+    One pass over blocks of rows (_block_rows(nz) rows each) makes each
+    block's Psi by the step of KSpaceRecord.modes and keeps, per row, only
+    the |Psi|^2 power and the k centroid, summed left to right along k,
+    the one value that k_centroid and centroid_series report.  A block's
+    step holds at most three blocks, and no Psi/Phi map is kept.
     """
     k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(record.grid.nz, d=record.grid.dz))
     k.setflags(write=False)
     nrows = record.field_times.size
-    row_power, series, row_centroid = np.empty((3, nrows))
+    row_power, centroid = np.empty((2, nrows))
     size = _block_rows(record.grid.nz)
     for lo in range(0, nrows, size):
         rows = slice(lo, lo + size)
-        row_power[rows], series[rows], row_centroid[rows] = _row_values(record, k, rows)
-    for arr in (row_power, series, row_centroid):
-        arr.setflags(write=False)
-    return KSpaceRecord(
-        record=record,
-        k_axis=k,
-        _row_power=row_power,
-        _series_centroid=series,
-        _row_centroid=row_centroid,
-        _peak=float(np.max(row_power)),
-    )
+        row_power[rows], centroid[rows] = _row_values(record, k, rows)
+    _readonly(row_power, centroid)
+    return KSpaceRecord(record=record, k_axis=k, _row_power=row_power, _centroid=centroid)
 
 
 def _lit(ks: KSpaceRecord) -> np.ndarray:
     """Rows whose |Psi|^2 weight exceeds the floor relative to the peak row."""
-    return ks._row_power > _FLOOR_FRACTION * ks._peak
+    return ks._row_power > _FLOOR_FRACTION * np.max(ks._row_power)
 
 
 def _check_floor(ks: KSpaceRecord, t_index: int) -> None:
@@ -163,19 +145,16 @@ def _check_floor(ks: KSpaceRecord, t_index: int) -> None:
 
 
 def k_centroid(ks: KSpaceRecord, t_index: int) -> float:
-    """Weighted centroid sum(k |Psi|^2) / sum(|Psi|^2), k = 0 bin excluded."""
+    """Weighted centroid sum(k |Psi|^2) / sum(|Psi|^2), k = 0 bin excluded,
+    summed left to right along k: centroid_series' value at t_index."""
     _check_floor(ks, t_index)
-    return float(ks._row_centroid[t_index])
+    return float(ks._centroid[t_index])
 
 
 def centroid_series(ks: KSpaceRecord) -> np.ndarray:
-    """k_centroid at every stored time (rows below the floor give nan),
-    summed left to right along k where k_centroid sums pairwise; the two
-    agree to rounding."""
-    lit = _lit(ks)
-    out = np.full(ks.times.size, np.nan)
-    out[lit] = ks._series_centroid[lit]
-    return out
+    """k_centroid at every stored time, bit for bit; rows below the floor
+    give nan."""
+    return np.where(_lit(ks), ks._centroid, np.nan)
 
 
 def _tukey(n: int, alpha: float) -> np.ndarray:
@@ -199,22 +178,18 @@ def phi_residual(ks: KSpaceRecord, t_index: int) -> float:
     The input/output field at the medium faces breaks periodicity and
     pollutes the raw transforms, so both rows are multiplied by a cosine
     taper (5% of the span on each edge, the numpy Tukey window _tukey)
-    before transforming with numpy.fft.
+    before they take the Psi/Phi step of KSpaceRecord.modes.
     """
     _check_floor(ks, t_index)
     record = ks.record
-    dz, linear_density = record.grid.dz, record.config.linear_density
     taper = _tukey(record.grid.nz, _TAPER_FRACTION)
-    e_t = _transform(record.e_field[t_index] * taper, dz)
-    a_t = _transform(record.polarisation[t_index] * taper, dz)
-    k = ks.k_axis
-    sel = k != 0.0
-    psi = k[sel] * e_t[sel] + linear_density * a_t[sel]
-    phi = k[sel] * e_t[sel] - linear_density * a_t[sel]
-    denom = float(np.linalg.norm(psi))
+    psi, phi = _modes(record.e_field[t_index] * taper, record.polarisation[t_index] * taper,
+                      ks.k_axis, record.config)
+    sel = ks.k_axis != 0.0
+    denom = float(np.linalg.norm(psi[sel]))
     if denom == 0.0:
         raise ValueError("apodized Psi vanishes at this time index")
-    return float(np.linalg.norm(phi)) / denom
+    return float(np.linalg.norm(phi[sel])) / denom
 
 
 def polariton_norm(ks: KSpaceRecord, t_index: int) -> float:
@@ -224,7 +199,7 @@ def polariton_norm(ks: KSpaceRecord, t_index: int) -> float:
     is when the normalized mode is a meaningful excitation number; under a
     nonzero slope the combination is transported but not conserved.
     """
-    if ks._peak == 0.0:
+    if np.max(ks._row_power) == 0.0:
         return 0.0
     _check_floor(ks, t_index)
     grid, linear_density = ks.record.grid, ks.record.config.linear_density

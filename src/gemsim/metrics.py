@@ -21,7 +21,7 @@ import numpy as np
 from numpy.fft import fft, ifft
 
 from .core import ConfigError, GemConfig, make_plane_wave_mode
-from .solver import FieldRecord, run_gem
+from .solver import FieldRecord, _block_rows, run_gem
 
 __all__ = [
     "FidelityReport",
@@ -42,10 +42,6 @@ __all__ = [
 
 # golden-section stopping width of find_delta, relative to the scanned span
 _DELTA_REL_TOL = 1e-3
-# bytes of the one buffer of complex correlation rows in find_delta's offset
-# scan (16 rows at nfft = 4096), which each block transforms in place; it is
-# the scan's whole transient, and larger blocks run no faster
-_SCAN_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -234,8 +230,9 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
     The correlation is taken between the input trimmed to its nonzero
     samples and the output trimmed to the echo window.  The weighted input
     is transformed once; each block of conjugated, phase-shifted outputs
-    is one 2-D buffer, correlated by one forward and one inverse FFT along
-    its rows, both in place, so a block allocates no spectrum of its own.
+    (_block_rows(nfft) offsets) is one 2-D buffer, correlated by one
+    forward and one inverse FFT along its rows, both in place, so a block
+    allocates no spectrum of its own.
     A zero on each side of the trimmed correlation stands for the full
     correlation's samples there (zero up to FFT rounding), so a peak on
     the trimmed edge is refined against the same neighbours as in
@@ -260,7 +257,7 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
     lead = 1 if first > 0 else 0
     trail = 1 if first + size < 2 * nt - 1 else 0
 
-    rows = max(1, min(len(deltas), _SCAN_BLOCK_BYTES // (16 * nfft)))
+    rows = min(len(deltas), _block_rows(nfft))
     buf = np.empty((rows, nfft), dtype=complex)
     phase = np.empty((rows, m))
     ac = np.zeros((rows, lead + size + trail))

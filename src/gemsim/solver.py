@@ -264,6 +264,18 @@ def _readonly(*arrays):
         arr.setflags(write=False)
 
 
+# bytes of one block of complex rows (16 rows of 4096 values): the k-space
+# pass, the .npy map writer and find_delta's offset scan work a block at a
+# time, so their temporaries are blocks, not whole maps; larger blocks run
+# no faster
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(width: int) -> int:
+    """Rows of one block of _BLOCK_BYTES of complex rows, width values each."""
+    return max(1, _BLOCK_BYTES // (16 * width))
+
+
 def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state):
     """Exponential-midpoint time loop shared by the GEM and EIT solvers.
 

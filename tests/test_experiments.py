@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemsim import experiments, kspace, metrics
+from gemsim import experiments, metrics, solver
 from gemsim.cli import main as cli_main
 from gemsim.cli import preset_names, preset_path
 from gemsim.eit import eit_polariton, run_eit
 from gemsim.experiments import (_HASH_CHUNK_BYTES, SpecValidationError, load_spec,
                                 run_experiment)
-from gemsim.kspace import to_kspace
+from gemsim.kspace import k_centroid, to_kspace
 from gemsim.solver import _snapshot_rows, run_gem
 
 
@@ -349,6 +349,16 @@ class TestRunExperiment:
             assert np.array_equal(saved, np.column_stack((ks.times, np.abs(values))))
         assert np.array_equal(np.loadtxt(out / "k_axis.csv", skiprows=1), ks.k_axis)
 
+    def test_centroid_csv_is_k_centroid_bit_for_bit(self, tmp_path):
+        spec = load_spec(tiny_gem_spec(tmp_path, kind="kspace_report", checks={}))
+        run_experiment(spec, tmp_path / "out")
+        saved = np.loadtxt(tmp_path / "out" / "tiny" / "centroid.csv", delimiter=",",
+                           skiprows=1)[:, 1]
+        ks = to_kspace(run_gem(spec.config, spec.pulse))
+        lit = np.flatnonzero(~np.isnan(saved))
+        assert 0 < lit.size < saved.size
+        assert saved[lit].tobytes() == np.array([k_centroid(ks, i) for i in lit]).tobytes()
+
     @pytest.mark.parametrize("make_spec", [
         lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
         tiny_eit_spec,
@@ -431,8 +441,8 @@ class TestRunExperiment:
         # 5 rows, runs storing 1, B-1, B, B+1 and 2B+3 of the strided rows
         # (from the middle of the run) write the same bytes as np.save
         nz = spec.config.grid.nz
-        monkeypatch.setattr(kspace, "_BLOCK_BYTES", 5 * 16 * nz)
-        size = kspace._block_rows(nz)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 16 * nz)
+        size = solver._block_rows(nz)
         assert size == 5
         for n in (1, size - 1, size, size + 1, 2 * size + 3):
             pick = strided.size // 2 + np.arange(n)

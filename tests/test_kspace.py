@@ -8,9 +8,8 @@ from scipy.signal.windows import tukey
 
 from gemsim import GemConfig, Grid, StarkProfile, run_gem, to_kspace
 from gemsim.experiments import _ArtifactWriter
-from gemsim.kspace import (_block_rows, _tukey, centroid_series, k_centroid, phi_residual,
-                           polariton_norm)
-from gemsim.solver import FieldRecord, _snapshot_rows
+from gemsim.kspace import _tukey, centroid_series, k_centroid, phi_residual, polariton_norm
+from gemsim.solver import FieldRecord, _block_rows, _snapshot_rows
 
 from conftest import small_config, small_pulse
 
@@ -157,16 +156,14 @@ class TestBlockBuild:
             assert_bits(got_psi, psi[pick])
             assert_bits(got_phi, phi[pick])
         assert_bits(ks._row_power, row_power)
-        assert ks._peak == peak
+        assert np.max(ks._row_power) == peak
         series = centroid_series(ks)
         assert_bits(series, centroid)
         if n > 1:
             assert np.isnan(series).any() and not np.isnan(series).all()
-        # k_centroid is the one row's np.sum ratio, computed on that row alone
-        sel = ks.k_axis != 0.0
+        # one centroid per row: k_centroid reads the series' value
         for i in np.flatnonzero(~np.isnan(series)):
-            w = np.abs(psi[i]) ** 2
-            assert k_centroid(ks, i) == float(np.sum(ks.k_axis[sel] * w[sel]) / np.sum(w[sel]))
+            assert_bits(np.float64(k_centroid(ks, i)), series[i])
 
     def test_kspace_stage_holds_row_vectors_and_four_blocks(self, tmp_path):
         # to_kspace, centroid_series, the two k-space map writes and the Phi
@@ -240,7 +237,30 @@ class TestCentroid:
             k_centroid(ks, 1)
 
 
+def reference_phi_residual(record, t_index):
+    """phi_residual as its own k*E~ +- N*alpha~ expression over the k != 0
+    bins of the tapered rows, which the shared Psi/Phi step must equal bit
+    for bit."""
+    dz, dens = record.grid.dz, record.config.linear_density
+    scale = dz / np.sqrt(2.0 * np.pi)
+    taper = tukey(record.grid.nz, 0.10)
+    k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(record.grid.nz, d=dz))
+    e_t = np.fft.fftshift(np.fft.fft(record.e_field[t_index] * taper)) * scale
+    a_t = np.fft.fftshift(np.fft.fft(record.polarisation[t_index] * taper)) * scale
+    sel = k != 0.0
+    psi = k[sel] * e_t[sel] + dens * a_t[sel]
+    phi = k[sel] * e_t[sel] - dens * a_t[sel]
+    return float(np.linalg.norm(phi)) / float(np.linalg.norm(psi))
+
+
 class TestPhiResidual:
+    def test_is_the_tapered_rows_own_expression_bit_for_bit(self, decayed_run):
+        ks = to_kspace(decayed_run)
+        lit = np.flatnonzero(~np.isnan(centroid_series(ks)))
+        assert 0 < lit.size < ks.times.size
+        for i in lit:
+            assert phi_residual(ks, i).hex() == reference_phi_residual(decayed_run, i).hex()
+
     def test_exact_relation_gives_zero(self):
         grid = Grid(z_min=-1.0, z_max=1.0, nz=256, t_max=1.0, nt=4)
         z = grid.z_axis

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from gemsim import metrics, run_gem
+from gemsim import kspace, metrics, run_gem, solver, to_kspace
+from gemsim.experiments import _ArtifactWriter
 from gemsim.metrics import (
     DeltaSearchResult,
     efficiency_analytic,
@@ -19,6 +20,8 @@ from gemsim.metrics import (
     mode_fidelity_sweep,
     shifted_output,
 )
+
+from gemsim.solver import _snapshot_rows
 
 from conftest import small_config, small_pulse
 
@@ -402,7 +405,7 @@ class TestOffsetScan:
 
     def test_last_block_partly_filled(self, probe, monkeypatch):
         rec, echo_window, _ = probe
-        monkeypatch.setattr(metrics, "_SCAN_BLOCK_BYTES", 1 << 17)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 17)
         blocks = self._blocks(monkeypatch)
         self._assert_matches_fidelity(rec, echo_window, np.linspace(-2.0, 2.0, 22))
         assert len(blocks) > 1 and sum(blocks) == 22
@@ -421,3 +424,42 @@ class TestOffsetScan:
         e_out = np.where(echo, np.exp(0.1 * ramp) * np.exp(0.7j * t), 0.0)
         synthetic = replace(rec, input_series=e_in, output_series=e_out)
         self._assert_matches_fidelity(synthetic, echo_window, np.linspace(-1.0, 1.0, 9))
+
+    def test_one_block_constant_sizes_the_scan_the_kspace_pass_and_the_maps(
+            self, probe, monkeypatch, tmp_path):
+        # solver._BLOCK_BYTES is the one block rule: patched, it resizes the
+        # offset scan's blocks, to_kspace's pass and the .npy writer's blocks
+        rec, echo_window, _ = probe
+        cfg = small_config(beta=1.0)
+        stored = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 20))
+        nz, nrows = cfg.grid.nz, stored.field_times.size
+        scan_shapes, pass_rows, map_rows = [], [], []
+        fft, row_values = metrics.fft, kspace._row_values
+
+        def fft_spy(x, *args, **kwargs):
+            if x.ndim == 2:
+                scan_shapes.append(x.shape)
+            return fft(x, *args, **kwargs)
+
+        def values_spy(record, k, rows):
+            pass_rows.append(len(range(nrows)[rows]))
+            return row_values(record, k, rows)
+
+        def modes_spy(rows):
+            psi, phi = ks.modes(rows)
+            map_rows.append(psi.shape[0])
+            return psi, phi
+
+        def split(n, size):
+            return [min(size, n - lo) for lo in range(0, n, size)]
+
+        monkeypatch.setattr(metrics, "fft", fft_spy)
+        monkeypatch.setattr(kspace, "_row_values", values_spy)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 16)
+        metrics._offset_scan(rec, echo_window, np.linspace(-2.0, 2.0, 22))
+        ks = to_kspace(stored)
+        _ArtifactWriter(tmp_path).npy(("psi_mag.npy", "phi_mag.npy"), ks.times, nz, modes_spy)
+        nfft = scan_shapes[0][1]
+        assert [rows for rows, _ in scan_shapes] == split(22, solver._block_rows(nfft))
+        assert pass_rows == map_rows == split(nrows, solver._block_rows(nz))
+        assert len(scan_shapes) > 1 and len(pass_rows) > 1
