@@ -15,8 +15,8 @@ configured times.
 
 Time stepping uses the exponential-midpoint loop of the GEM solver
 (`solver._march`), which owns the field rebuild (every cumulative_simpson
-call), the predictor/corrector pass, the stored rows and the finiteness
-guard.  This module hands it the exact 2x2 propagator of the (P, S) pair:
+call), the predictor/corrector pass, the blocks of rows it hands on and
+the finiteness guard.  This module hands it the exact 2x2 propagator of the (P, S) pair:
 begin propagates P source-free over the half step, finish advances P and S
 in place over the full step, both from a table with one row per distinct
 control value.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _EXCHANGE_LIMIT, ConfigError, Grid
-from .solver import _march, _readonly, _stored_rows
+from .solver import _field_rows, _march, _readonly, _stored_rows
 from .solver import cumulative_simpson  # noqa: F401  (kept for perfbench/tracing.py)
 
 __all__ = ["EitConfig", "EitRecord", "run_eit", "eit_polariton", "omega_c_schedule"]
@@ -104,7 +104,8 @@ def omega_c_schedule(config: EitConfig, t):
 @dataclass(frozen=True)
 class EitRecord:
     """Histories of a storage run: the series at every step, and E, P and
-    S rows at the stored times in field_times (as in FieldRecord)."""
+    S rows at the stored times in field_times (as in FieldRecord, none
+    when the rows went to a consumer)."""
 
     times: np.ndarray
     input_series: np.ndarray
@@ -144,17 +145,21 @@ def run_eit(
     pulse,
     *,
     rows=None,
+    consume=None,
 ) -> EitRecord:
     """Integrate the probe `pulse` (a PulseSpec) through the storage cycle.
 
-    rows: the time indices whose E, P and S rows the record stores, as in
-    run_gem (None stores about 512 evenly strided rows)."""
+    rows: the time indices of the E, P and S rows the run hands on, as in
+    run_gem (None hands on about 512 evenly strided rows).  consume: None,
+    and the record stores them; or consume(rows, e, p, s), which takes them
+    a block at a time as in run_gem, and the record stores none."""
     grid = config.grid
     nt = grid.nt
     dt = grid.dt
     dtau = dt * config.gamma_e
     t = grid.t_axis
     keep = _stored_rows(nt, rows)
+    field_times, (e_rows, p_rows, s_rows), consume = _field_rows(t, keep, grid.nz, 3, consume)
 
     kappa = config.g * config.n_atoms  # coupling per normalized length
     ein = pulse.evaluate(t)
@@ -195,15 +200,15 @@ def run_eit(
         np.add(P, np.multiply(src_p, src, out=tmp), out=P)
         np.add(S, np.multiply(src_s, src, out=src), out=S)
 
-    out, _, (e_rows, p_rows, s_rows) = _march(begin, finish, ein, ein_mid, 1j * kappa,
-                                               1.0 / (grid.nz - 1), t, keep, (P, S))
+    out, _ = _march(begin, finish, ein, ein_mid, 1j * kappa, 1.0 / (grid.nz - 1), t, keep,
+                    (P, S), consume)
 
     _readonly(out, e_rows, p_rows, s_rows)
     return EitRecord(
         times=t,
         input_series=ein,
         output_series=out,
-        field_times=t[keep],
+        field_times=field_times,
         e_field=e_rows,
         polarisation=p_rows,
         spin_wave=s_rows,
@@ -216,10 +221,16 @@ def eit_polariton(record: EitRecord, rows=slice(None)) -> np.ndarray:
     field_times[rows] (all of them by default), with tan(th)^2 =
     g^2*N/omega_c^2 and omega_c the record's control schedule at those
     times.  Each row is the same elementwise expression whichever rows are
-    taken."""
-    cfg = record.config
+    taken (_dark_mixture)."""
+    return _dark_mixture(record.config, record.field_times[rows], record.e_field[rows],
+                         record.spin_wave[rows])
+
+
+def _dark_mixture(cfg: EitConfig, times: np.ndarray, e_rows: np.ndarray,
+                  s_rows: np.ndarray) -> np.ndarray:
+    """eit_polariton's mixture of E and S rows at the given times."""
     gn = cfg.g * math.sqrt(cfg.n_atoms)
-    theta = np.arctan2(gn, omega_c_schedule(cfg, record.field_times[rows]))
+    theta = np.arctan2(gn, omega_c_schedule(cfg, times))
     cos_t = np.cos(theta)[:, None]
     sin_t = np.sin(theta)[:, None]
-    return cos_t * record.e_field[rows] - sin_t * math.sqrt(cfg.n_atoms) * record.spin_wave[rows]
+    return cos_t * e_rows - sin_t * math.sqrt(cfg.n_atoms) * s_rows

@@ -8,14 +8,17 @@ windows.  `load_spec` rejects unknown keys, wrong types and every
 configuration invariant with the dotted key path, so a spec that loads
 cannot fail on configuration afterwards.  A runner returns the scalars
 its run records, and each check compares one of them with its target.
-GEM and EIT runs write their input/output series and their space-time
-maps through one function, and store only the field rows that a map or
-a scalar reads.  Artifacts are 1-D series as
-CSV with fixed full-precision formatting, 2-D magnitude maps as `.npy`
-(made and written a block of rows at a time, so no map, k-space maps
-included, is ever whole in memory), JSON summaries and a manifest
-listing names, checksums and headline scalars; rerunning a spec
-reproduces every data file byte for byte.
+GEM and EIT runs write their input/output series through one function.
+Their field rows stream from the solver's march, a block at a time as it
+makes them, into the maps and the scalars that read them: a run holds one
+block of rows and copies of the single rows a scalar reads, never the
+rows' history.  Artifacts are 1-D series as CSV with fixed
+full-precision formatting, 2-D magnitude maps as `.npy` (written a block
+of rows at a time as the run makes them, so no map, k-space maps
+included, is ever whole in memory, and deleted if the run fails before
+they are complete), JSON summaries and a manifest listing names,
+checksums and headline scalars; rerunning a spec reproduces every data
+file byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import hashlib
 import json
 import math
 import operator
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -33,8 +36,10 @@ import numpy as np
 
 from .core import (ConfigError, GemConfig, Grid, PulseSpec, StarkProfile,
                    make_plane_wave_mode)
-from .eit import EitConfig, EitRecord, eit_polariton, omega_c_schedule, run_eit
-from .kspace import centroid_series, phi_residual, to_kspace
+from .eit import EitConfig, EitRecord, _dark_mixture, eit_polariton, omega_c_schedule, run_eit
+from .kspace import (_check_floor, _k_axis, _lit_centroids, _modes, _row_residual, _row_values,
+                     _weights)
+from .kspace import centroid_series, phi_residual, to_kspace  # noqa: F401  (traced by perfbench)
 from .metrics import (
     SweepRow,
     _gem_windows,
@@ -318,42 +323,58 @@ class _ArtifactWriter:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def csv(self, name: str, header: str, columns) -> Path:
-        """One CSV file; columns are 1-D series, side by side."""
+        """One CSV file; columns are 1-D series, side by side.  The bytes
+        np.savetxt writes with fmt _FMT, made a block of rows at a time by
+        one % operation per block.  A block holds 4096 values, whose float
+        objects, tuple and text take about 260 kB."""
         path = self.out_dir / name
         data = np.column_stack(columns)
-        np.savetxt(path, data, fmt=_FMT, delimiter=",", header=header, comments="")
+        line = ",".join([_FMT] * data.shape[1]) + "\n"
+        size = _block_rows(16 * data.shape[1])
+        with path.open("w") as f:
+            f.write(header + "\n")
+            for lo in range(0, data.shape[0], size):
+                block = data[lo:lo + size]
+                f.write(line * block.shape[0] % tuple(block.ravel().tolist()))
         self._register(path)
         return path
 
-    def npy(self, names, times: np.ndarray, width: int, make_rows) -> None:
+    @contextmanager
+    def npy(self, names, times: np.ndarray, width: int):
         """.npy files side by side, one per name, each the C-order float64
-        array of times then |rows| (width values), one row per time.
-        make_rows(rows) returns the complex rows at times[rows] of every
-        map, one block per name.  After the headers the maps are made and
-        written a block of rows at a time (_block_rows(width)), each
-        block's magnitudes going into one float64 buffer beside its times,
-        so no map is ever whole in memory; every file holds the bytes
-        np.save writes for the assembled array."""
-        n = times.shape[0]
-        size = _block_rows(width)
+        array of times then |rows| (width values), one row per time.  The
+        headers are written first; push(rows, blocks) then writes the rows
+        at times[rows], one complex block per name, each block's magnitudes
+        going into one float64 buffer beside its times.  Blocks come in
+        order, at most _block_rows(width) rows each, so no map is ever whole
+        in memory, and every file holds the bytes np.save writes for the
+        assembled array.  The files are complete when the with statement
+        ends and are listed by register, in manifest order; if its body
+        raises, they are deleted, so no truncated map is left."""
         header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-                  "fortran_order": False, "shape": (n, width + 1)}
+                  "fortran_order": False, "shape": (times.shape[0], width + 1)}
         paths = [self.out_dir / name for name in names]
-        buf = np.empty((min(size, n), width + 1))
-        with ExitStack() as stack:
-            files = [stack.enter_context(path.open("wb")) for path in paths]
-            for f in files:
-                np.lib.format.write_array_header_1_0(f, header)
-            for lo in range(0, n, size):
-                rows = slice(lo, lo + size)
-                for f, block in zip(files, make_rows(rows)):
-                    data = buf[:block.shape[0]]
-                    data[:, 0] = times[rows]
-                    np.abs(block, out=data[:, 1:])
-                    f.write(data)
-                del block  # the next blocks are made without this one
-        for path in paths:
-            self._register(path)
+        buf = np.empty((min(_block_rows(width), times.shape[0]) if paths else 0, width + 1))
+        try:
+            with ExitStack() as stack:
+                files = [stack.enter_context(path.open("wb")) for path in paths]
+                for f in files:
+                    np.lib.format.write_array_header_1_0(f, header)
+
+                def push(rows, blocks):
+                    for f, block in zip(files, blocks):
+                        data = buf[:block.shape[0]]
+                        data[:, 0] = times[rows]
+                        np.abs(block, out=data[:, 1:])
+                        f.write(data)
+
+                yield push
+        except BaseException:
+            for path in paths:
+                path.unlink(missing_ok=True)
+            raise
+        finally:
+            del buf  # a push after the with statement fails; the buffer goes now
 
     def json(self, name: str, payload: dict) -> Path:
         path = self.out_dir / name
@@ -361,12 +382,26 @@ class _ArtifactWriter:
         self._register(path)
         return path
 
+    def register(self, names) -> None:
+        """List files written by npy, in this order."""
+        for name in names:
+            self._register(self.out_dir / name)
+
     def _register(self, path: Path):
         h = hashlib.sha256()
         with path.open("rb") as f:
             while chunk := f.read(_HASH_CHUNK_BYTES):
                 h.update(chunk)
         self.files.append({"name": path.name, "sha256": h.hexdigest(), "bytes": path.stat().st_size})
+
+
+def _keep_rows(kept: dict, rows: slice, wanted) -> None:
+    """Copy into kept[key] each row a scalar reads, as its block arrives:
+    wanted holds (key, index, block) with index a stored-row index (or
+    None) and block the rows at the stored rows `rows`."""
+    for key, index, block in wanted:
+        if index is not None and rows.start <= index < rows.stop:
+            kept[key] = block[index - rows.start].copy()
 
 
 def _nearest_row(field_times: np.ndarray, t: float) -> int:
@@ -390,7 +425,12 @@ def input_spectrum_correlation(record, t_snap: float, eta_at_absorption: float) 
     """Pearson correlation of |alpha(z, t_snap)| against the input amplitude
     spectrum resampled through the frequency map omega = -eta*z."""
     idx = _nearest_row(record.field_times, t_snap)
-    prof = np.abs(record.polarisation[idx])
+    return _spectrum_correlation(record, record.polarisation[idx], eta_at_absorption)
+
+
+def _spectrum_correlation(record, alpha_row: np.ndarray, eta_at_absorption: float) -> float:
+    """input_spectrum_correlation of one alpha row of the run `record`."""
+    prof = np.abs(alpha_row)
     t = record.times
     dt = record.grid.dt
     spec = np.fft.fft(record.input_series)
@@ -411,9 +451,14 @@ def envelope_correlation(record: EitRecord, t_snap: float) -> float:
     over the ramp, so the map's registration is not sharp) and the best
     correlation is reported.
     """
-    cfg = record.config
     idx = _nearest_row(record.field_times, t_snap)
-    pol = np.abs(eit_polariton(record, rows=slice(idx, idx + 1))[0])
+    return _envelope_correlation(record, eit_polariton(record, rows=slice(idx, idx + 1))[0])
+
+
+def _envelope_correlation(record: EitRecord, polariton_row: np.ndarray) -> float:
+    """envelope_correlation of one polariton row of the run `record`."""
+    cfg = record.config
+    pol = np.abs(polariton_row)
     v_g = 1.0 / cfg.group_delay  # normalized length per us
     z_norm = np.linspace(0.0, 1.0, record.grid.nz)
     env_t = np.abs(record.input_series)
@@ -443,29 +488,27 @@ def _eit_windows(config: EitConfig):
     return (0.0, config.switch_down + 4.0 * config.ramp_tau), (config.switch_up, config.grid.t_max)
 
 
-def _write_record(writer: _ArtifactWriter, record, dump_fields: bool, columns: dict, maps: dict):
+def _write_record(writer: _ArtifactWriter, record, columns: dict, maps):
     """input_output.csv: t_us, the input and output series, then the named
-    extra columns.  With dump_fields also the space-time maps, one row per
-    stored time, t_us then |value| on z_axis.csv: |E| and the named maps,
-    as <name>_mag.npy, written together a block of rows at a time;
-    maps[name](rows) makes a map's complex rows at field_times[rows]."""
+    extra columns.  When the run streamed space-time maps (maps, the names
+    of the .npy files written during it, |E| first), also z_axis.csv, the z
+    axis of their |value| columns, and then the maps."""
     writer.csv(
         "input_output.csv",
         ",".join(["t_us,in_re,in_im,out_re,out_im", *columns]),
         (record.times, record.input_series.real, record.input_series.imag,
          record.output_series.real, record.output_series.imag, *columns.values()),
     )
-    if dump_fields:
+    if maps:
         writer.csv("z_axis.csv", "z_mm", (record.grid.z_axis,))
-        maps = {"e_field": lambda rows: record.e_field[rows], **maps}
-        writer.npy([f"{name}_mag.npy" for name in maps], record.field_times, record.grid.nz,
-                   lambda rows: [make(rows) for make in maps.values()])
+        writer.register(maps)
 
 
 def _rows_to_store(spec: ExperimentSpec, dump_fields: bool, picks) -> np.ndarray:
-    """Time indices a GEM or EIT run stores.  A run that writes maps
-    (dump_fields, or kspace_report) stores every field_stride-th step;
-    any other stores only the strided rows its scalars read, each pick
+    """Time indices whose rows a GEM or EIT run hands on.  A run that
+    writes maps (dump_fields, or kspace_report) hands on every
+    field_stride-th step; any other only the strided rows its scalars
+    read, each pick
     mapping the strided rows' times to the index or mask of the rows it
     reads, as the scalar's reader selects them."""
     grid = spec.config.grid
@@ -480,14 +523,40 @@ def _rows_to_store(spec: ExperimentSpec, dump_fields: bool, picks) -> np.ndarray
 
 
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
+    """A GEM run whose rows stream, a block at a time, into the maps it
+    writes (|E| and |alpha| with dump_fields; kspace_report's |Psi| and
+    |Phi|, with each row's power and centroid) and into the copies of the
+    single rows its scalars read."""
     config: GemConfig = spec.config
     params = spec.params
+    kspace = spec.kind in _KSPACE
     picks = []
     if "spectrum_time" in params:
         picks.append(lambda times: _nearest_row(times, params["spectrum_time"]))
-    record = run_gem(config, spec.pulse, rows=_rows_to_store(spec, dump_fields, picks))
-    _write_record(writer, record, dump_fields, {},
-                  {"polarisation": lambda rows: record.polarisation[rows]})
+    keep = _rows_to_store(spec, dump_fields, picks)
+    times = config.grid.t_axis[keep]
+    spectrum_row = (_nearest_row(times, params["spectrum_time"])
+                    if "spectrum_time" in params else None)
+    residual_row = _residual_row(config, params, times) if kspace else None
+    field_maps = ["e_field_mag.npy", "polarisation_mag.npy"] if dump_fields else []
+    kspace_maps = ["psi_mag.npy", "phi_mag.npy"] if kspace else []
+    k = _k_axis(config.grid)
+    row_power, centroid = np.empty((2, times.size))
+    kept = {}
+
+    with writer.npy(field_maps + kspace_maps, times, config.grid.nz) as push:
+        def consume(rows, e, a):
+            modes = _modes(e, a, k, config) if kspace else ()
+            push(rows, [e, a, *modes] if dump_fields else list(modes))
+            if kspace:
+                w = _weights(modes[0])
+                del modes  # Psi and Phi go before the row values are made
+                row_power[rows], centroid[rows] = _row_values(w, k)
+            _keep_rows(kept, rows, (("spectrum", spectrum_row, a), ("residual_e", residual_row, e),
+                                    ("residual_a", residual_row, a)))
+
+        record = run_gem(config, spec.pulse, rows=keep, consume=consume)
+    _write_record(writer, record, {}, field_maps)
     in_win, echo_win = params["input_window"], params["echo_window"]
     sigma = efficiency_numeric(record, in_win, echo_win)
     sigma_analytic = efficiency_analytic(config.beta)
@@ -505,21 +574,19 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         "beta": config.beta,
     }
 
-    if "spectrum_time" in params:
-        t_snap = params["spectrum_time"]
+    if spectrum_row is not None:
         eta_abs = config.stark.eval(spec.pulse.center)
-        scalars["spectrum_corr"] = input_spectrum_correlation(record, t_snap, eta_abs)
+        scalars["spectrum_corr"] = _spectrum_correlation(record, kept["spectrum"], eta_abs)
 
-    if spec.kind == "kspace_report":
-        ks = to_kspace(record)
+    if kspace:
         # k-space maps: one row per stored time, t_us then |value| on k_axis.csv
-        writer.csv("k_axis.csv", "k_per_mm", (ks.k_axis,))
-        writer.npy(("psi_mag.npy", "phi_mag.npy"), ks.times, ks.k_axis.size, ks.modes)
-        cen = centroid_series(ks)
+        writer.csv("k_axis.csv", "k_per_mm", (k,))
+        writer.register(kspace_maps)
         writer.csv("centroid.csv", "t_us,k_centroid,eta",
-                   (ks.times, cen, config.stark.eval(ks.times)))
-        row = _residual_row(config, params, ks.times)
-        scalars["phi_residual_mid_storage"] = phi_residual(ks, row)
+                   (times, _lit_centroids(row_power, centroid), config.stark.eval(times)))
+        _check_floor(row_power, residual_row)
+        scalars["phi_residual_mid_storage"] = _row_residual(
+            kept["residual_e"], kept["residual_a"], k, config)
     return scalars
 
 
@@ -537,26 +604,46 @@ def _hold_rows(config: EitConfig, input_window, field_times: np.ndarray) -> np.n
 
 
 def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
+    """An EIT run whose rows stream, a block at a time, into the maps it
+    writes with dump_fields (|E|, |S| and the |polariton|), into the
+    spin-wave drift of its hold rows, read against the first, and into a
+    copy of the polariton row its envelope correlation reads."""
     config: EitConfig = spec.config
     params = spec.params
     in_win, echo_win = params["input_window"], params["echo_window"]
     t_snap = params.get("envelope_time", 0.5 * (config.switch_down + config.switch_up))
     picks = (lambda times: _hold_rows(config, in_win, times),
              lambda times: _nearest_row(times, t_snap))
-    record = run_eit(config, spec.pulse, rows=_rows_to_store(spec, dump_fields, picks))
-    _write_record(writer, record, dump_fields,
-                  {"omega_c": omega_c_schedule(config, record.times)},
-                  {"spin_wave": lambda rows: record.spin_wave[rows],
-                   "polariton": lambda rows: eit_polariton(record, rows=rows)})
-    scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
+    keep = _rows_to_store(spec, dump_fields, picks)
+    times = config.grid.t_axis[keep]
+    hold = _hold_rows(config, in_win, times)
+    envelope_row = _nearest_row(times, t_snap)
+    maps = ["e_field_mag.npy", "spin_wave_mag.npy", "polariton_mag.npy"] if dump_fields else []
+    kept = {}
+    ref = ref_norm = None  # |S| of the first hold row and its norm
+    worst = 0.0  # largest distance of a hold row's |S| from ref
 
-    hold = _hold_rows(config, in_win, record.field_times)
-    if np.any(hold):
-        profiles = np.abs(record.spin_wave[hold])
-        ref = profiles[0]
-        drift = np.max(np.linalg.norm(profiles - ref, axis=1)) / np.linalg.norm(ref)
-        scalars["spinwave_drift"] = float(drift)
-    scalars["envelope_corr"] = envelope_correlation(record, t_snap)
+    with writer.npy(maps, times, config.grid.nz) as push:
+        def consume(rows, e, p, s):
+            nonlocal ref, ref_norm, worst
+            if dump_fields:
+                push(rows, [e, s, _dark_mixture(config, times[rows], e, s)])
+            _keep_rows(kept, rows, (("envelope_e", envelope_row, e),
+                                    ("envelope_s", envelope_row, s)))
+            if np.any(hold[rows]):
+                profiles = np.abs(s[hold[rows]])
+                if ref is None:
+                    ref, ref_norm = profiles[0].copy(), np.linalg.norm(profiles[0])
+                worst = max(worst, np.max(np.linalg.norm(profiles - ref, axis=1)))
+
+        record = run_eit(config, spec.pulse, rows=keep, consume=consume)
+    _write_record(writer, record, {"omega_c": omega_c_schedule(config, record.times)}, maps)
+    scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
+    if ref is not None:
+        scalars["spinwave_drift"] = float(worst / ref_norm)
+    polariton = _dark_mixture(config, times[envelope_row:envelope_row + 1],
+                              kept["envelope_e"][None], kept["envelope_s"][None])
+    scalars["envelope_corr"] = _envelope_correlation(record, polariton[0])
     return scalars
 
 

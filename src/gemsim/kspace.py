@@ -98,11 +98,18 @@ def _running_total(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=-1, out=x)[..., -1]
 
 
-def _row_values(record: FieldRecord, k: np.ndarray, rows: slice):
-    """The |Psi|^2 power of each row of one block, and its centroid
-    sum(k w) / sum(w) over k != 0, w = |Psi|^2, summed left to right along
-    k.  Each is the same whichever rows share the block."""
-    w = _weights(_modes(record.e_field[rows], record.polarisation[rows], k, record.config)[0])
+def _k_axis(grid) -> np.ndarray:
+    """The centered k axis of the z grid, read-only."""
+    k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(grid.nz, d=grid.dz))
+    k.setflags(write=False)
+    return k
+
+
+def _row_values(w: np.ndarray, k: np.ndarray):
+    """The |Psi|^2 power of each row of a block of weights w = |Psi|^2
+    (_weights of Psi rows, made first so that Psi can go), and its centroid
+    sum(k w) / sum(w) over k != 0, summed left to right along k.  Each is
+    the same whichever rows share the block."""
     sel = k != 0.0
     w_sel = np.compress(sel, w, axis=-1)
     kw = k[sel] * w_sel
@@ -116,29 +123,32 @@ def to_kspace(record: FieldRecord) -> KSpaceRecord:
 
     One pass over blocks of rows (_block_rows(nz) rows each) makes each
     block's Psi by the step of KSpaceRecord.modes and keeps, per row, only
-    the |Psi|^2 power and the k centroid, summed left to right along k,
-    the one value that k_centroid and centroid_series report.  A block's
-    step holds at most three blocks, and no Psi/Phi map is kept.
+    the |Psi|^2 power and the k centroid (_row_values), summed left to
+    right along k, the one value that k_centroid and centroid_series
+    report.  A run that streams its rows takes the same two steps on each
+    block as it arrives.  A block's step holds at most three blocks, and no
+    Psi/Phi map is kept.
     """
-    k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(record.grid.nz, d=record.grid.dz))
-    k.setflags(write=False)
+    k = _k_axis(record.grid)
     nrows = record.field_times.size
     row_power, centroid = np.empty((2, nrows))
     size = _block_rows(record.grid.nz)
     for lo in range(0, nrows, size):
         rows = slice(lo, lo + size)
-        row_power[rows], centroid[rows] = _row_values(record, k, rows)
+        psi = _modes(record.e_field[rows], record.polarisation[rows], k, record.config)[0]
+        row_power[rows], centroid[rows] = _row_values(_weights(psi), k)
+        del psi  # the next block is made without this one
     _readonly(row_power, centroid)
     return KSpaceRecord(record=record, k_axis=k, _row_power=row_power, _centroid=centroid)
 
 
-def _lit(ks: KSpaceRecord) -> np.ndarray:
+def _lit(row_power: np.ndarray) -> np.ndarray:
     """Rows whose |Psi|^2 weight exceeds the floor relative to the peak row."""
-    return ks._row_power > _FLOOR_FRACTION * np.max(ks._row_power)
+    return row_power > _FLOOR_FRACTION * np.max(row_power)
 
 
-def _check_floor(ks: KSpaceRecord, t_index: int) -> None:
-    if not _lit(ks)[t_index]:
+def _check_floor(row_power: np.ndarray, t_index: int) -> None:
+    if not _lit(row_power)[t_index]:
         raise ValueError(
             f"|Psi|^2 at t index {t_index} is below {_FLOOR_FRACTION} of the peak row"
         )
@@ -147,14 +157,19 @@ def _check_floor(ks: KSpaceRecord, t_index: int) -> None:
 def k_centroid(ks: KSpaceRecord, t_index: int) -> float:
     """Weighted centroid sum(k |Psi|^2) / sum(|Psi|^2), k = 0 bin excluded,
     summed left to right along k: centroid_series' value at t_index."""
-    _check_floor(ks, t_index)
+    _check_floor(ks._row_power, t_index)
     return float(ks._centroid[t_index])
 
 
 def centroid_series(ks: KSpaceRecord) -> np.ndarray:
     """k_centroid at every stored time, bit for bit; rows below the floor
     give nan."""
-    return np.where(_lit(ks), ks._centroid, np.nan)
+    return _lit_centroids(ks._row_power, ks._centroid)
+
+
+def _lit_centroids(row_power: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """centroid_series of per-row powers and centroids."""
+    return np.where(_lit(row_power), centroid, np.nan)
 
 
 def _tukey(n: int, alpha: float) -> np.ndarray:
@@ -178,14 +193,21 @@ def phi_residual(ks: KSpaceRecord, t_index: int) -> float:
     The input/output field at the medium faces breaks periodicity and
     pollutes the raw transforms, so both rows are multiplied by a cosine
     taper (5% of the span on each edge, the numpy Tukey window _tukey)
-    before they take the Psi/Phi step of KSpaceRecord.modes.
+    before they take the Psi/Phi step of KSpaceRecord.modes (_row_residual,
+    which a run that streams its rows takes on the one row it keeps).
     """
-    _check_floor(ks, t_index)
+    _check_floor(ks._row_power, t_index)
     record = ks.record
-    taper = _tukey(record.grid.nz, _TAPER_FRACTION)
-    psi, phi = _modes(record.e_field[t_index] * taper, record.polarisation[t_index] * taper,
-                      ks.k_axis, record.config)
-    sel = ks.k_axis != 0.0
+    return _row_residual(record.e_field[t_index], record.polarisation[t_index], ks.k_axis,
+                         record.config)
+
+
+def _row_residual(e_row: np.ndarray, a_row: np.ndarray, k: np.ndarray,
+                  config: GemConfig) -> float:
+    """phi_residual of one E row and one alpha row."""
+    taper = _tukey(config.grid.nz, _TAPER_FRACTION)
+    psi, phi = _modes(e_row * taper, a_row * taper, k, config)
+    sel = k != 0.0
     denom = float(np.linalg.norm(psi[sel]))
     if denom == 0.0:
         raise ValueError("apodized Psi vanishes at this time index")
@@ -201,7 +223,7 @@ def polariton_norm(ks: KSpaceRecord, t_index: int) -> float:
     """
     if np.max(ks._row_power) == 0.0:
         return 0.0
-    _check_floor(ks, t_index)
+    _check_floor(ks._row_power, t_index)
     grid, linear_density = ks.record.grid, ks.record.config.linear_density
     norm_factor = np.sqrt(ks.k_axis**2 + linear_density**2)
     q = np.abs(ks.modes(t_index)[0] / norm_factor) ** 2

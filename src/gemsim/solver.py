@@ -22,7 +22,11 @@ ramp builds every step.
 The time loop (`_march`) is shared with the EIT solver in `eit.py` and
 holds the whole predictor/corrector pass; each solver hands it two calls
 per step, begin (the source-free half step and the source weight) and
-finish (the state update to the end of the step).
+finish (the state update to the end of the step).  The loop hands the
+field rows it is asked for on a block of rows at a time, as it fills them,
+to one consumer: the record's row arrays, or a caller's consumer that
+writes maps or reduces the rows as they arrive, so a run that streams its
+rows holds one block of them, not their history.
 """
 
 from __future__ import annotations
@@ -97,7 +101,8 @@ class FieldRecord:
 
     input_series/output_series/alpha_norm_series are kept at every step;
     e_field and polarisation hold one row per time in field_times, the
-    steps the run was asked to store (possibly none).
+    steps the run was asked to store (possibly none; none when its rows
+    went to a consumer instead, see run_gem).
     The discrete Maxwell relation E(z,t) = input_series(t) + i*N*cumint(alpha)
     holds row by row.  config is the run's configuration, the one place its
     parameters are read from; grid is config.grid.
@@ -264,10 +269,10 @@ def _readonly(*arrays):
         arr.setflags(write=False)
 
 
-# bytes of one block of complex rows (16 rows of 4096 values): the k-space
-# pass, the .npy map writer and find_delta's offset scan work a block at a
-# time, so their temporaries are blocks, not whole maps; larger blocks run
-# no faster
+# bytes of one block of complex rows (16 rows of 4096 values): the march
+# hands on its stored rows, and the k-space pass, the .npy map writer and
+# find_delta's offset scan work, a block at a time, so their temporaries
+# are blocks, not whole maps; larger blocks run no faster
 _BLOCK_BYTES = 1 << 20
 
 
@@ -276,7 +281,7 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (16 * width))
 
 
-def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state):
+def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consume):
     """Exponential-midpoint time loop shared by the GEM and EIT solvers.
 
     state holds the solver's per-site arrays, which finish advances in
@@ -287,12 +292,19 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state):
     rot (corrector); finish(n, src) takes the corrected midpoint field and
     may overwrite it.  Each field rebuild is one call of the module-global
     cumulative_simpson(f, dx, out=...), three per step, into buffers
-    allocated once.  Returns the output E(z_max, t), the norm
-    dz*sum|state[-1]|^2 (one einsum pass over its real view, no BLAS call)
-    and the (E, *state) rows at the time indices `keep`: any strictly
+    allocated once.  Returns the output E(z_max, t) and the norm
+    dz*sum|state[-1]|^2 (one einsum pass over its real view, no BLAS call).
+
+    The (E, *state) rows at the time indices `keep` (any strictly
     increasing subset of range(nt), with or without step 0, possibly
-    empty.  Raises NonFiniteFieldError at the first step where the output
-    or the norm is not finite.
+    empty) go to consume(rows, e, *state_rows) a block at a time, as soon
+    as a block of _block_rows(nz) rows is filled and at the last one: rows
+    is the slice of keep the block holds, and each block is a C-order
+    (rows, nz) view of one buffer that the next block overwrites, so a
+    consumer copies what it keeps and may change the block in place.  The
+    loop holds one block per field, whatever the number of rows.  Raises
+    NonFiniteFieldError at the first step where the output or the norm is
+    not finite (the blocks already handed on stay handed on).
     """
     nt = times.size
     E = np.full(state[0].size, ein[0], dtype=complex)
@@ -306,11 +318,15 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state):
     norm[0] = float(np.einsum("i,i->", v, v)) * dz
     keep_set = {int(i): j for j, i in enumerate(keep)}
     fields = (E, *state)
-    rows = [np.empty((len(keep), E.size), dtype=complex) for _ in fields]
+    size = min(_block_rows(E.size), len(keep))
+    block = np.empty((len(fields), size, E.size), dtype=complex)
 
     def store(j):
-        for arr, row in zip(rows, fields):
-            arr[j] = row
+        r = j % size
+        for buf, row in zip(block, fields):
+            buf[r] = row
+        if r == size - 1 or j == len(keep) - 1:
+            consume(slice(j - r, j + 1), *block[:, :r + 1])
 
     if 0 in keep_set:
         store(keep_set[0])
@@ -341,7 +357,23 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state):
         j = keep_set.get(n + 1)
         if j is not None:
             store(j)
-    return out, norm, rows
+    return out, norm
+
+
+def _field_rows(times, keep, nz: int, count: int, consume):
+    """The field times and the count field-row arrays of a record, and the
+    consumer its march hands the rows at keep to.  With consume None the
+    record stores those rows, (len(keep), nz) arrays filled block by block;
+    otherwise the rows go to consume and the record stores none."""
+    if consume is not None:
+        return times[:0], [np.empty((0, nz), dtype=complex) for _ in range(count)], consume
+    arrays = [np.empty((len(keep), nz), dtype=complex) for _ in range(count)]
+
+    def fill(rows, *blocks):
+        for arr, block in zip(arrays, blocks):
+            arr[rows] = block
+
+    return times[keep], arrays, fill
 
 
 def run_gem(
@@ -350,19 +382,27 @@ def run_gem(
     *,
     rows=None,
     carrier: float = 0.0,
+    consume=None,
 ) -> FieldRecord:
     """Integrate the medium response to `pulse` and return its record.
 
-    rows: the time indices whose field and polarisation rows the record
-    stores, strictly increasing in [0, nt); empty stores none, and None
-    stores about 512 evenly strided rows, the last step included.
+    rows: the time indices of the field and polarisation rows the run
+    hands on, strictly increasing in [0, nt); empty hands on none, and None
+    about 512 evenly strided rows, the last step included.
+
+    consume: None, and the record stores those rows; or a callable
+    consume(rows, e, alpha) that takes them instead, a block at a time as
+    the run makes them (see _march: rows is the slice of the indices a
+    block holds, e and alpha are buffers the next block reuses), and the
+    record stores none.  Either way the rows are the same bit for bit.
 
     carrier: optional demodulation frequency (rad/us).  The run is done in
     the gauge alpha -> alpha*exp(-i*Phi(t)), Phi(t) = (carrier/eta0) *
     int_0^t eta, which turns a plane-wave input at `carrier` into a DC
     envelope while keeping the physical medium window; recorded series and
-    field rows are transformed back, so the record is gauge-free.  Exact
-    for any slope schedule.
+    each block of field rows are transformed back before they are stored or
+    handed on, so the record and the rows are gauge-free.  Exact for any
+    slope schedule.
     """
     grid = config.grid
     stark = config.stark
@@ -371,6 +411,7 @@ def run_gem(
     t = grid.t_axis
     g, dens, gamma = config.g, config.linear_density, config.gamma
     keep = _stored_rows(nt, rows)
+    field_times, (e_rows, a_rows), consume = _field_rows(t, keep, nz, 2, consume)
 
     # per-step slope and offset integrals over the half and the full step
     integrals = np.fromiter(
@@ -409,14 +450,20 @@ def run_gem(
         np.multiply(rot_full, alpha, out=alpha)
         np.add(alpha, np.multiply(w_full, src, out=src), out=alpha)
 
-    out, anorm, (e_rows, a_rows) = _march(begin, finish, ein, ein_mid, 1j * dens, dz, t, keep,
-                                          (alpha,))
+    hand_on = consume
+    if carrier != 0.0:
+        gauge_rows = np.exp(1j * phi[keep])
+
+        def hand_on(rows, *blocks):
+            gauge = gauge_rows[rows, None]
+            for block in blocks:
+                np.multiply(block, gauge, out=block)
+            consume(rows, *blocks)
+
+    out, anorm = _march(begin, finish, ein, ein_mid, 1j * dens, dz, t, keep, (alpha,), hand_on)
 
     if carrier != 0.0:
         out = out * np.exp(1j * phi)
-        gauge_rows = np.exp(1j * phi[keep])
-        e_rows = e_rows * gauge_rows[:, None]
-        a_rows = a_rows * gauge_rows[:, None]
 
     _readonly(out, anorm, e_rows, a_rows, ein_true)
     return FieldRecord(
@@ -424,7 +471,7 @@ def run_gem(
         input_series=ein_true,
         output_series=out,
         alpha_norm_series=anorm,
-        field_times=t[keep],
+        field_times=field_times,
         e_field=e_rows,
         polarisation=a_rows,
         config=config,

@@ -406,6 +406,44 @@ class TestRunExperiment:
         one_field = 2001 * 1024 * 16
         assert peak < one_field / 4
 
+    def test_csv_is_the_bytes_np_savetxt_writes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(10001, 6)) * 10.0 ** rng.integers(-300, 300, size=(10001, 6))
+        data[::7, 1] = np.nan  # as in centroid.csv
+        data[3::11, 2] = -0.0
+        data[5, 3], data[6, 4], data[8, 5] = np.inf, -np.inf, 0.0
+        ref = io.BytesIO()
+        np.savetxt(ref, data, fmt=experiments._FMT, delimiter=",", header="a,b,c,d,e,f",
+                   comments="")
+        # one block, then blocks of 7 rows with the last partly filled
+        for block_bytes in (solver._BLOCK_BYTES, 7 * 16 * 6):
+            monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes)
+            path = experiments._ArtifactWriter(tmp_path).csv("x.csv", "a,b,c,d,e,f", data.T)
+            assert path.read_bytes() == ref.getvalue()
+
+    def test_a_map_writing_run_holds_one_block_of_rows(self, tmp_path):
+        # the march hands its rows to the map writers a block at a time, so
+        # writing every row of the run peaks within a few blocks of writing
+        # a handful (the march's two blocks, the k-space step's three and
+        # the writer's half block), far below one field's history
+        def peak(stride):
+            spec = load_spec(tiny_gem_spec(
+                tmp_path, grid={"nz": 512, "nt": 4001}, kind="kspace_report", checks={},
+                params={"input_window": [0.0, 10.0], "echo_window": [15.0, 40.0],
+                        "field_stride": stride}))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run_experiment(spec, tmp_path / f"stride{stride}", dump_fields=True)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        block = solver._block_rows(512) * 512 * 16
+        every_row, few_rows = peak(1), peak(800)
+        assert every_row <= few_rows + 6 * block
+        assert every_row < 4001 * 512 * 16 / 4
+
     @pytest.mark.parametrize("make_spec", [
         lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
         lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=1),
@@ -577,6 +615,42 @@ class TestCli:
         assert len(err.splitlines()) == 1
         manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
+
+    def test_march_failure_leaves_no_partial_map(self, tmp_path, capsys, monkeypatch):
+        # the field turns non-finite at step 1000 of 1600, after the march
+        # has handed on blocks of 5 rows to every map: the partial maps are
+        # deleted, and no file is listed in the incomplete manifest
+        calls = []
+
+        def poisoned(f, dx, out=None):
+            calls.append(1)
+            out = solver_simpson(f, dx, out=out)
+            if len(calls) >= 3 * 1000:
+                out[:] = np.nan
+            return out
+
+        solver_simpson = solver.cumulative_simpson
+        monkeypatch.setattr(solver, "cumulative_simpson", poisoned)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 16 * 128)
+        pushed = []
+        npy = experiments._ArtifactWriter.npy
+
+        @contextlib.contextmanager
+        def npy_spy(self, names, times, width):
+            with npy(self, names, times, width) as push:
+                yield lambda rows, blocks: (pushed.append(rows), push(rows, blocks))
+
+        monkeypatch.setattr(experiments._ArtifactWriter, "npy", npy_spy)
+        path = tiny_gem_spec(tmp_path, kind="kspace_report", checks={})
+        out = tmp_path / "o"
+        assert cli_main(["--out", str(out), "--dump-fields", "run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: non-finite values at time index 1000")
+        assert len(err.splitlines()) == 1
+        assert len(pushed) > 10
+        assert sorted(p.name for p in (out / "tiny").iterdir()) == ["manifest.json"]
+        manifest = json.loads((out / "tiny" / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete" and manifest["files"] == []
 
     def test_analysis_failure_after_load_exits_3(self, tmp_path, capsys):
         # decay empties the polarisation before the k-space residual is read

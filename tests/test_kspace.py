@@ -182,7 +182,10 @@ class TestBlockBuild:
             base = tracemalloc.get_traced_memory()[0]
             ks = to_kspace(record)
             centroid_series(ks)
-            writer.npy(("psi_mag.npy", "phi_mag.npy"), ks.times, nz, ks.modes)
+            size = _block_rows(nz)
+            with writer.npy(("psi_mag.npy", "phi_mag.npy"), ks.times, nz) as push:
+                for lo in range(0, nrows, size):
+                    push(slice(lo, lo + size), ks.modes(slice(lo, lo + size)))
             phi_residual(ks, nrows // 2)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:

@@ -428,7 +428,8 @@ class TestOffsetScan:
     def test_one_block_constant_sizes_the_scan_the_kspace_pass_and_the_maps(
             self, probe, monkeypatch, tmp_path):
         # solver._BLOCK_BYTES is the one block rule: patched, it resizes the
-        # offset scan's blocks, to_kspace's pass and the .npy writer's blocks
+        # offset scan's blocks, to_kspace's pass and the march's blocks of
+        # rows, which the .npy writer takes
         rec, echo_window, _ = probe
         cfg = small_config(beta=1.0)
         stored = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 20))
@@ -441,14 +442,9 @@ class TestOffsetScan:
                 scan_shapes.append(x.shape)
             return fft(x, *args, **kwargs)
 
-        def values_spy(record, k, rows):
-            pass_rows.append(len(range(nrows)[rows]))
-            return row_values(record, k, rows)
-
-        def modes_spy(rows):
-            psi, phi = ks.modes(rows)
-            map_rows.append(psi.shape[0])
-            return psi, phi
+        def values_spy(w, k):
+            pass_rows.append(w.shape[0])
+            return row_values(w, k)
 
         def split(n, size):
             return [min(size, n - lo) for lo in range(0, n, size)]
@@ -458,7 +454,13 @@ class TestOffsetScan:
         monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 16)
         metrics._offset_scan(rec, echo_window, np.linspace(-2.0, 2.0, 22))
         ks = to_kspace(stored)
-        _ArtifactWriter(tmp_path).npy(("psi_mag.npy", "phi_mag.npy"), ks.times, nz, modes_spy)
+        # the march hands on blocks of the same size, which the writer takes
+        with _ArtifactWriter(tmp_path).npy(("e_mag.npy",), stored.field_times, nz) as push:
+            def consume(rows, e, a):
+                map_rows.append(e.shape[0])
+                push(rows, [e])
+
+            run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 20), consume=consume)
         nfft = scan_shapes[0][1]
         assert [rows for rows, _ in scan_shapes] == split(22, solver._block_rows(nfft))
         assert pass_rows == map_rows == split(nrows, solver._block_rows(nz))

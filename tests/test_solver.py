@@ -211,11 +211,12 @@ class TestRunGem:
 # the three GEM paths a stored row goes through: plain, decaying, and
 # carrier gauge (rows multiplied back by the gauge phase)
 _ROW_RUNS = {
-    "abrupt": lambda rows: run_gem(small_config(nt=801), small_pulse(), rows=rows),
-    "gamma": lambda rows: run_gem(small_config(nt=801, gamma=0.3), small_pulse(), rows=rows),
-    "carrier": lambda rows: run_gem(small_config(nt=801, switch=20.0),
-                                    make_plane_wave_mode(2, 6.0, 10.0), rows=rows,
-                                    carrier=np.pi),
+    "abrupt": lambda rows, **kw: run_gem(small_config(nt=801), small_pulse(), rows=rows, **kw),
+    "gamma": lambda rows, **kw: run_gem(small_config(nt=801, gamma=0.3), small_pulse(),
+                                        rows=rows, **kw),
+    "carrier": lambda rows, **kw: run_gem(small_config(nt=801, switch=20.0),
+                                          make_plane_wave_mode(2, 6.0, 10.0), rows=rows,
+                                          carrier=np.pi, **kw),
 }
 
 
@@ -232,6 +233,44 @@ def test_a_row_subset_is_the_strided_run_row_for_row(case):
         assert rec.e_field.shape == rec.polarisation.shape == (subset.size, 128)
         assert np.array_equal(rec.output_series, full.output_series)
         assert np.array_equal(rec.alpha_norm_series, full.alpha_norm_series)
+
+
+_STREAM_RUNS = {
+    **_ROW_RUNS,
+    "eit": lambda rows, **kw: run_eit(
+        EitConfig(n_atoms=400.0, g=1.0, omega_c0=20.0, switch_down=10.0, switch_up=18.0,
+                  ramp_tau=1.0, grid=Grid(z_min=0.0, z_max=1.0, nz=128, t_max=22.5, nt=801)),
+        PulseSpec(kind="gaussian", center=5.0, width=1.5), rows=rows, **kw),
+}
+
+
+@pytest.mark.parametrize("case", list(_STREAM_RUNS))
+def test_streamed_blocks_are_the_record_rows_bit_for_bit(case, monkeypatch):
+    # the march hands its rows on in blocks of B = 5 here; joined, the blocks
+    # a consumer gets are the rows a record stores (one block of them)
+    run = _STREAM_RUNS[case]
+    strided = _snapshot_rows(801, 20)
+    stored = run(strided)
+    names = ["e_field", "polarisation"] + (["spin_wave"] if case == "eit" else [])
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 16 * 128)
+    size = solver._block_rows(128)
+    assert size == 5
+    for n in (1, size - 1, size, size + 1, 2 * size + 3):
+        pick = strided.size // 3 + np.arange(n)
+        slices, blocks = [], []
+
+        def consume(rows, *fields):
+            slices.append(rows)
+            blocks.append([f.copy() for f in fields])
+
+        streamed = run(strided[pick], consume=consume)
+        assert slices == [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+        for i, name in enumerate(names):
+            joined = np.concatenate([b[i] for b in blocks])
+            assert joined.tobytes() == getattr(stored, name)[pick].tobytes(), (n, name)
+            assert getattr(streamed, name).shape == (0, 128)
+        assert streamed.field_times.size == 0
+        assert streamed.output_series.tobytes() == stored.output_series.tobytes()
 
 
 @pytest.mark.parametrize("rows", [[5, 3], [3, 3], [-1, 3], [3, 801], [0.0, 3.0], [[0, 3]]],
