@@ -16,10 +16,14 @@ configured times.
 Time stepping uses the exponential-midpoint loop of the GEM solver
 (`solver._march`), which owns the field rebuild (every cumulative_simpson
 call), the predictor/corrector pass, the blocks of rows it hands on and
-the finiteness guard.  This module hands it the exact 2x2 propagator of the (P, S) pair:
-begin propagates P source-free over the half step, finish advances P and S
-in place over the full step, both from a table with one row per distinct
-control value.
+the finiteness guard.  This module hands it the exact 2x2 propagator of
+the (P, S) pair: begin propagates P source-free over the half step,
+finish advances P and S in place over the full step, both from a table
+with one row per distinct control value.
+
+eit_polariton mixes E and S rows into the dark-state polariton.  It takes
+the rows it mixes, so the same function serves a record's rows and each
+block of rows a streaming run's march hands on.
 """
 
 from __future__ import annotations
@@ -216,21 +220,14 @@ def run_eit(
     )
 
 
-def eit_polariton(record: EitRecord, rows=slice(None)) -> np.ndarray:
-    """Dark-state mixture cos(th)*E - sin(th)*sqrt(N)*S at the stored times
-    field_times[rows] (all of them by default), with tan(th)^2 =
-    g^2*N/omega_c^2 and omega_c the record's control schedule at those
-    times.  Each row is the same elementwise expression whichever rows are
-    taken (_dark_mixture)."""
-    return _dark_mixture(record.config, record.field_times[rows], record.e_field[rows],
-                         record.spin_wave[rows])
-
-
-def _dark_mixture(cfg: EitConfig, times: np.ndarray, e_rows: np.ndarray,
+def eit_polariton(config: EitConfig, times: np.ndarray, e_rows: np.ndarray,
                   s_rows: np.ndarray) -> np.ndarray:
-    """eit_polariton's mixture of E and S rows at the given times."""
-    gn = cfg.g * math.sqrt(cfg.n_atoms)
-    theta = np.arctan2(gn, omega_c_schedule(cfg, times))
+    """Dark-state mixture cos(th)*E - sin(th)*sqrt(N)*S of E and S rows at
+    the given times, with tan(th)^2 = g^2*N/omega_c^2 and omega_c the
+    control schedule of config at those times.  Each row is the same
+    elementwise expression whichever rows are taken."""
+    gn = config.g * math.sqrt(config.n_atoms)
+    theta = np.arctan2(gn, omega_c_schedule(config, times))
     cos_t = np.cos(theta)[:, None]
     sin_t = np.sin(theta)[:, None]
-    return cos_t * e_rows - sin_t * math.sqrt(cfg.n_atoms) * s_rows
+    return cos_t * e_rows - sin_t * math.sqrt(config.n_atoms) * s_rows

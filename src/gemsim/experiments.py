@@ -12,13 +12,16 @@ GEM and EIT runs write their input/output series through one function.
 Their field rows stream from the solver's march, a block at a time as it
 makes them, into the maps and the scalars that read them: a run holds one
 block of rows and copies of the single rows a scalar reads, never the
-rows' history.  Artifacts are 1-D series as CSV with fixed
-full-precision formatting, 2-D magnitude maps as `.npy` (written a block
-of rows at a time as the run makes them, so no map, k-space maps
-included, is ever whole in memory, and deleted if the run fails before
-they are complete), JSON summaries and a manifest listing names,
-checksums and headline scalars; rerunning a spec reproduces every data
-file byte for byte.
+rows' history.  It calls the readers a caller with a stored record
+calls, which take the rows they read: KSpaceRecord.push and
+eit_polariton on each block, then centroid_series, phi_residual,
+input_spectrum_correlation and envelope_correlation.  Artifacts are 1-D
+series as CSV with fixed full-precision formatting, 2-D magnitude maps
+as `.npy` (written a block of rows at a time as the run makes them, so
+no map, k-space maps included, is ever whole in memory, and deleted if
+the run fails before they are complete), JSON summaries and a manifest
+listing names, checksums and headline scalars; rerunning a spec
+reproduces every data file byte for byte.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ import numpy as np
 
 from .core import (ConfigError, GemConfig, Grid, PulseSpec, StarkProfile,
                    make_plane_wave_mode)
-from .eit import EitConfig, EitRecord, _dark_mixture, eit_polariton, omega_c_schedule, run_eit
-from .kspace import (_check_floor, _k_axis, _lit_centroids, _modes, _row_residual, _row_values,
-                     _weights)
-from .kspace import centroid_series, phi_residual, to_kspace  # noqa: F401  (traced by perfbench)
+from .eit import EitConfig, EitRecord, eit_polariton, omega_c_schedule, run_eit
+from .kspace import KSpaceRecord, centroid_series, phi_residual
+from .kspace import to_kspace  # noqa: F401  (traced by perfbench)
 from .metrics import (
     SweepRow,
     _gem_windows,
@@ -421,15 +423,10 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / denom)
 
 
-def input_spectrum_correlation(record, t_snap: float, eta_at_absorption: float) -> float:
-    """Pearson correlation of |alpha(z, t_snap)| against the input amplitude
-    spectrum resampled through the frequency map omega = -eta*z."""
-    idx = _nearest_row(record.field_times, t_snap)
-    return _spectrum_correlation(record, record.polarisation[idx], eta_at_absorption)
-
-
-def _spectrum_correlation(record, alpha_row: np.ndarray, eta_at_absorption: float) -> float:
-    """input_spectrum_correlation of one alpha row of the run `record`."""
+def input_spectrum_correlation(record, alpha_row: np.ndarray, eta_at_absorption: float) -> float:
+    """Pearson correlation of |alpha(z)|, one alpha row of the run `record`,
+    against the run's input amplitude spectrum resampled through the
+    frequency map omega = -eta*z."""
     prof = np.abs(alpha_row)
     t = record.times
     dt = record.grid.dt
@@ -442,21 +439,16 @@ def _spectrum_correlation(record, alpha_row: np.ndarray, eta_at_absorption: floa
     return _pearson(prof, mapped)
 
 
-def envelope_correlation(record: EitRecord, t_snap: float) -> float:
-    """Pearson correlation of the stored dark-polariton spatial profile with
-    the input temporal envelope mapped through z = v_g*(t_capture - t).
+def envelope_correlation(record: EitRecord, polariton_row: np.ndarray) -> float:
+    """Pearson correlation of a stored dark-polariton spatial profile, one
+    eit_polariton row of the run `record`, with the run's input temporal
+    envelope mapped through z = v_g*(t_capture - t).
 
     v_g is the analytic dark-polariton group velocity; the capture instant
     is scanned across the control switch-off ramp (the freeze is spread
     over the ramp, so the map's registration is not sharp) and the best
     correlation is reported.
     """
-    idx = _nearest_row(record.field_times, t_snap)
-    return _envelope_correlation(record, eit_polariton(record, rows=slice(idx, idx + 1))[0])
-
-
-def _envelope_correlation(record: EitRecord, polariton_row: np.ndarray) -> float:
-    """envelope_correlation of one polariton row of the run `record`."""
     cfg = record.config
     pol = np.abs(polariton_row)
     v_g = 1.0 / cfg.group_delay  # normalized length per us
@@ -508,9 +500,8 @@ def _rows_to_store(spec: ExperimentSpec, dump_fields: bool, picks) -> np.ndarray
     """Time indices whose rows a GEM or EIT run hands on.  A run that
     writes maps (dump_fields, or kspace_report) hands on every
     field_stride-th step; any other only the strided rows its scalars
-    read, each pick
-    mapping the strided rows' times to the index or mask of the rows it
-    reads, as the scalar's reader selects them."""
+    read, each pick mapping the strided rows' times to the index or mask
+    of the rows it reads, as the scalar's reader selects them."""
     grid = spec.config.grid
     strided = _snapshot_rows(grid.nt, spec.params.get("field_stride"))
     if dump_fields or spec.kind in _KSPACE:
@@ -525,8 +516,9 @@ def _rows_to_store(spec: ExperimentSpec, dump_fields: bool, picks) -> np.ndarray
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     """A GEM run whose rows stream, a block at a time, into the maps it
     writes (|E| and |alpha| with dump_fields; kspace_report's |Psi| and
-    |Phi|, with each row's power and centroid) and into the copies of the
-    single rows its scalars read."""
+    |Phi|, from the k-space view's block step, which keeps each row's power
+    and centroid) and into the copies of the single rows its scalars
+    read."""
     config: GemConfig = spec.config
     params = spec.params
     kspace = spec.kind in _KSPACE
@@ -540,18 +532,16 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     residual_row = _residual_row(config, params, times) if kspace else None
     field_maps = ["e_field_mag.npy", "polarisation_mag.npy"] if dump_fields else []
     kspace_maps = ["psi_mag.npy", "phi_mag.npy"] if kspace else []
-    k = _k_axis(config.grid)
-    row_power, centroid = np.empty((2, times.size))
+    ks = KSpaceRecord.empty(config, times) if kspace else None
     kept = {}
 
     with writer.npy(field_maps + kspace_maps, times, config.grid.nz) as push:
         def consume(rows, e, a):
-            modes = _modes(e, a, k, config) if kspace else ()
-            push(rows, [e, a, *modes] if dump_fields else list(modes))
-            if kspace:
-                w = _weights(modes[0])
-                del modes  # Psi and Phi go before the row values are made
-                row_power[rows], centroid[rows] = _row_values(w, k)
+            field_rows = [e, a] if dump_fields else []
+            if ks is None:
+                push(rows, field_rows)
+            else:
+                ks.push(rows, e, a, lambda psi, phi: push(rows, [*field_rows, psi, phi]))
             _keep_rows(kept, rows, (("spectrum", spectrum_row, a), ("residual_e", residual_row, e),
                                     ("residual_a", residual_row, a)))
 
@@ -576,17 +566,16 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
 
     if spectrum_row is not None:
         eta_abs = config.stark.eval(spec.pulse.center)
-        scalars["spectrum_corr"] = _spectrum_correlation(record, kept["spectrum"], eta_abs)
+        scalars["spectrum_corr"] = input_spectrum_correlation(record, kept["spectrum"], eta_abs)
 
-    if kspace:
+    if ks is not None:
         # k-space maps: one row per stored time, t_us then |value| on k_axis.csv
-        writer.csv("k_axis.csv", "k_per_mm", (k,))
+        writer.csv("k_axis.csv", "k_per_mm", (ks.k_axis,))
         writer.register(kspace_maps)
         writer.csv("centroid.csv", "t_us,k_centroid,eta",
-                   (times, _lit_centroids(row_power, centroid), config.stark.eval(times)))
-        _check_floor(row_power, residual_row)
-        scalars["phi_residual_mid_storage"] = _row_residual(
-            kept["residual_e"], kept["residual_a"], k, config)
+                   (times, centroid_series(ks), config.stark.eval(times)))
+        scalars["phi_residual_mid_storage"] = phi_residual(
+            ks, residual_row, kept["residual_e"], kept["residual_a"])
     return scalars
 
 
@@ -627,7 +616,7 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         def consume(rows, e, p, s):
             nonlocal ref, ref_norm, worst
             if dump_fields:
-                push(rows, [e, s, _dark_mixture(config, times[rows], e, s)])
+                push(rows, [e, s, eit_polariton(config, times[rows], e, s)])
             _keep_rows(kept, rows, (("envelope_e", envelope_row, e),
                                     ("envelope_s", envelope_row, s)))
             if np.any(hold[rows]):
@@ -641,9 +630,9 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
     if ref is not None:
         scalars["spinwave_drift"] = float(worst / ref_norm)
-    polariton = _dark_mixture(config, times[envelope_row:envelope_row + 1],
+    polariton = eit_polariton(config, times[envelope_row:envelope_row + 1],
                               kept["envelope_e"][None], kept["envelope_s"][None])
-    scalars["envelope_corr"] = _envelope_correlation(record, polariton[0])
+    scalars["envelope_corr"] = envelope_correlation(record, polariton[0])
     return scalars
 
 

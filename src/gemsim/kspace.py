@@ -1,10 +1,14 @@
 """Spatial-Fourier diagnostics: normal modes, centroid transport, residuals.
 
-The field/polarisation rows of a FieldRecord are transformed to k-space
-where the lossless combination Psi(k,t) = k*E(k,t) + N*alpha(k,t) is
-transported at dk/dt = -eta(t), while the orthogonal combination
+Field/polarisation rows are transformed to k-space (modes), where the
+lossless combination Psi(k,t) = k*E(k,t) + N*alpha(k,t) is transported at
+dk/dt = -eta(t), while the orthogonal combination
 Phi(k,t) = k*E(k,t) - N*alpha(k,t) stays unexcited wherever the interior
-field/polarisation relation holds.
+field/polarisation relation holds.  A KSpaceRecord keeps only the |Psi|^2
+power and the k centroid of each stored row.  Its one block step,
+KSpaceRecord.push, takes a block of rows either from a record (to_kspace)
+or as a run's march hands it on; the readers of single rows
+(phi_residual, polariton_norm) take the rows they read.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .solver import FieldRecord, _block_rows, _readonly
 __all__ = [
     "KSpaceRecord",
     "to_kspace",
+    "modes",
     "k_centroid",
     "phi_residual",
     "polariton_norm",
@@ -31,38 +36,51 @@ _TAPER_FRACTION = 0.10  # Tukey alpha: 5% cosine ramp on each z edge
 
 @dataclass(frozen=True)
 class KSpaceRecord:
-    """k-space view of a run (record) at its stored field times.
+    """k-space view of a run's field rows at the stored times `times`.
 
     k_axis is the centered discrete Fourier dual of the z grid, with spacing
     dk = 2*pi/(nz*dz).  Transforms are scaled so that sum |f~|^2 dk equals
     the plain rectangle sum of |f|^2 dz.  The grid and the linear density
-    are read from the record.  The view holds no Psi/Phi map: modes(rows)
-    makes the rows a reader asks for, and per stored time it keeps only
-    the |Psi|^2 row power and the k centroid.
+    are read from config.  The view holds no field row and no Psi/Phi map:
+    per stored time it keeps only the |Psi|^2 row power and the k centroid,
+    which push fills a block of rows at a time; the readers that need rows
+    (phi_residual, polariton_norm, modes) take the rows they read.
     """
 
-    record: FieldRecord
+    config: GemConfig
+    times: np.ndarray
     k_axis: np.ndarray
     _row_power: np.ndarray  # sum_k |Psi|^2 at each stored time
     _centroid: np.ndarray  # sum(k w) / sum(w), w = |Psi|^2, summed left to right
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.record.field_times
+    @classmethod
+    def empty(cls, config: GemConfig, times: np.ndarray) -> KSpaceRecord:
+        """A view at the stored times `times` whose row values push fills
+        (nan until then)."""
+        row_power, centroid = np.full((2, times.size), np.nan)
+        return cls(config, times, _k_axis(config.grid), row_power, centroid)
 
-    def modes(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Psi and Phi at the stored times field_times[rows]; rows is any
-        index of the record's rows (a slice, indices, a mask or one index).
-        Each row is the same bit for bit whichever rows are taken."""
-        record = self.record
-        return _modes(record.e_field[rows], record.polarisation[rows], self.k_axis,
-                      record.config)
-
-
-def _weights(rows: np.ndarray) -> np.ndarray:
-    """|rows|^2, squared in place in the one |rows| array."""
-    w = np.abs(rows)
-    return np.square(w, out=w)
+    def push(self, rows: slice, e: np.ndarray, a: np.ndarray, write=None) -> None:
+        """The block step: Psi and Phi of the E and alpha rows at
+        times[rows] (one block, at most _block_rows(nz) rows), handed to
+        write(psi, phi) when given (the .npy maps), then |Psi|^2 squared in
+        place in one |Psi| array once Psi and Phi are gone, and from it
+        each row's power and its centroid over k != 0, summed left to
+        right along k.  At most E~, alpha~ and Psi are alive together, and
+        each row's values are the same whichever rows share its block."""
+        psi, phi = modes(e, a, self.config)
+        if write is not None:
+            write(psi, phi)
+        w = np.abs(psi)
+        del psi, phi  # Psi and Phi go before the row values are made
+        np.square(w, out=w)
+        k = self.k_axis
+        sel = k != 0.0
+        w_sel = np.compress(sel, w, axis=-1)
+        kw = k[sel] * w_sel
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows with no weight
+            self._centroid[rows] = _running_total(kw) / _running_total(w_sel)
+        self._row_power[rows] = np.sum(w, axis=-1)
 
 
 def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
@@ -78,16 +96,17 @@ def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
-def _modes(e_rows: np.ndarray, a_rows: np.ndarray, k: np.ndarray,
-           config: GemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Psi and Phi of E and alpha rows on config's grid: fft, shift, times
-    scale, then times k and times N, then the sum and the difference (in
-    alpha~'s own array), the operations and order of the whole-array
-    transform.  Made from a block of rows it holds at most three blocks:
-    E~, alpha~ and the FFT's output, then E~, Psi and Phi."""
+def modes(e_rows: np.ndarray, a_rows: np.ndarray,
+          config: GemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Psi and Phi of E and alpha rows (one row or a stack of rows) on
+    config's grid: fft, shift, times scale, then times k and times N, then
+    the sum and the difference (in alpha~'s own array), the operations and
+    order of the whole-array transform, so each row is the same bit for bit
+    whichever rows are taken.  Made from a block of rows it holds at most
+    three blocks: E~, alpha~ and the FFT's output, then E~, alpha~ and Psi."""
     e = _transform(e_rows, config.grid.dz)
     a = _transform(a_rows, config.grid.dz)
-    e *= k
+    e *= _k_axis(config.grid)
     a *= config.linear_density
     psi = np.add(e, a)
     return psi, np.subtract(e, a, out=a)
@@ -105,41 +124,22 @@ def _k_axis(grid) -> np.ndarray:
     return k
 
 
-def _row_values(w: np.ndarray, k: np.ndarray):
-    """The |Psi|^2 power of each row of a block of weights w = |Psi|^2
-    (_weights of Psi rows, made first so that Psi can go), and its centroid
-    sum(k w) / sum(w) over k != 0, summed left to right along k.  Each is
-    the same whichever rows share the block."""
-    sel = k != 0.0
-    w_sel = np.compress(sel, w, axis=-1)
-    kw = k[sel] * w_sel
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows with no weight
-        centroid = _running_total(kw) / _running_total(w_sel)
-    return np.sum(w, axis=-1), centroid
-
-
 def to_kspace(record: FieldRecord) -> KSpaceRecord:
     """Transform the stored field rows of a run to k-space normal modes.
 
-    One pass over blocks of rows (_block_rows(nz) rows each) makes each
-    block's Psi by the step of KSpaceRecord.modes and keeps, per row, only
-    the |Psi|^2 power and the k centroid (_row_values), summed left to
-    right along k, the one value that k_centroid and centroid_series
-    report.  A run that streams its rows takes the same two steps on each
-    block as it arrives.  A block's step holds at most three blocks, and no
-    Psi/Phi map is kept.
+    The record's rows go through KSpaceRecord.push a block of
+    _block_rows(nz) rows at a time, as a run that streams its rows hands
+    each block of its march to push; per row the view keeps only the
+    |Psi|^2 power and the one k centroid that k_centroid and
+    centroid_series report.  No Psi/Phi map is kept.
     """
-    k = _k_axis(record.grid)
-    nrows = record.field_times.size
-    row_power, centroid = np.empty((2, nrows))
+    ks = KSpaceRecord.empty(record.config, record.field_times)
     size = _block_rows(record.grid.nz)
-    for lo in range(0, nrows, size):
+    for lo in range(0, ks.times.size, size):
         rows = slice(lo, lo + size)
-        psi = _modes(record.e_field[rows], record.polarisation[rows], k, record.config)[0]
-        row_power[rows], centroid[rows] = _row_values(_weights(psi), k)
-        del psi  # the next block is made without this one
-    _readonly(row_power, centroid)
-    return KSpaceRecord(record=record, k_axis=k, _row_power=row_power, _centroid=centroid)
+        ks.push(rows, record.e_field[rows], record.polarisation[rows])
+    _readonly(ks._row_power, ks._centroid)
+    return ks
 
 
 def _lit(row_power: np.ndarray) -> np.ndarray:
@@ -164,12 +164,7 @@ def k_centroid(ks: KSpaceRecord, t_index: int) -> float:
 def centroid_series(ks: KSpaceRecord) -> np.ndarray:
     """k_centroid at every stored time, bit for bit; rows below the floor
     give nan."""
-    return _lit_centroids(ks._row_power, ks._centroid)
-
-
-def _lit_centroids(row_power: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    """centroid_series of per-row powers and centroids."""
-    return np.where(_lit(row_power), centroid, np.nan)
+    return np.where(_lit(ks._row_power), ks._centroid, np.nan)
 
 
 def _tukey(n: int, alpha: float) -> np.ndarray:
@@ -187,35 +182,31 @@ def _tukey(n: int, alpha: float) -> np.ndarray:
     return np.concatenate((w1, np.ones(n - 2 * (width + 1)), w3))
 
 
-def phi_residual(ks: KSpaceRecord, t_index: int) -> float:
-    """||Phi|| / ||Psi|| at one stored time, boundary-apodized, k=0 excluded.
+def phi_residual(ks: KSpaceRecord, t_index: int, e_row: np.ndarray,
+                 a_row: np.ndarray) -> float:
+    """||Phi|| / ||Psi|| of the E and alpha rows at the stored time
+    t_index, boundary-apodized, k=0 excluded.
 
     The input/output field at the medium faces breaks periodicity and
     pollutes the raw transforms, so both rows are multiplied by a cosine
     taper (5% of the span on each edge, the numpy Tukey window _tukey)
-    before they take the Psi/Phi step of KSpaceRecord.modes (_row_residual,
-    which a run that streams its rows takes on the one row it keeps).
+    before they take the Psi/Phi step of modes.  The row must be above
+    the |Psi|^2 floor of the view.
     """
     _check_floor(ks._row_power, t_index)
-    record = ks.record
-    return _row_residual(record.e_field[t_index], record.polarisation[t_index], ks.k_axis,
-                         record.config)
-
-
-def _row_residual(e_row: np.ndarray, a_row: np.ndarray, k: np.ndarray,
-                  config: GemConfig) -> float:
-    """phi_residual of one E row and one alpha row."""
-    taper = _tukey(config.grid.nz, _TAPER_FRACTION)
-    psi, phi = _modes(e_row * taper, a_row * taper, k, config)
-    sel = k != 0.0
+    taper = _tukey(ks.config.grid.nz, _TAPER_FRACTION)
+    psi, phi = modes(e_row * taper, a_row * taper, ks.config)
+    sel = ks.k_axis != 0.0
     denom = float(np.linalg.norm(psi[sel]))
     if denom == 0.0:
         raise ValueError("apodized Psi vanishes at this time index")
     return float(np.linalg.norm(phi[sel])) / denom
 
 
-def polariton_norm(ks: KSpaceRecord, t_index: int) -> float:
-    """sum_k |Psi/sqrt(k^2+N^2)|^2 dk: the polariton occupation.
+def polariton_norm(ks: KSpaceRecord, t_index: int, e_row: np.ndarray,
+                   a_row: np.ndarray) -> float:
+    """sum_k |Psi/sqrt(k^2+N^2)|^2 dk of the E and alpha rows at the stored
+    time t_index: the polariton occupation.
 
     An invariant of the motion while the slope is frozen (eta = 0), which
     is when the normalized mode is a meaningful excitation number; under a
@@ -224,7 +215,7 @@ def polariton_norm(ks: KSpaceRecord, t_index: int) -> float:
     if np.max(ks._row_power) == 0.0:
         return 0.0
     _check_floor(ks._row_power, t_index)
-    grid, linear_density = ks.record.grid, ks.record.config.linear_density
+    grid, linear_density = ks.config.grid, ks.config.linear_density
     norm_factor = np.sqrt(ks.k_axis**2 + linear_density**2)
-    q = np.abs(ks.modes(t_index)[0] / norm_factor) ** 2
+    q = np.abs(modes(e_row, a_row, ks.config)[0] / norm_factor) ** 2
     return float(np.sum(q) * (2.0 * np.pi / (grid.nz * grid.dz)))

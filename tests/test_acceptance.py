@@ -40,7 +40,7 @@ from gemsim.metrics import (
     find_delta,
     mode_fidelity_sweep,
 )
-from gemsim.eit import run_eit
+from gemsim.eit import eit_polariton, run_eit
 from gemsim.solver import _snapshot_rows
 from gemsim.experiments import balance_residual
 
@@ -188,7 +188,8 @@ def test_criterion_7_normal_mode_invariants(fig2, fig2_abrupt_record, fig2_freez
     rec = fig2_abrupt_record
     ks = to_kspace(rec)
     storage = np.nonzero((ks.times > 20.0) & (ks.times < 70.0))[0]
-    worst_phi = max(phi_residual(ks, int(i)) for i in storage)
+    worst_phi = max(phi_residual(ks, int(i), rec.e_field[i], rec.polarisation[i])
+                    for i in storage)
 
     cen = centroid_series(ks)
     sel = (ks.times > 20.0) & (ks.times < 70.0)
@@ -201,7 +202,7 @@ def test_criterion_7_normal_mode_invariants(fig2, fig2_abrupt_record, fig2_freez
     fsel = np.nonzero((kks.times > 30.5) & (kks.times < 39.5))[0]
     fcen = [k_centroid(kks, int(i)) for i in fsel]
     cen_drift = (max(fcen) - min(fcen)) / abs(np.mean(fcen))
-    norms = [polariton_norm(kks, int(i)) for i in fsel]
+    norms = [polariton_norm(kks, int(i), krec.e_field[i], krec.polarisation[i]) for i in fsel]
     norm_drift = (max(norms) - min(norms)) / max(norms)
 
     ok = (worst_phi < 1e-2 and norm_drift < 0.01 and slope_err < 0.05
@@ -231,14 +232,18 @@ def test_criterion_9_eit_contrast():
     hold = (eit_rec.field_times > 27.0) & (eit_rec.field_times < 73.0)
     prof = np.abs(eit_rec.spin_wave[hold])
     drift = np.max(np.linalg.norm(prof - prof[0], axis=1)) / np.linalg.norm(prof[0])
-    env_corr = envelope_correlation(eit_rec, 45.0)
+    i = int(np.argmin(np.abs(eit_rec.field_times - 45.0)))  # the stored row nearest 45 us
+    polariton = eit_polariton(eit_spec.config, eit_rec.field_times[i:i + 1],
+                              eit_rec.e_field[i:i + 1], eit_rec.spin_wave[i:i + 1])
+    env_corr = envelope_correlation(eit_rec, polariton[0])
 
     gem_spec = load_spec(preset_path("fig3_gem"))
     gem_rec = run_gem(gem_spec.config, gem_spec.pulse,
                       rows=_snapshot_rows(gem_spec.config.grid.nt,
                                           gem_spec.params.get("field_stride")))
     eta_abs = gem_spec.config.stark.eval(gem_spec.pulse.center)
-    spec_corr = input_spectrum_correlation(gem_rec, 45.0, eta_abs)
+    i = int(np.argmin(np.abs(gem_rec.field_times - 45.0)))
+    spec_corr = input_spectrum_correlation(gem_rec, gem_rec.polarisation[i], eta_abs)
 
     ok = drift < 0.01 and env_corr > 0.95 and spec_corr > 0.99
     print(f"[criterion 9] {'PASS' if ok else 'FAIL'}: spin-wave drift "

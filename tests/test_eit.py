@@ -161,15 +161,17 @@ class TestEitPolariton:
 
     def test_photonic_limit(self):
         rec, dark = self._abrupt_run()
-        strong = replace(rec, config=replace(rec.config, omega_c0=1e9))
-        pol = eit_polariton(strong, rows=~dark)
+        strong = replace(rec.config, omega_c0=1e9)
+        pol = eit_polariton(strong, rec.field_times[~dark], rec.e_field[~dark],
+                            rec.spin_wave[~dark])
         scale = np.max(np.abs(rec.e_field))
         np.testing.assert_allclose(pol / scale, rec.e_field[~dark] / scale,
                                    rtol=0, atol=1e-6)
 
     def test_spin_limit(self):
         rec, dark = self._abrupt_run()
-        pol = eit_polariton(rec, rows=dark)
+        pol = eit_polariton(rec.config, rec.field_times[dark], rec.e_field[dark],
+                            rec.spin_wave[dark])
         np.testing.assert_allclose(
             pol, -math.sqrt(rec.config.n_atoms) * rec.spin_wave[dark], rtol=1e-12, atol=1e-15)
 
@@ -177,6 +179,8 @@ class TestEitPolariton:
         cfg = eit_config()
         rec = run_eit(cfg, PulseSpec(kind="gaussian", center=8.0, width=2.5),
                       rows=_snapshot_rows(cfg.grid.nt, 500))
-        full = eit_polariton(rec)
-        for i in range(rec.field_times.size):
-            assert np.array_equal(eit_polariton(rec, rows=slice(i, i + 1)), full[i:i + 1])
+        t, e, s = rec.field_times, rec.e_field, rec.spin_wave
+        full = eit_polariton(cfg, t, e, s)
+        for i in range(t.size):
+            rows = slice(i, i + 1)
+            assert np.array_equal(eit_polariton(cfg, t[rows], e[rows], s[rows]), full[rows])

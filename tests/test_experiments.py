@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -20,9 +21,9 @@ from gemsim import experiments, metrics, solver
 from gemsim.cli import main as cli_main
 from gemsim.cli import preset_names, preset_path
 from gemsim.eit import eit_polariton, run_eit
-from gemsim.experiments import (_HASH_CHUNK_BYTES, SpecValidationError, load_spec,
-                                run_experiment)
-from gemsim.kspace import k_centroid, to_kspace
+from gemsim.experiments import (_HASH_CHUNK_BYTES, SpecValidationError, envelope_correlation,
+                                input_spectrum_correlation, load_spec, run_experiment)
+from gemsim.kspace import k_centroid, modes, phi_residual, to_kspace
 from gemsim.solver import _snapshot_rows, run_gem
 
 
@@ -95,6 +96,30 @@ def as_delta_search(search_halfwidth):
         doc["params"] = {"interval": doc["params"]["interval"], "probe_mode": 0,
                          "search_halfwidth": search_halfwidth}
     return edit
+
+
+def stored_residual(spec, record):
+    """phi_residual of a stored record's row where kspace_report reads it."""
+    i = experiments._residual_row(spec.config, spec.params, record.field_times)
+    return phi_residual(to_kspace(record), i, record.e_field[i], record.polarisation[i])
+
+
+def stored_spectrum_corr(spec, record):
+    """input_spectrum_correlation of a stored record's spectrum_time row."""
+    i = int(np.argmin(np.abs(record.field_times - spec.params["spectrum_time"])))
+    eta = spec.config.stark.eval(spec.pulse.center)
+    return input_spectrum_correlation(record, record.polarisation[i], eta)
+
+
+def stored_envelope_corr(spec, record):
+    """envelope_correlation of a stored record's polariton row at the
+    spec's envelope_time."""
+    cfg = spec.config
+    t = record.field_times
+    i = int(np.argmin(np.abs(t - spec.params["envelope_time"])))
+    rows = slice(i, i + 1)
+    polariton = eit_polariton(cfg, t[rows], record.e_field[rows], record.spin_wave[rows])
+    return envelope_correlation(record, polariton[0])
 
 
 def preset_variant(tmp_path, name, edit):
@@ -342,8 +367,10 @@ class TestRunExperiment:
         spec = load_spec(tiny_gem_spec(tmp_path, kind="kspace_report", checks={}))
         run_experiment(spec, tmp_path / "out")
         out = tmp_path / "out" / "tiny"
-        ks = to_kspace(run_gem(spec.config, spec.pulse))
-        for name, values in zip(("psi_mag.npy", "phi_mag.npy"), ks.modes()):
+        record = run_gem(spec.config, spec.pulse)
+        ks = to_kspace(record)
+        maps = modes(record.e_field, record.polarisation, record.config)
+        for name, values in zip(("psi_mag.npy", "phi_mag.npy"), maps):
             saved = np.load(out / name)
             assert saved.dtype == np.float64 and saved.flags.c_contiguous
             assert np.array_equal(saved, np.column_stack((ks.times, np.abs(values))))
@@ -358,6 +385,36 @@ class TestRunExperiment:
         lit = np.flatnonzero(~np.isnan(saved))
         assert 0 < lit.size < saved.size
         assert saved[lit].tobytes() == np.array([k_centroid(ks, i) for i in lit]).tobytes()
+
+    @pytest.mark.parametrize("make_spec, scalar, reference", [
+        (lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
+         "phi_residual_mid_storage", stored_residual),
+        (lambda tmp_path: tiny_gem_spec(
+            tmp_path, params={"input_window": [0.0, 10.0], "echo_window": [15.0, 40.0],
+                              "spectrum_time": 12.0, "field_stride": 7}),
+         "spectrum_corr", stored_spectrum_corr),
+        (lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=7), "envelope_corr",
+         stored_envelope_corr),
+    ], ids=["phi_residual", "spectrum_corr", "envelope_corr"])
+    def test_streamed_scalars_are_the_library_readers_bit_for_bit(self, tmp_path, make_spec,
+                                                                  scalar, reference):
+        # the streamed run keeps one row; the library reads it from a record
+        # that stores every strided row
+        spec = load_spec(make_spec(tmp_path))
+        streamed = run_experiment(spec, tmp_path / "out").scalars[scalar]
+        strided = _snapshot_rows(spec.config.grid.nt, spec.params.get("field_stride"))
+        run = run_eit if spec.kind == "eit_run" else run_gem
+        stored = reference(spec, run(spec.config, spec.pulse, rows=strided))
+        assert streamed.hex() == stored.hex()
+
+    def test_imports_no_private_kspace_or_eit_name(self):
+        # the streamed run calls the readers a library caller calls
+        tree = ast.parse(Path(experiments.__file__).read_text())
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and node.module in ("kspace", "eit") for alias in node.names]
+        assert "phi_residual" in names and "eit_polariton" in names
+        assert [name for name in names if name.startswith("_")] == []
 
     @pytest.mark.parametrize("make_spec", [
         lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
@@ -455,10 +512,12 @@ class TestRunExperiment:
         strided = _snapshot_rows(spec.config.grid.nt, spec.params.get("field_stride"))
         if spec.kind == "eit_run":
             record = run_eit(spec.config, spec.pulse, rows=strided)
-            maps = {"spin_wave": record.spin_wave, "polariton": eit_polariton(record)}
+            polariton = eit_polariton(record.config, record.field_times, record.e_field,
+                                      record.spin_wave)
+            maps = {"spin_wave": record.spin_wave, "polariton": polariton}
         else:
             record = run_gem(spec.config, spec.pulse, rows=strided)
-            psi, phi = to_kspace(record).modes()
+            psi, phi = modes(record.e_field, record.polarisation, record.config)
             maps = {"polarisation": record.polarisation, "psi": psi, "phi": phi}
         maps["e_field"] = record.e_field
 

@@ -8,7 +8,8 @@ from scipy.signal.windows import tukey
 
 from gemsim import GemConfig, Grid, StarkProfile, run_gem, to_kspace
 from gemsim.experiments import _ArtifactWriter
-from gemsim.kspace import _tukey, centroid_series, k_centroid, phi_residual, polariton_norm
+from gemsim.kspace import (KSpaceRecord, _tukey, centroid_series, k_centroid, modes,
+                           phi_residual, polariton_norm)
 from gemsim.solver import FieldRecord, _block_rows, _snapshot_rows
 
 from conftest import small_config, small_pulse
@@ -46,10 +47,11 @@ class TestToKspace:
         grid = Grid(z_min=-1.0, z_max=1.0, nz=64, t_max=1.0, nt=4)
         a = np.ones((1, 64), complex)
         e = np.zeros((1, 64), complex)
-        ks = to_kspace(synthetic_record(e, a, grid, dens=2.0))
+        rec = synthetic_record(e, a, grid, dens=2.0)
+        ks = to_kspace(rec)
         i0 = np.argmin(np.abs(ks.k_axis))
         assert ks.k_axis[i0] == 0.0
-        psi, phi = ks.modes(0)
+        psi, phi = modes(rec.e_field[0], rec.polarisation[0], rec.config)
         a_t = psi[i0] / 2.0
         assert psi[i0] == pytest.approx(2.0 * a_t)
         assert phi[i0] == pytest.approx(-2.0 * a_t)
@@ -64,9 +66,11 @@ class TestToKspace:
         grid = Grid(z_min=z_min, z_max=z_max, nz=nz, t_max=1.0, nt=4)
         assert not np.allclose(np.diff(grid.z_axis), grid.dz, rtol=1e-12, atol=0.0)
         a = np.ones((1, nz), complex)
-        ks = to_kspace(synthetic_record(np.zeros_like(a), a, grid, dens=2.0))
+        rec = synthetic_record(np.zeros_like(a), a, grid, dens=2.0)
+        ks = to_kspace(rec)
         i0 = np.argmin(np.abs(ks.k_axis))
-        assert ks.modes(0)[0][i0] == pytest.approx(2.0 * nz * grid.dz / np.sqrt(2.0 * np.pi))
+        psi = modes(rec.e_field[0], rec.polarisation[0], rec.config)[0]
+        assert psi[i0] == pytest.approx(2.0 * nz * grid.dz / np.sqrt(2.0 * np.pi))
 
     def test_parseval(self, stored_run, stored_ks):
         dz = stored_run.grid.dz
@@ -79,7 +83,7 @@ class TestToKspace:
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_views_its_record_at_the_stored_times(self, stored_run, stored_ks):
-        assert stored_ks.record is stored_run
+        assert stored_ks.config is stored_run.config
         assert stored_ks.times is stored_run.field_times
 
     def test_k_axis_is_dual_grid(self, stored_run, stored_ks):
@@ -130,8 +134,8 @@ def decayed_run(request):
 
 
 class TestBlockBuild:
-    """to_kspace works a block of rows at a time and keeps per-row values;
-    KSpaceRecord.modes makes Psi/Phi rows on demand."""
+    """to_kspace takes the block step a block of rows at a time and keeps
+    per-row values; modes makes Psi/Phi of any rows."""
 
     @pytest.mark.parametrize("count", [
         lambda b: 1, lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 3,
@@ -152,7 +156,8 @@ class TestBlockBuild:
         picks = [slice(None), slice(size // 2, size // 2 + size), n - 1,
                  np.random.default_rng(0).permutation(n)[: (n + 1) // 2]]
         for pick in picks:
-            got_psi, got_phi = ks.modes(pick)
+            got_psi, got_phi = modes(record.e_field[pick], record.polarisation[pick],
+                                     record.config)
             assert_bits(got_psi, psi[pick])
             assert_bits(got_phi, phi[pick])
         assert_bits(ks._row_power, row_power)
@@ -166,8 +171,8 @@ class TestBlockBuild:
             assert_bits(np.float64(k_centroid(ks, i)), series[i])
 
     def test_kspace_stage_holds_row_vectors_and_four_blocks(self, tmp_path):
-        # to_kspace, centroid_series, the two k-space map writes and the Phi
-        # residual of a kspace_report run, on a record of 2.5 blocks: no
+        # the block step writing the two k-space maps, centroid_series and
+        # the Phi residual of a kspace_report run, on rows of 2.5 blocks: no
         # Psi/Phi map is held, only values per row and at most four blocks
         nz = 1024
         nrows = 5 * _block_rows(nz) // 2
@@ -180,13 +185,14 @@ class TestBlockBuild:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            ks = to_kspace(record)
-            centroid_series(ks)
+            ks = KSpaceRecord.empty(record.config, record.field_times)
             size = _block_rows(nz)
             with writer.npy(("psi_mag.npy", "phi_mag.npy"), ks.times, nz) as push:
                 for lo in range(0, nrows, size):
-                    push(slice(lo, lo + size), ks.modes(slice(lo, lo + size)))
-            phi_residual(ks, nrows // 2)
+                    rows = slice(lo, lo + size)
+                    ks.push(rows, e[rows], a[rows], lambda psi, phi: push(rows, [psi, phi]))
+            centroid_series(ks)
+            phi_residual(ks, nrows // 2, e[nrows // 2], a[nrows // 2])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -262,7 +268,8 @@ class TestPhiResidual:
         lit = np.flatnonzero(~np.isnan(centroid_series(ks)))
         assert 0 < lit.size < ks.times.size
         for i in lit:
-            assert phi_residual(ks, i).hex() == reference_phi_residual(decayed_run, i).hex()
+            got = phi_residual(ks, i, decayed_run.e_field[i], decayed_run.polarisation[i])
+            assert got.hex() == reference_phi_residual(decayed_run, i).hex()
 
     def test_exact_relation_gives_zero(self):
         grid = Grid(z_min=-1.0, z_max=1.0, nz=256, t_max=1.0, nt=4)
@@ -278,12 +285,13 @@ class TestPhiResidual:
         a = np.fft.ifft(spec)
         e_spec = np.where(k_axis != 0.0, dens * spec / np.where(k_axis == 0, 1, k_axis), 0.0)
         e = np.fft.ifft(e_spec)
-        ks = to_kspace(synthetic_record(e[None, :], a[None, :], grid, dens))
+        rec = synthetic_record(e[None, :], a[None, :], grid, dens)
+        ks = to_kspace(rec)
         # the raw combination vanishes identically; the production residual
         # carries a small taper floor from the boundary apodization
-        psi, phi = ks.modes(0)
+        psi, phi = modes(rec.e_field[0], rec.polarisation[0], rec.config)
         assert np.linalg.norm(phi) / np.linalg.norm(psi) < 1e-9
-        assert phi_residual(ks, 0) < 0.05
+        assert phi_residual(ks, 0, rec.e_field[0], rec.polarisation[0]) < 0.05
 
     def test_pure_field_gives_unity(self):
         grid = Grid(z_min=-1.0, z_max=1.0, nz=256, t_max=1.0, nt=4)
@@ -291,12 +299,13 @@ class TestPhiResidual:
         e = (np.exp(-((z / 0.3) ** 2)) * np.exp(40j * z))[None, :].astype(complex)
         a = np.zeros_like(e)
         ks = to_kspace(synthetic_record(e, a, grid))
-        assert phi_residual(ks, 0) == pytest.approx(1.0, abs=1e-12)
+        assert phi_residual(ks, 0, e[0], a[0]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_small_during_storage(self, stored_ks):
+    def test_small_during_storage(self, stored_run, stored_ks):
         t = stored_ks.times
         for i in np.nonzero((t > 8.0) & (t < 13.0))[0]:
-            assert phi_residual(stored_ks, int(i)) < 1e-2
+            e, a = stored_run.e_field[i], stored_run.polarisation[i]
+            assert phi_residual(stored_ks, int(i), e, a) < 1e-2
 
 
 class TestTukey:
@@ -314,7 +323,7 @@ class TestPolaritonNorm:
         grid = Grid(z_min=-1.0, z_max=1.0, nz=64, t_max=1.0, nt=4)
         dark = np.zeros((1, 64), complex)
         ks = to_kspace(synthetic_record(dark, dark, grid))
-        assert polariton_norm(ks, 0) == 0.0
+        assert polariton_norm(ks, 0, dark[0], dark[0]) == 0.0
 
     def test_below_floor_row_rejected(self):
         grid = Grid(z_min=-1.0, z_max=1.0, nz=64, t_max=1.0, nt=4)
@@ -322,14 +331,14 @@ class TestPolaritonNorm:
         e = np.zeros_like(a)
         ks = to_kspace(synthetic_record(e, a, grid))
         with pytest.raises(ValueError):
-            polariton_norm(ks, 1)
+            polariton_norm(ks, 1, e[1], a[1])
 
     def test_constant_during_freeze(self):
         cfg = small_config(beta=1.0, freeze=((9.0, 12.0),))
         rec = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 10))
         ks = to_kspace(rec)
         sel = np.nonzero((ks.times > 9.2) & (ks.times < 11.8))[0]
-        vals = [polariton_norm(ks, int(i)) for i in sel]
+        vals = [polariton_norm(ks, int(i), rec.e_field[i], rec.polarisation[i]) for i in sel]
         assert (max(vals) - min(vals)) / max(vals) < 0.01
 
     def test_decays_with_gamma(self):
@@ -337,7 +346,8 @@ class TestPolaritonNorm:
         rec = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 10))
         ks = to_kspace(rec)
         sel = np.nonzero((ks.times > 9.2) & (ks.times < 13.8))[0]
-        vals = np.array([polariton_norm(ks, int(i)) for i in sel])
+        vals = np.array([polariton_norm(ks, int(i), rec.e_field[i], rec.polarisation[i])
+                         for i in sel])
         assert np.all(np.diff(vals) < 0.0)
 
 
@@ -351,7 +361,8 @@ class TestShapeProperties:
         j = int(np.argmin(np.abs(stored_ks.k_axis - k_probe)))
         t = stored_ks.times
         leg = (t > 7.0) & (t < 14.5)  # after the absorption transient
-        series = np.abs(stored_ks.modes(leg)[0][:, j])
+        psi = modes(stored_run.e_field[leg], stored_run.polarisation[leg], stored_run.config)[0]
+        series = np.abs(psi[:, j])
         shift = t[leg][np.argmax(series)] - 4.0
         ref = np.abs(small_pulse().evaluate(t[leg] - shift))
         a = series - series.mean()

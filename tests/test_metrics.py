@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from gemsim import kspace, metrics, run_gem, solver, to_kspace
+from gemsim import KSpaceRecord, metrics, run_gem, solver, to_kspace
 from gemsim.experiments import _ArtifactWriter
 from gemsim.metrics import (
     DeltaSearchResult,
@@ -435,22 +435,22 @@ class TestOffsetScan:
         stored = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 20))
         nz, nrows = cfg.grid.nz, stored.field_times.size
         scan_shapes, pass_rows, map_rows = [], [], []
-        fft, row_values = metrics.fft, kspace._row_values
+        fft, block_step = metrics.fft, KSpaceRecord.push
 
         def fft_spy(x, *args, **kwargs):
             if x.ndim == 2:
                 scan_shapes.append(x.shape)
             return fft(x, *args, **kwargs)
 
-        def values_spy(w, k):
-            pass_rows.append(w.shape[0])
-            return row_values(w, k)
+        def step_spy(ks, rows, e, a, write=None):
+            pass_rows.append(e.shape[0])
+            return block_step(ks, rows, e, a, write)
 
         def split(n, size):
             return [min(size, n - lo) for lo in range(0, n, size)]
 
         monkeypatch.setattr(metrics, "fft", fft_spy)
-        monkeypatch.setattr(kspace, "_row_values", values_spy)
+        monkeypatch.setattr(KSpaceRecord, "push", step_spy)
         monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 16)
         metrics._offset_scan(rec, echo_window, np.linspace(-2.0, 2.0, 22))
         ks = to_kspace(stored)
