@@ -7,8 +7,9 @@ Subcommands:
   presets run <name>     run a packaged preset
 
 Exit codes: 0 every check attached to the executed spec passed; 1 a check
-failed; 2 the spec was rejected; 3 the run failed after the spec loaded
-(solver, analysis or artifact I/O).
+failed; 2 the spec was rejected (a grid numpy cannot allocate included); 3
+the run failed after the spec loaded (solver, analysis, memory or artifact
+I/O).  Each failure prints one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(spec, args.out, workers=args.workers,
                                 dump_fields=args.dump_fields)
-    except (NonFiniteFieldError, ValueError, OSError) as exc:
+    except (NonFiniteFieldError, ValueError, OSError, MemoryError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
     print(f"{result.name}: {result.status}")

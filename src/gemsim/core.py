@@ -61,6 +61,8 @@ class Grid:
             raise ConfigError(f"z_min ({self.z_min}) must be < z_max ({self.z_max})")
         if self.nz < 2 or self.nt < 2:
             raise ConfigError("nz and nt must both be >= 2")
+        if max(self.nz, self.nt) > np.iinfo(np.intp).max // 16:
+            raise ConfigError("nz and nt must each fit a complex numpy array")
         if not self.t_max > 0:
             raise ConfigError("t_max must be positive")
 

@@ -4,24 +4,26 @@ A spec document mirrors the configuration dataclasses field for field.
 Each spec kind is declared once, in `_KINDS`: its config type, whether it
 takes a pulse, the params it requires and accepts, its load-time check, its
 runner and, for the kinds that score an echo, its default efficiency
-windows.  `load_spec` rejects unknown keys, wrong types and every
-configuration invariant with the dotted key path, so a spec that loads
+windows.  `load_spec` rejects unknown keys (pulse keys its kind never
+reads included), wrong types, every configuration invariant and a grid
+numpy cannot allocate, with the dotted key path, so a spec that loads
 cannot fail on configuration afterwards.  A runner returns the scalars
 its run records, and each check compares one of them with its target.
 GEM and EIT runs write their input/output series through one function.
-Their field rows stream from the solver's march, a block at a time as it
-makes them, into the maps and the scalars that read them: a run holds one
-block of rows and copies of the single rows a scalar reads, never the
-rows' history.  It calls the readers a caller with a stored record
-calls, which take the rows they read: KSpaceRecord.push and
-eit_polariton on each block, then centroid_series, phi_residual,
-input_spectrum_correlation and envelope_correlation.  Artifacts are 1-D
-series as CSV with fixed full-precision formatting, 2-D magnitude maps
-as `.npy` (written a block of rows at a time as the run makes them, so
-no map, k-space maps included, is ever whole in memory, and deleted if
-the run fails before they are complete), JSON summaries and a manifest
-listing names, checksums and headline scalars; rerunning a spec
-reproduces every data file byte for byte.
+Every field_stride-th row streams from the solver's march, maps or not,
+a block at a time as it makes them, into the maps and the scalars that
+read them: a run holds one block of rows and copies of the single rows a
+scalar reads, never the rows' history.  Each such row is picked once, on
+the strided times the load checks use.  A run calls the readers a caller
+with a stored record calls, which take the rows they read:
+KSpaceRecord.push and eit_polariton on each block, then centroid_series,
+phi_residual, input_spectrum_correlation and envelope_correlation.
+Artifacts are 1-D series as CSV with fixed full-precision formatting, 2-D
+magnitude maps as `.npy` (written a block of rows at a time as the run
+makes them, so no map, k-space maps included, is ever whole in memory,
+and deleted if the run fails before they are complete), JSON summaries
+and a manifest listing names, checksums and headline scalars; rerunning
+a spec reproduces every data file byte for byte.
 """
 
 from __future__ import annotations
@@ -195,12 +197,22 @@ _eit_config = _object(
      "switch_up": _number, "ramp_tau": _number, "grid": _grid},
     {"gamma_e": _number},
 )
-_pulse = _object(
-    PulseSpec,
-    {"kind": _string},
-    {"amplitude": _number, "center": _number, "width": _number, "mod_freq": _number,
-     "mode_index": _integer, "window": _pair},
-)
+_GAUSSIAN_KEYS = {"amplitude": _number, "center": _number, "width": _number}
+# pulse kind -> the optional keys it reads
+_PULSE_KEYS = {
+    "gaussian": _GAUSSIAN_KEYS,
+    "modulated": {**_GAUSSIAN_KEYS, "mod_freq": _number},
+    "plane_wave_window": {"amplitude": _number, "mode_index": _integer, "window": _pair},
+}
+
+
+def _pulse(obj, path):
+    """A pulse with the keys its kind reads; a kind PulseSpec does not know
+    takes any pulse key, so PulseSpec names the kind."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    optional = (_PULSE_KEYS[kind] if isinstance(kind, str) and kind in _PULSE_KEYS
+                else {k: v for keys in _PULSE_KEYS.values() for k, v in keys.items()})
+    return _object(PulseSpec, {"kind": _string}, optional)(obj, path)
 
 
 def _identity(v, path):
@@ -287,7 +299,10 @@ def load_spec(path) -> ExperimentSpec:
         if kind not in _CHECKS[check][3]:
             raise SpecValidationError(f"checks.{check} does not apply to kind {kind}")
     if entry.check is not None:
-        entry.check(config, pulse, params, checks)
+        try:
+            entry.check(config, pulse, params, checks)
+        except MemoryError as exc:  # the checks sample the pulse on the time axis
+            raise SpecValidationError(f"config.grid: {exc}") from exc
 
     out_dir = top["output_dir"]
     if Path(out_dir).is_absolute() or ".." in Path(out_dir).parts:
@@ -407,8 +422,7 @@ def _keep_rows(kept: dict, rows: slice, wanted) -> None:
 
 
 def _nearest_row(field_times: np.ndarray, t: float) -> int:
-    """Index of the stored row nearest time t (the first of a tie).  A run
-    that stores a subset of rows holding this row reads the same row."""
+    """Index of the stored row nearest time t (the first of a tie)."""
     return int(np.argmin(np.abs(field_times - t)))
 
 
@@ -496,36 +510,16 @@ def _write_record(writer: _ArtifactWriter, record, columns: dict, maps):
         writer.register(maps)
 
 
-def _rows_to_store(spec: ExperimentSpec, dump_fields: bool, picks) -> np.ndarray:
-    """Time indices whose rows a GEM or EIT run hands on.  A run that
-    writes maps (dump_fields, or kspace_report) hands on every
-    field_stride-th step; any other only the strided rows its scalars
-    read, each pick mapping the strided rows' times to the index or mask
-    of the rows it reads, as the scalar's reader selects them."""
-    grid = spec.config.grid
-    strided = _snapshot_rows(grid.nt, spec.params.get("field_stride"))
-    if dump_fields or spec.kind in _KSPACE:
-        return strided
-    times = grid.t_axis[strided]
-    read = np.zeros(strided.size, dtype=bool)
-    for pick in picks:
-        read[pick(times)] = True
-    return strided[read]
-
-
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
-    """A GEM run whose rows stream, a block at a time, into the maps it
-    writes (|E| and |alpha| with dump_fields; kspace_report's |Psi| and
-    |Phi|, from the k-space view's block step, which keeps each row's power
-    and centroid) and into the copies of the single rows its scalars
-    read."""
+    """A GEM run whose field_stride-th rows stream, a block at a time, into
+    the maps it writes (|E| and |alpha| with dump_fields; kspace_report's
+    |Psi| and |Phi|, from the k-space view's block step, which keeps each
+    row's power and centroid) and into the copies of the single rows its
+    scalars read."""
     config: GemConfig = spec.config
     params = spec.params
     kspace = spec.kind in _KSPACE
-    picks = []
-    if "spectrum_time" in params:
-        picks.append(lambda times: _nearest_row(times, params["spectrum_time"]))
-    keep = _rows_to_store(spec, dump_fields, picks)
+    keep = _snapshot_rows(config.grid.nt, params.get("field_stride"))
     times = config.grid.t_axis[keep]
     spectrum_row = (_nearest_row(times, params["spectrum_time"])
                     if "spectrum_time" in params else None)
@@ -565,7 +559,10 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     }
 
     if spectrum_row is not None:
-        eta_abs = config.stark.eval(spec.pulse.center)
+        # eta where the pulse is absorbed: at its centre, or mid-window
+        pulse = spec.pulse
+        eta_abs = config.stark.eval(
+            0.5 * sum(pulse.window) if pulse.kind == "plane_wave_window" else pulse.center)
         scalars["spectrum_corr"] = input_spectrum_correlation(record, kept["spectrum"], eta_abs)
 
     if ks is not None:
@@ -593,20 +590,18 @@ def _hold_rows(config: EitConfig, input_window, field_times: np.ndarray) -> np.n
 
 
 def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
-    """An EIT run whose rows stream, a block at a time, into the maps it
-    writes with dump_fields (|E|, |S| and the |polariton|), into the
-    spin-wave drift of its hold rows, read against the first, and into a
-    copy of the polariton row its envelope correlation reads."""
+    """An EIT run whose field_stride-th rows stream, a block at a time, into
+    the maps it writes with dump_fields (|E|, |S| and the |polariton|),
+    into the spin-wave drift of its hold rows, read against the first, and
+    into a copy of the polariton row its envelope correlation reads."""
     config: EitConfig = spec.config
     params = spec.params
     in_win, echo_win = params["input_window"], params["echo_window"]
-    t_snap = params.get("envelope_time", 0.5 * (config.switch_down + config.switch_up))
-    picks = (lambda times: _hold_rows(config, in_win, times),
-             lambda times: _nearest_row(times, t_snap))
-    keep = _rows_to_store(spec, dump_fields, picks)
+    keep = _snapshot_rows(config.grid.nt, params.get("field_stride"))
     times = config.grid.t_axis[keep]
     hold = _hold_rows(config, in_win, times)
-    envelope_row = _nearest_row(times, t_snap)
+    envelope_row = _nearest_row(
+        times, params.get("envelope_time", 0.5 * (config.switch_down + config.switch_up)))
     maps = ["e_field_mag.npy", "spin_wave_mag.npy", "polariton_mag.npy"] if dump_fields else []
     kept = {}
     ref = ref_norm = None  # |S| of the first hold row and its norm

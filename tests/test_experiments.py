@@ -281,6 +281,16 @@ class TestLoadSpec:
                                     doc["config"]["stark"].update(switch_time=99.99)),
          "config.stark.switch_time: the echo window (switch_time, t_max): [99.99, 100.0] holds "
          "fewer than two grid samples"),
+        # a pulse takes the keys its kind reads; an unknown kind is named
+        ("fig3_gem", lambda doc: doc["pulse"].update(mode_index=1), "unknown key pulse.mode_index"),
+        ("fig3_gem", lambda doc: doc["pulse"].update(window=[4, 8]), "unknown key pulse.window"),
+        ("fig2_abrupt", lambda doc: doc["pulse"].update(mod_freq=1.0),
+         "unknown key pulse.mod_freq"),
+        *[("fig3_gem", lambda doc, key=key: doc.update(pulse={
+            "kind": "plane_wave_window", "mode_index": 1, "window": [4, 8], key: 1.0}),
+           f"unknown key pulse.{key}") for key in ("center", "width", "mod_freq")],
+        ("fig3_gem", lambda doc: doc["pulse"].update(kind="square", window=[4, 8]),
+         "pulse: unknown pulse kind 'square'"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
@@ -297,7 +307,10 @@ class TestLoadSpec:
             "sweep_beta_from_above_the_config_beta", "gem_spectrum_check_without_time",
             "sweep_betas_with_one_label", "sweep_interval_between_grid_samples",
             "sweep_switch_at_t_max", "sweep_one_sample_after_switch",
-            "delta_switch_after_t_max", "delta_one_sample_after_switch"])
+            "delta_switch_after_t_max", "delta_one_sample_after_switch",
+            "modulated_pulse_mode_index", "modulated_pulse_window", "gaussian_pulse_mod_freq",
+            "plane_wave_pulse_center", "plane_wave_pulse_width", "plane_wave_pulse_mod_freq",
+            "unknown_pulse_kind"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)
@@ -407,6 +420,47 @@ class TestRunExperiment:
         stored = reference(spec, run(spec.config, spec.pulse, rows=strided))
         assert streamed.hex() == stored.hex()
 
+    def test_spectrum_corr_reads_eta_where_a_plane_wave_pulse_arrives(self, tmp_path):
+        # a freeze that ends before the pulse arrives leaves sigma and |alpha|
+        # as they are, so it leaves spectrum_corr as it is too
+        def scalars(freeze_intervals, name):
+            path = tiny_gem_spec(
+                tmp_path, checks={}, output_dir=name,
+                pulse={"kind": "plane_wave_window", "mode_index": 1, "window": [4.0, 8.0]},
+                params={"input_window": [0.0, 10.0], "echo_window": [15.0, 40.0],
+                        "spectrum_time": 12.0})
+            doc = json.loads(path.read_text())
+            doc["config"]["stark"]["freeze_intervals"] = freeze_intervals
+            path.write_text(json.dumps(doc))
+            return run_experiment(load_spec(path), tmp_path / "out").scalars
+
+        plain, frozen = scalars([], "plain"), scalars([[0.0, 1.0]], "frozen")
+        assert frozen["sigma"] == pytest.approx(plain["sigma"], rel=1e-9)
+        assert plain["spectrum_corr"] > 0.9
+        assert frozen["spectrum_corr"] == pytest.approx(plain["spectrum_corr"], abs=1e-9)
+
+    @pytest.mark.parametrize("make_spec, run", [
+        (lambda tmp_path: tiny_gem_spec(
+            tmp_path, params={"input_window": [0.0, 10.0], "echo_window": [15.0, 40.0],
+                              "spectrum_time": 12.0, "field_stride": 7}), "run_gem"),
+        (lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=7), "run_eit"),
+    ], ids=["gem_run", "eit_run"])
+    def test_a_run_without_maps_hands_on_every_strided_row(self, tmp_path, monkeypatch,
+                                                           make_spec, run):
+        # the scalars copy the rows they read as the blocks pass
+        spec = load_spec(make_spec(tmp_path))
+        handed = []
+        solve = getattr(experiments, run)
+
+        def spy(config, pulse, **kwargs):
+            handed.append(kwargs["rows"])
+            return solve(config, pulse, **kwargs)
+
+        monkeypatch.setattr(experiments, run, spy)
+        run_experiment(spec, tmp_path / "out")
+        strided = _snapshot_rows(spec.config.grid.nt, 7)
+        assert len(handed) == 1 and np.array_equal(handed[0], strided)
+
     def test_imports_no_private_kspace_or_eit_name(self):
         # the streamed run calls the readers a library caller calls
         tree = ast.parse(Path(experiments.__file__).read_text())
@@ -438,7 +492,7 @@ class TestRunExperiment:
         (lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=7), "spinwave_drift"),
     ], ids=["gem_run", "kspace_report", "eit_run"])
     def test_scalars_do_not_depend_on_writing_maps(self, tmp_path, make_spec, reads):
-        # without maps a run stores only the rows its scalars read
+        # without maps a run keeps copies of only the rows its scalars read
         spec = load_spec(make_spec(tmp_path))
         plain = run_experiment(spec, tmp_path / "plain")
         dumped = run_experiment(spec, tmp_path / "dumped", dump_fields=True)
@@ -543,8 +597,7 @@ class TestRunExperiment:
         assert size == 5
         for n in (1, size - 1, size, size + 1, 2 * size + 3):
             pick = strided.size // 2 + np.arange(n)
-            monkeypatch.setattr(experiments, "_rows_to_store",
-                                lambda spec, dump_fields, picks: strided[pick])
+            monkeypatch.setattr(experiments, "_snapshot_rows", lambda nt, stride: strided[pick])
             check(run_experiment(spec, tmp_path / f"rows{n}", dump_fields=True), pick,
                   chunked=False)
 
@@ -672,6 +725,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("run failed: non-finite values at time index 1")
         assert len(err.splitlines()) == 1
+        manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+
+    def test_a_grid_numpy_cannot_hold_is_rejected_at_load(self, tmp_path, capsys, monkeypatch):
+        # nt = 2**62 samples are more than a numpy array can index; a grid
+        # the checks cannot allocate is rejected at its key path
+        huge = preset_variant(tmp_path, "fig3_gem",
+                              lambda doc: doc["config"]["grid"].update(nt=2**62))
+        assert cli_main(["validate", str(huge)]) == 2
+        assert capsys.readouterr().err == (
+            "spec rejected: config.grid: nz and nt must each fit a complex numpy array\n")
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(experiments, "_check_windows", no_memory)
+        assert cli_main(["validate", str(tiny_gem_spec(tmp_path))]) == 2
+        assert capsys.readouterr().err == (
+            "spec rejected: config.grid: Unable to allocate 7.28 TiB\n")
+
+    def test_memory_failure_after_load_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB")
+
+        monkeypatch.setattr(experiments, "run_gem", no_memory)
+        path = tiny_gem_spec(tmp_path)
+        assert cli_main(["--out", str(tmp_path / "o"), "run", str(path)]) == 3
+        assert capsys.readouterr().err == "run failed: Unable to allocate 29.1 TiB\n"
         manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
 
