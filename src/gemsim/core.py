@@ -199,7 +199,13 @@ class GemConfig:
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ConfigError("derived optical depth beta must be positive and finite")
         g = self.grid
-        need = math.ceil(abs(self.stark.eta0) * g.length * g.t_max / math.pi) + 2
+        span = abs(self.stark.eta0) * g.length * g.t_max / math.pi
+        if not math.isfinite(span):  # no grid resolves a phase past the float range
+            raise ConfigError(
+                "Nyquist guard violated: |eta0|*L*t_max/pi exceeds the float range "
+                f"(|eta0|={abs(self.stark.eta0):g}, L={g.length:g}, t_max={g.t_max:g})"
+            )
+        need = math.ceil(span) + 2
         if g.nz < need:
             raise ConfigError(
                 "Nyquist guard violated: nz >= ceil(|eta0|*L*t_max/pi) + 2 requires "
@@ -265,7 +271,16 @@ class PulseSpec:
                 raise ConfigError("mode_index must be an integer")
             if len(self.window) != 2 or not self.window[0] < self.window[1]:
                 raise ConfigError("window must be (t1, t2) with t1 < t2")
-            object.__setattr__(self, "window", (float(self.window[0]), float(self.window[1])))
+            t1, t2 = float(self.window[0]), float(self.window[1])
+            try:
+                phase = 2.0 * math.pi * self.mode_index / (t2 - t1) * max(abs(t1), abs(t2))
+            except OverflowError:  # an index beyond the float range
+                phase = math.inf
+            if not math.isfinite(phase):
+                raise ConfigError(
+                    "mode_index: the phase 2*pi*mode_index*t/(t2 - t1) exceeds the float "
+                    "range on the window")
+            object.__setattr__(self, "window", (t1, t2))
 
     def evaluate(self, t):
         """Complex amplitude at time(s) t."""
@@ -279,11 +294,10 @@ class PulseSpec:
             t1, t2 = self.window
             T = t2 - t1
             w = 2.0 * np.pi * self.mode_index / T
-            out = np.where(
-                (t >= t1) & (t < t2),
-                self.amplitude * np.exp(1j * w * t) / np.sqrt(T),
-                0.0,
-            )
+            # the phase is taken on the window only, where load keeps it finite
+            inside = (t >= t1) & (t < t2)
+            out = np.zeros(t.shape, dtype=complex)
+            out[inside] = self.amplitude * np.exp(1j * w * t[inside]) / np.sqrt(T)
         return np.asarray(out, dtype=complex)
 
 

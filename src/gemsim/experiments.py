@@ -264,7 +264,7 @@ def load_spec(path) -> ExperimentSpec:
         doc = json.loads(p.read_text())
     except OSError as exc:
         raise SpecValidationError(f"cannot read spec file {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past int()'s digit limit
         raise SpecValidationError(f"{p} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecValidationError("spec document must be a JSON object")
@@ -342,8 +342,8 @@ class _ArtifactWriter:
     def csv(self, name: str, header: str, columns) -> Path:
         """One CSV file; columns are 1-D series, side by side.  The bytes
         np.savetxt writes with fmt _FMT, made a block of rows at a time by
-        one % operation per block.  A block holds 4096 values, whose float
-        objects, tuple and text take about 260 kB."""
+        one % operation per block.  A block holds 1024 values, whose float
+        objects, tuple and text take about 65 kB."""
         path = self.out_dir / name
         data = np.column_stack(columns)
         line = ",".join([_FMT] * data.shape[1]) + "\n"

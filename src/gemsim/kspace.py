@@ -128,8 +128,9 @@ def to_kspace(record: FieldRecord) -> KSpaceRecord:
     """Transform the stored field rows of a run to k-space normal modes.
 
     The record's rows go through KSpaceRecord.push a block of
-    _block_rows(nz) rows at a time, as a run that streams its rows hands
-    each block of its march to push; per row the view keeps only the
+    _block_rows(nz) rows at a time (256 KiB of complex rows: 4 rows of the
+    fig2 grid's 4096 sites), as a run that streams its rows hands each
+    block of its march to push; per row the view keeps only the
     |Psi|^2 power and the one k centroid that k_centroid and
     centroid_series report.  No Psi/Phi map is kept.
     """

@@ -12,7 +12,6 @@ phase; the delay scan is restricted to an echo window so prompt
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
@@ -298,7 +297,11 @@ def check_mode_run(config: GemConfig, interval, modes: Sequence[int]) -> None:
         raise ConfigError("interval must end before the switch time")
     band = _half_band(config)
     for n in modes:
-        if abs(2.0 * np.pi * n / (t2 - t1)) > band:
+        try:
+            outside = abs(2.0 * np.pi * n / (t2 - t1)) > band
+        except OverflowError:  # an index beyond the float range
+            outside = True
+        if outside:
             raise ConfigError(f"mode {n} lies outside the medium bandwidth")
 
 
@@ -369,7 +372,13 @@ def mode_fidelity_sweep(
     # under fork the pool starts all its workers at the first submit, so it
     # gets no more than there are runs
     workers = min(workers, len(keys))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: the pool module loads multiprocessing, which no
+        # run without a pool needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         runs = pool.map(_mode_run, *tasks, chunksize=1) if pool else map(_mode_run, *tasks)
         for (b, n), run in zip(keys, runs):

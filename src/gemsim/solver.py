@@ -240,10 +240,12 @@ def _near_zero(th0: float, step: float, first: int, stop: int):
 
 def _snapshot_rows(nt: int, field_stride: Optional[int]) -> np.ndarray:
     """Every field_stride-th time index, last step included (about 512
-    rows when field_stride is None)."""
+    rows when field_stride is None).  A stride of nt - 1 or more keeps the
+    first and the last step; it is clamped to nt, so np.arange gets an
+    integer step however large the stride."""
     if field_stride is None:
         field_stride = max(1, nt // 512)
-    keep = np.arange(0, nt, field_stride)
+    keep = np.arange(0, nt, min(field_stride, nt))
     if keep[-1] != nt - 1:
         keep = np.append(keep, nt - 1)
     return keep
@@ -269,11 +271,11 @@ def _readonly(*arrays):
         arr.setflags(write=False)
 
 
-# bytes of one block of complex rows (16 rows of 4096 values): the march
+# bytes of one block of complex rows (4 rows of 4096 values): the march
 # hands on its stored rows, and the k-space pass, the .npy map writer and
 # find_delta's offset scan work, a block at a time, so their temporaries
 # are blocks, not whole maps; larger blocks run no faster
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 
 def _block_rows(width: int) -> int:
@@ -316,20 +318,25 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
     out[0] = E[-1]
     v = state[-1].view(float)
     norm[0] = float(np.einsum("i,i->", v, v)) * dz
-    keep_set = {int(i): j for j, i in enumerate(keep)}
     fields = (E, *state)
-    size = min(_block_rows(E.size), len(keep))
+    kept = len(keep)
+    size = min(_block_rows(E.size), kept)
     block = np.empty((len(fields), size, E.size), dtype=complex)
+    # keep is walked in order: j rows are stored, the next at time index
+    # next_row (nt once every row is stored)
+    j = 0
+    next_row = int(keep[0]) if kept else nt
 
     def store(j):
         r = j % size
         for buf, row in zip(block, fields):
             buf[r] = row
-        if r == size - 1 or j == len(keep) - 1:
+        if r == size - 1 or j == kept - 1:
             consume(slice(j - r, j + 1), *block[:, :r + 1])
+        return j + 1, int(keep[j + 1]) if j + 1 < kept else nt
 
-    if 0 in keep_set:
-        store(keep_set[0])
+    if next_row == 0:
+        j, next_row = store(j)
 
     for n in range(nt - 1):
         rot, w = begin(n)
@@ -354,9 +361,8 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
         if not (math.isfinite(a_norm) and math.isfinite(e_out.real)
                 and math.isfinite(e_out.imag)):
             raise NonFiniteFieldError(n + 1, times[n + 1])
-        j = keep_set.get(n + 1)
-        if j is not None:
-            store(j)
+        if n + 1 == next_row:
+            j, next_row = store(j)
     return out, norm
 
 

@@ -204,6 +204,20 @@ class TestPlaneWaveModes:
         assert v[0] == 0.0 and v[-1] == 0.0
         np.testing.assert_allclose(v[1:4], 1.0 / math.sqrt(10.0), rtol=1e-12)
 
+    def test_phase_is_taken_on_the_window_only(self):
+        # the phase of mode 1e307 on [5, 15) is finite there and overflows
+        # after the window, where the pulse is zero: no warning, no nan; an
+        # index whose phase overflows on the window is rejected
+        p = make_plane_wave_mode(10**307, 5.0, 15.0)
+        t = np.linspace(0.0, 120.0, 4801)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = p.evaluate(t)
+        assert np.all(np.isfinite(v)) and not np.any(v[t >= 15.0])
+        for n in (10**308, -10**400):
+            with pytest.raises(ConfigError, match="exceeds the float range on the window"):
+                make_plane_wave_mode(n, 5.0, 15.0)
+
     def test_orthonormality(self):
         dt = 0.025
         t = 35.0 + dt * np.arange(400)  # the half-open window [35, 45)

@@ -291,6 +291,24 @@ class TestLoadSpec:
            f"unknown key pulse.{key}") for key in ("center", "width", "mod_freq")],
         ("fig3_gem", lambda doc: doc["pulse"].update(kind="square", window=[4, 8]),
          "pulse: unknown pulse kind 'square'"),
+        # numbers that overflow a float in a check report the check's key
+        ("fig3_gem", lambda doc: doc["config"]["grid"].update(t_max=1e308),
+         "config: Nyquist guard violated: |eta0|*L*t_max/pi exceeds the float range"),
+        ("fig3_gem", lambda doc: doc["config"]["stark"].update(eta0=1e308),
+         "config: Nyquist guard violated: |eta0|*L*t_max/pi exceeds the float range"),
+        ("fig3_gem", lambda doc: doc["config"]["grid"].update(z_min=-1e308, z_max=1e308),
+         "config: Nyquist guard violated: |eta0|*L*t_max/pi exceeds the float range"),
+        ("fig4_quick", lambda doc: doc["params"].update(mode_indices=[0, 10**400]),
+         "params.mode_indices: mode 1000"),
+        ("fig4_quick", lambda doc: (as_delta_search(1.0)(doc),
+                                    doc["params"].update(probe_mode=-10**400)),
+         "params.probe_mode: mode -1000"),
+        ("fig4_quick", lambda doc: (as_delta_search(1.0)(doc),
+                                    doc["params"].update(verify_modes=[1, 10**400])),
+         "params.verify_modes: mode 1000"),
+        ("fig3_gem", lambda doc: doc.update(pulse={
+            "kind": "plane_wave_window", "mode_index": 10**400, "window": [4, 8]}),
+         "pulse: mode_index: the phase 2*pi*mode_index*t/(t2 - t1) exceeds the float range"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
@@ -310,7 +328,10 @@ class TestLoadSpec:
             "delta_switch_after_t_max", "delta_one_sample_after_switch",
             "modulated_pulse_mode_index", "modulated_pulse_window", "gaussian_pulse_mod_freq",
             "plane_wave_pulse_center", "plane_wave_pulse_width", "plane_wave_pulse_mod_freq",
-            "unknown_pulse_kind"])
+            "unknown_pulse_kind", "gem_t_max_past_float", "gem_eta0_past_float",
+            "gem_z_span_past_float", "sweep_mode_index_past_float",
+            "delta_probe_mode_past_float", "delta_verify_modes_past_float",
+            "plane_wave_pulse_mode_index_past_float"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)
@@ -328,6 +349,15 @@ class TestLoadSpec:
             load_spec(path)
         assert cli_main(["validate", str(path)]) == 2
         capsys.readouterr()
+
+    def test_integer_past_the_parser_digit_limit_exits_2(self, tmp_path, capsys):
+        path = preset_variant(tmp_path, "fig4_quick",
+                              lambda doc: doc["params"].update(mode_indices="MODE"))
+        path.write_text(path.read_text().replace('"MODE"', "[" + "9" * 5000 + "]"))
+        with pytest.raises(SpecValidationError, match="is not valid JSON"):
+            load_spec(path)
+        assert cli_main(["validate", str(path)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_fig2_preset_values(self):
         spec = load_spec(preset_path("fig2_abrupt"))
@@ -502,6 +532,27 @@ class TestRunExperiment:
                   for r in (plain, dumped)]
         assert series[0] == series[1]
 
+    @pytest.mark.parametrize("stride", [2**63, 10**400], ids=["2**63", "10**400"])
+    @pytest.mark.parametrize("make_spec", [
+        lambda tmp_path, stride: tiny_gem_spec(tmp_path, params={
+            "input_window": [0.0, 10.0], "echo_window": [15.0, 40.0], "field_stride": stride}),
+        lambda tmp_path, stride: tiny_eit_spec(tmp_path, field_stride=stride),
+    ], ids=["gem", "eit"])
+    def test_a_stride_past_the_run_keeps_the_first_and_last_rows(self, tmp_path, capsys,
+                                                                 make_spec, stride):
+        # every stride of nt - 1 or more stores rows 0 and nt - 1, whatever
+        # its size
+        def files(stride, out):
+            path = make_spec(tmp_path, stride)
+            assert cli_main(["--out", str(out), "--dump-fields", "run", str(path)]) == 0
+            out_dir = out / load_spec(path).output_dir
+            return json.loads((out_dir / "manifest.json").read_text())["files"]
+
+        nt = load_spec(make_spec(tmp_path, 1)).config.grid.nt
+        assert files(stride, tmp_path / "huge") == files(nt - 1, tmp_path / "last")
+        assert _snapshot_rows(nt, stride).tolist() == [0, nt - 1]
+        capsys.readouterr()
+
     def test_a_run_without_maps_holds_no_field_rows(self, tmp_path):
         spec = load_spec(tiny_gem_spec(
             tmp_path, grid={"nz": 1024, "nt": 2001},
@@ -668,6 +719,23 @@ class TestCli:
             "    load_spec(gemsim.cli.preset_path(name))",
             "assert gemsim.cli.main(['validate', str(gemsim.cli.preset_path('fig2_abrupt'))]) == 0",
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_runtime_imports_no_process_pool(self):
+        # only a sweep that starts a pool imports it, and multiprocessing
+        # with it: importing the package and the CLI loads neither
+        import gemsim
+
+        src = str(Path(gemsim.__file__).resolve().parents[1])
+        code = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {src!r})",
+            "import gemsim, gemsim.experiments, gemsim.cli",
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))",
         ])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)

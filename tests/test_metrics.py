@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 from dataclasses import replace
@@ -307,7 +308,9 @@ class TestModeFidelitySweep:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", StandInPool)
+        # the sweep imports the pool class from concurrent.futures when it
+        # starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
         cfg = small_config(beta=1.0, **SWEEP_KW)
         rows = mode_fidelity_sweep(cfg, (6.0, 10.0), betas, modes, delta=delta,
                                    workers=workers)
@@ -399,6 +402,7 @@ class TestOffsetScan:
 
     def test_scan_shorter_than_one_block(self, probe, monkeypatch):
         rec, echo_window, _ = probe
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 20)
         blocks = self._blocks(monkeypatch)
         self._assert_matches_fidelity(rec, echo_window, np.linspace(-2.0, 2.0, 22))
         assert blocks == [22]
