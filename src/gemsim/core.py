@@ -36,6 +36,19 @@ _EXCHANGE_LIMIT = 2.0
 _MAX_AMPLITUDE = 1e100
 
 
+def _short_int(n: int) -> str:
+    """n, or past 15 digits its first 7 and its length, for a one-line message."""
+    digits = str(abs(n))
+    return str(n) if len(digits) <= 15 else f"{'-' * (n < 0)}{digits[:7]}...({len(digits)} digits)"
+
+
+def _check_exchange(rate: float, formula: str) -> None:
+    """ConfigError unless the exchange per step, rate = formula, is within the limit."""
+    if not rate <= _EXCHANGE_LIMIT:
+        raise ConfigError("time step too large for the field/polarisation exchange rate: "
+                          f"{formula} = {rate:.3g} > {_EXCHANGE_LIMIT}; increase nt")
+
+
 def _log_cosh(x: float) -> float:
     # overflow-safe log(cosh(x))
     ax = abs(x)
@@ -149,6 +162,10 @@ class StarkProfile:
         if math.isinf(a) or math.isinf(b):
             # tau below the float range of the step: its tau -> 0 limit
             return self.eta0 * (abs(ts - t0) - abs(ts - t0 - span))
+        if abs(a) < 1e-4 and abs(b) < 1e-4:
+            # log cosh x = x^2/2 - x^4/12 + O(x^6): the difference below would
+            # be eta0*tau times rounding noise (NaN for tau near the float max)
+            return self.eta0 * span * 0.5 * (a + b) * (1.0 - (a * a + b * b) / 6.0)
         return self.eta0 * tau * (_log_cosh(a) - _log_cosh(b))
 
     def slope_integral(self, t0: float, span: float) -> float:
@@ -209,15 +226,11 @@ class GemConfig:
         if g.nz < need:
             raise ConfigError(
                 "Nyquist guard violated: nz >= ceil(|eta0|*L*t_max/pi) + 2 requires "
-                f"nz >= {need}, got nz = {g.nz} "
+                f"nz >= {_short_int(need)}, got nz = {g.nz} "
                 f"(|eta0|={abs(self.stark.eta0):g}, L={g.length:g}, t_max={g.t_max:g})"
             )
-        exchange = self.g * self.linear_density * g.length * g.dt / (2.0 * math.pi)
-        if exchange > _EXCHANGE_LIMIT:
-            raise ConfigError(
-                "time step too large for the field/polarisation exchange rate: "
-                f"g*N*L*dt/(2*pi) = {exchange:.2f} > {_EXCHANGE_LIMIT}; increase nt"
-            )
+        _check_exchange(self.g * self.linear_density * g.length * g.dt / (2.0 * math.pi),
+                        "g*N*L*dt/(2*pi)")
 
     @property
     def beta(self) -> float:
@@ -285,11 +298,12 @@ class PulseSpec:
     def evaluate(self, t):
         """Complex amplitude at time(s) t."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "gaussian":
-            out = self.amplitude * np.exp(-(((t - self.center) / self.width) ** 2))
-        elif self.kind == "modulated":
-            env = np.exp(-(((t - self.center) / self.width) ** 2))
-            out = self.amplitude * env * (1.0 + self._MOD_DEPTH * np.cos(self.mod_freq * t))
+        if self.kind in ("gaussian", "modulated"):
+            # exp(-inf) = 0 where the exponent overflows; cos(inf) = NaN, rejected at load
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = self.amplitude * np.exp(-(((t - self.center) / self.width) ** 2))
+                if self.kind == "modulated":
+                    out = out * (1.0 + self._MOD_DEPTH * np.cos(self.mod_freq * t))
         else:
             t1, t2 = self.window
             T = t2 - t1

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EXCHANGE_LIMIT, ConfigError, Grid
-from .solver import _field_rows, _march, _readonly, _stored_rows
+from .core import ConfigError, Grid, _check_exchange
+from .solver import _field_rows, _march, _readonly, _snapshot_rows
 from .solver import cumulative_simpson  # noqa: F401  (kept for perfbench/tracing.py)
 
 __all__ = ["EitConfig", "EitRecord", "run_eit", "eit_polariton", "omega_c_schedule"]
@@ -72,12 +72,9 @@ class EitConfig:
             raise ConfigError("nz must be >= 3 for the field quadrature")
         # the GEM exchange guard with g*N*L -> g^2*n_atoms (z normalised to
         # the cell) and dt -> the normalised step
-        exchange = self.g * self.g * self.n_atoms * self.grid.dt * self.gamma_e / (2.0 * math.pi)
-        if exchange > _EXCHANGE_LIMIT:
-            raise ConfigError(
-                "time step too large for the field/polarisation exchange rate: "
-                f"g^2*n_atoms*dtau/(2*pi) = {exchange:.2f} > {_EXCHANGE_LIMIT}; increase nt"
-            )
+        _check_exchange(
+            self.g * self.g * self.n_atoms * self.grid.dt * self.gamma_e / (2.0 * math.pi),
+            "g^2*n_atoms*dtau/(2*pi)")
         # the envelope map of eit_run moves at 1/group_delay
         if not (self.omega_c0 * self.omega_c0 * self.gamma_e > 0.0
                 and 0.0 < self.group_delay < math.inf):
@@ -148,21 +145,19 @@ def run_eit(
     config: EitConfig,
     pulse,
     *,
-    rows=None,
+    field_stride=None,
     consume=None,
 ) -> EitRecord:
     """Integrate the probe `pulse` (a PulseSpec) through the storage cycle.
 
-    rows: the time indices of the E, P and S rows the run hands on, as in
-    run_gem (None hands on about 512 evenly strided rows).  consume: None,
-    and the record stores them; or consume(rows, e, p, s), which takes them
-    a block at a time as in run_gem, and the record stores none."""
+    field_stride and consume as in run_gem, for the E, P and S rows
+    (consume(rows, e, p, s))."""
     grid = config.grid
     nt = grid.nt
     dt = grid.dt
     dtau = dt * config.gamma_e
     t = grid.t_axis
-    keep = _stored_rows(nt, rows)
+    keep = _snapshot_rows(nt, field_stride)
     field_times, (e_rows, p_rows, s_rows), consume = _field_rows(t, keep, grid.nz, 3, consume)
 
     kappa = config.g * config.n_atoms  # coupling per normalized length

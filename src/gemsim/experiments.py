@@ -294,6 +294,7 @@ def load_spec(path) -> ExperimentSpec:
         default_in, default_echo = entry.windows(config)
         params.setdefault("input_window", default_in)
         params.setdefault("echo_window", default_echo)
+        params.setdefault("field_stride", max(1, config.grid.nt // 512))  # about 512 rows
     checks = _checks(top.get("checks", {}), "checks")
     for check in checks:
         if kind not in _CHECKS[check][3]:
@@ -519,8 +520,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     config: GemConfig = spec.config
     params = spec.params
     kspace = spec.kind in _KSPACE
-    keep = _snapshot_rows(config.grid.nt, params.get("field_stride"))
-    times = config.grid.t_axis[keep]
+    times = config.grid.t_axis[_snapshot_rows(config.grid.nt, params["field_stride"])]
     spectrum_row = (_nearest_row(times, params["spectrum_time"])
                     if "spectrum_time" in params else None)
     residual_row = _residual_row(config, params, times) if kspace else None
@@ -539,7 +539,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
             _keep_rows(kept, rows, (("spectrum", spectrum_row, a), ("residual_e", residual_row, e),
                                     ("residual_a", residual_row, a)))
 
-        record = run_gem(config, spec.pulse, rows=keep, consume=consume)
+        record = run_gem(config, spec.pulse, field_stride=params["field_stride"], consume=consume)
     _write_record(writer, record, {}, field_maps)
     in_win, echo_win = params["input_window"], params["echo_window"]
     sigma = efficiency_numeric(record, in_win, echo_win)
@@ -597,8 +597,7 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     config: EitConfig = spec.config
     params = spec.params
     in_win, echo_win = params["input_window"], params["echo_window"]
-    keep = _snapshot_rows(config.grid.nt, params.get("field_stride"))
-    times = config.grid.t_axis[keep]
+    times = config.grid.t_axis[_snapshot_rows(config.grid.nt, params["field_stride"])]
     hold = _hold_rows(config, in_win, times)
     envelope_row = _nearest_row(
         times, params.get("envelope_time", 0.5 * (config.switch_down + config.switch_up)))
@@ -620,7 +619,7 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
                     ref, ref_norm = profiles[0].copy(), np.linalg.norm(profiles[0])
                 worst = max(worst, np.max(np.linalg.norm(profiles - ref, axis=1)))
 
-        record = run_eit(config, spec.pulse, rows=keep, consume=consume)
+        record = run_eit(config, spec.pulse, field_stride=params["field_stride"], consume=consume)
     _write_record(writer, record, {"omega_c": omega_c_schedule(config, record.times)}, maps)
     scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
     if ref is not None:
@@ -688,15 +687,19 @@ def _delta_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dum
 
 
 def _check_windows(config, pulse: PulseSpec, params: dict):
-    """Load-time check of the kinds that score an echo: the efficiency
-    windows are nonempty and disjoint, the pulse sampled on the grid
-    carries energy in the input window, and the echo window holds at least
-    two grid samples and does not end before the input window starts (an
-    echo cannot be scored there)."""
+    """Load-time check of the kinds that score an echo: the pulse is finite
+    at the grid times and step midpoints, where the solvers sample it, and
+    carries energy in the input window; the efficiency windows are nonempty
+    and disjoint; the echo window holds at least two grid samples and does
+    not end before the input window starts (no echo can be scored there)."""
+    t, dt = config.grid.t_axis, config.grid.dt
+    e_in = pulse.evaluate(t)
+    if not np.isfinite(np.r_[e_in, pulse.evaluate(t[:-1] + 0.5 * dt)]).all():
+        raise SpecValidationError(
+            "pulse: its samples at the grid times and the step midpoints are not all finite")
     in_win, echo_win = params["input_window"], params["echo_window"]
     _at("params", check_efficiency_windows, in_win, echo_win)
-    t = config.grid.t_axis
-    if window_energy(t, pulse.evaluate(t), in_win, config.grid.dt) <= 0.0:
+    if not window_energy(t, e_in, in_win, dt) > 0.0:
         raise SpecValidationError(
             f"params.input_window: the pulse carries no energy in {list(in_win)}")
     _check_echo_samples(config, echo_win, "params.echo_window")
@@ -740,9 +743,9 @@ def _check_kspace_report(config: GemConfig, pulse: PulseSpec, params: dict, chec
     _check_gem_run(config, pulse, params, checks)
     t, dt = config.grid.t_axis, config.grid.dt
     e_in = pulse.evaluate(t)
-    t_rows = t[_snapshot_rows(config.grid.nt, params.get("field_stride"))]
+    t_rows = t[_snapshot_rows(config.grid.nt, params["field_stride"])]
     t_row = t_rows[_residual_row(config, params, t_rows)]
-    if window_energy(t, e_in, (0.0, t_row), dt) <= 0.5 * window_energy(t, e_in, (0.0, t[-1]), dt):
+    if not window_energy(t, e_in, (0.0, t_row), dt) > window_energy(t, e_in, (0.0, t[-1]), dt) / 2:
         raise SpecValidationError(
             f"params: the k-space residual row (t = {t_row:g} us, the stored row nearest "
             "(input_window[1] + switch_time)/2) comes before the pulse has delivered more "
@@ -754,7 +757,7 @@ def _check_eit_run(config: EitConfig, pulse: PulseSpec, params: dict, checks: di
     the spec checks it."""
     _check_windows(config, pulse, params)
     if "spinwave_drift_max" in checks:
-        t = config.grid.t_axis[_snapshot_rows(config.grid.nt, params.get("field_stride"))]
+        t = config.grid.t_axis[_snapshot_rows(config.grid.nt, params["field_stride"])]
         if not np.any(_hold_rows(config, params["input_window"], t)):
             raise SpecValidationError(
                 "checks.spinwave_drift_max: no stored row lies between input_window[1] + 2 "
@@ -776,7 +779,7 @@ def _check_mode_params(config: GemConfig, pulse, params: dict, checks: dict):
     _at("params.interval", check_mode_run, config, interval, ())
     t = config.grid.t_axis
     mode = make_plane_wave_mode(0, *interval).evaluate(t)  # |u_n| is the same for every n
-    if window_energy(t, mode, _gem_windows(config)[0], config.grid.dt) <= 0.0:
+    if not window_energy(t, mode, _gem_windows(config)[0], config.grid.dt) > 0.0:
         raise SpecValidationError(
             f"params.interval: a mode on {list(interval)}, sampled on the grid, carries no "
             f"energy by the switch (t = {config.stark.switch_time:g} us)")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .core import ConfigError, GemConfig, make_plane_wave_mode
+from .core import ConfigError, GemConfig, _short_int, make_plane_wave_mode
 from .solver import FieldRecord, _block_rows, run_gem
 
 __all__ = [
@@ -302,7 +302,7 @@ def check_mode_run(config: GemConfig, interval, modes: Sequence[int]) -> None:
         except OverflowError:  # an index beyond the float range
             outside = True
         if outside:
-            raise ConfigError(f"mode {n} lies outside the medium bandwidth")
+            raise ConfigError(f"mode {_short_int(n)} lies outside the medium bandwidth")
 
 
 def _gem_windows(config: GemConfig):
@@ -319,7 +319,7 @@ def _mode_run(config: GemConfig, n: int, interval):
     t1, t2 = interval
     pulse = make_plane_wave_mode(n, t1, t2)
     omega = 2.0 * np.pi * n / (t2 - t1)
-    rec = run_gem(config, pulse, rows=(), carrier=omega)
+    rec = run_gem(config, pulse, carrier=omega)
     input_window, echo_window = _gem_windows(config)
     sigma = efficiency_numeric(rec, input_window, echo_window)
     return rec, echo_window, sigma

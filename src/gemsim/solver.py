@@ -239,30 +239,18 @@ def _near_zero(th0: float, step: float, first: int, stop: int):
 
 
 def _snapshot_rows(nt: int, field_stride: Optional[int]) -> np.ndarray:
-    """Every field_stride-th time index, last step included (about 512
-    rows when field_stride is None).  A stride of nt - 1 or more keeps the
-    first and the last step; it is clamped to nt, so np.arange gets an
-    integer step however large the stride."""
+    """The time indices a run hands on: every field_stride-th step and the
+    last (none for None), the stride clamped to nt so that np.arange gets an
+    integer step however large it is.  ValueError unless field_stride is
+    None or a positive integer (not a bool)."""
     if field_stride is None:
-        field_stride = max(1, nt // 512)
+        return np.zeros(0, dtype=np.intp)
+    if (isinstance(field_stride, bool) or not isinstance(field_stride, (int, np.integer))
+            or field_stride < 1):
+        raise ValueError(f"field_stride must be a positive integer or None, got {field_stride!r}")
     keep = np.arange(0, nt, min(field_stride, nt))
     if keep[-1] != nt - 1:
         keep = np.append(keep, nt - 1)
-    return keep
-
-
-def _stored_rows(nt: int, rows) -> np.ndarray:
-    """The time indices a solver stores: _snapshot_rows(nt, None) when rows
-    is None, else rows, which must be strictly increasing integers in
-    [0, nt) (an empty sequence stores none)."""
-    if rows is None:
-        return _snapshot_rows(nt, None)
-    keep = np.asarray(rows)
-    if keep.size == 0:
-        return np.zeros(0, dtype=np.intp)
-    if (keep.ndim != 1 or keep.dtype.kind not in "iu" or keep[0] < 0 or keep[-1] >= nt
-            or np.any(keep[1:] <= keep[:-1])):
-        raise ValueError(f"rows must be strictly increasing time indices in [0, {nt})")
     return keep
 
 
@@ -386,15 +374,14 @@ def run_gem(
     config: GemConfig,
     pulse: PulseSpec,
     *,
-    rows=None,
+    field_stride: Optional[int] = None,
     carrier: float = 0.0,
     consume=None,
 ) -> FieldRecord:
     """Integrate the medium response to `pulse` and return its record.
 
-    rows: the time indices of the field and polarisation rows the run
-    hands on, strictly increasing in [0, nt); empty hands on none, and None
-    about 512 evenly strided rows, the last step included.
+    field_stride: the run hands on the field and polarisation rows of
+    every field_stride-th step and of the last step, or none (None).
 
     consume: None, and the record stores those rows; or a callable
     consume(rows, e, alpha) that takes them instead, a block at a time as
@@ -416,7 +403,7 @@ def run_gem(
     dz, dt = grid.dz, grid.dt
     t = grid.t_axis
     g, dens, gamma = config.g, config.linear_density, config.gamma
-    keep = _stored_rows(nt, rows)
+    keep = _snapshot_rows(nt, field_stride)
     field_times, (e_rows, a_rows), consume = _field_rows(t, keep, nz, 2, consume)
 
     # per-step slope and offset integrals over the half and the full step

@@ -6,7 +6,6 @@ import pytest
 from gemsim import Grid, GemConfig, PulseSpec, StarkProfile, run_gem
 from gemsim.cli import preset_path
 from gemsim.experiments import load_spec
-from gemsim.solver import _snapshot_rows
 
 ETA_8MHZ = 2.0 * math.pi * 8.0 / 6.0  # 8 MHz Stark span across the 6 mm cell
 
@@ -29,8 +28,7 @@ def _fig2_record(name, **stark):
     """Run of a fig2 preset, with `stark` fields replaced in its schedule."""
     spec = load_spec(preset_path(name))
     config = replace(spec.config, stark=replace(spec.config.stark, **stark))
-    return run_gem(config, spec.pulse,
-                   rows=_snapshot_rows(config.grid.nt, spec.params["field_stride"]))
+    return run_gem(config, spec.pulse, field_stride=spec.params["field_stride"])
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,6 @@ from gemsim.metrics import (
     mode_fidelity_sweep,
 )
 from gemsim.eit import eit_polariton, run_eit
-from gemsim.solver import _snapshot_rows
 from gemsim.experiments import balance_residual
 
 WORKERS = 2
@@ -63,7 +62,7 @@ def _fig2_sigma(nz: int, nt: int, beta: float) -> float:
     """Efficiency of the fig2_abrupt preset on an nz x nt grid at depth beta."""
     fig2 = load_spec(preset_path("fig2_abrupt"))
     config = replace(fig2.config, grid=replace(fig2.config.grid, nz=nz, nt=nt))
-    rec = run_gem(config.with_beta(beta), fig2.pulse, rows=(0, nt - 1))
+    rec = run_gem(config.with_beta(beta), fig2.pulse)
     return efficiency_numeric(rec, fig2.params["input_window"], fig2.params["echo_window"])
 
 
@@ -157,7 +156,7 @@ def test_criterion_5_degradation_and_repair(sweep_rows):
     cfg_delta = GemConfig(g=cfg.g, linear_density=cfg.linear_density,
                           gamma=cfg.gamma, stark=stark, grid=cfg.grid)
     pulse = PulseSpec(kind="plane_wave_window", mode_index=0, window=LONG_INTERVAL)
-    rec = run_gem(cfg_delta, pulse, rows=(0, cfg.grid.nt - 1))
+    rec = run_gem(cfg_delta, pulse)
     sig = efficiency_numeric(rec, (0.0, 150.0), (150.0, 310.0))
     rep = fidelity(rec.input_series, rec.output_series, rec.grid.dt, sig,
                    echo_window=(150.0, 310.0))
@@ -174,7 +173,7 @@ def test_criterion_5_degradation_and_repair(sweep_rows):
 def test_criterion_6_shape_preservation_low_depth():
     cfg = long_config(0.1, nt=12401)
     pulse = PulseSpec(kind="plane_wave_window", mode_index=0, window=LONG_INTERVAL)
-    rec = run_gem(cfg, pulse, rows=(0, cfg.grid.nt - 1))
+    rec = run_gem(cfg, pulse)
     sig = efficiency_numeric(rec, (0.0, 150.0), (150.0, 310.0))
     rep = fidelity(rec.input_series, rec.output_series, rec.grid.dt, sig,
                    echo_window=(150.0, 310.0))
@@ -227,8 +226,7 @@ def test_criterion_8_excitation_balance(fig2_abrupt_record, fig2_tanh_record,
 def test_criterion_9_eit_contrast():
     eit_spec = load_spec(preset_path("fig3_eit"))
     eit_rec = run_eit(eit_spec.config, eit_spec.pulse,
-                      rows=_snapshot_rows(eit_spec.config.grid.nt,
-                                          eit_spec.params.get("field_stride")))
+                      field_stride=eit_spec.params["field_stride"])
     hold = (eit_rec.field_times > 27.0) & (eit_rec.field_times < 73.0)
     prof = np.abs(eit_rec.spin_wave[hold])
     drift = np.max(np.linalg.norm(prof - prof[0], axis=1)) / np.linalg.norm(prof[0])
@@ -239,8 +237,7 @@ def test_criterion_9_eit_contrast():
 
     gem_spec = load_spec(preset_path("fig3_gem"))
     gem_rec = run_gem(gem_spec.config, gem_spec.pulse,
-                      rows=_snapshot_rows(gem_spec.config.grid.nt,
-                                          gem_spec.params.get("field_stride")))
+                      field_stride=gem_spec.params["field_stride"])
     eta_abs = gem_spec.config.stark.eval(gem_spec.pulse.center)
     i = int(np.argmin(np.abs(gem_rec.field_times - 45.0)))
     spec_corr = input_spectrum_correlation(gem_rec, gem_rec.polarisation[i], eta_abs)

@@ -110,6 +110,16 @@ class TestStarkProfile:
             assert p.slope_integral(t0, span) == pytest.approx(step.slope_integral(t0, span),
                                                                abs=1e-15)
 
+    @pytest.mark.parametrize("ramp", [1e7, 1e12, 1e300, 1e308])
+    def test_ramp_far_longer_than_the_run_integrates_as_its_linear_slope(self, ramp):
+        # tanh x = x - x^3/3 + ...: eta = eta0*(switch - t)/ramp to 1e-9
+        # relative here, where eta0*ramp*(log cosh a - log cosh b) would be
+        # rounding noise times ramp (NaN at 1e308)
+        p = StarkProfile(eta0=2.0, switch_time=60.0, ramp_tau=ramp)
+        for t0, span in ((0.0, 0.025), (3.0, 0.0125), (59.99, 0.025), (90.0, 0.025)):
+            linear = 2.0 * ((60.0 - t0) ** 2 - (60.0 - t0 - span) ** 2) / 2.0 / ramp
+            assert p.slope_integral(t0, span) == pytest.approx(linear, rel=1e-9, abs=0)
+
     def test_ramp_below_float_range_evaluates_as_its_step_limit(self):
         # (switch - t)/ramp overflows: the abrupt-switch slope, with no warning
         p, step = StarkProfile(eta0=2.0, switch_time=5.0, ramp_tau=5e-324), \

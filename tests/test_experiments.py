@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from gemsim.eit import eit_polariton, run_eit
 from gemsim.experiments import (_HASH_CHUNK_BYTES, SpecValidationError, envelope_correlation,
                                 input_spectrum_correlation, load_spec, run_experiment)
 from gemsim.kspace import k_centroid, modes, phi_residual, to_kspace
-from gemsim.solver import _snapshot_rows, run_gem
+from gemsim.solver import run_gem
 
 
 def tiny_gem_spec(tmp_path, grid=(), **overrides):
@@ -309,6 +310,10 @@ class TestLoadSpec:
         ("fig3_gem", lambda doc: doc.update(pulse={
             "kind": "plane_wave_window", "mode_index": 10**400, "window": [4, 8]}),
          "pulse: mode_index: the phase 2*pi*mode_index*t/(t2 - t1) exceeds the float range"),
+        # cos(inf) is NaN: a pulse the solvers would sample as NaN
+        *[(name, lambda doc: doc["pulse"].update(mod_freq=1e308),
+           "pulse: its samples at the grid times and the step midpoints are not all finite")
+          for name in ("fig3_gem", "fig3_eit")],
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
@@ -331,14 +336,16 @@ class TestLoadSpec:
             "unknown_pulse_kind", "gem_t_max_past_float", "gem_eta0_past_float",
             "gem_z_span_past_float", "sweep_mode_index_past_float",
             "delta_probe_mode_past_float", "delta_verify_modes_past_float",
-            "plane_wave_pulse_mode_index_past_float"])
+            "plane_wave_pulse_mode_index_past_float", "gem_pulse_mod_freq_past_float",
+            "eit_pulse_mod_freq_past_float"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
         path = preset_variant(tmp_path, preset, edit)
         with pytest.raises(SpecValidationError, match=re.escape(key)):
             load_spec(path)
         assert cli_main(["validate", str(path)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
                              ids=["nan", "inf", "-inf", "int_beyond_float"])
@@ -410,7 +417,7 @@ class TestRunExperiment:
         spec = load_spec(tiny_gem_spec(tmp_path, kind="kspace_report", checks={}))
         run_experiment(spec, tmp_path / "out")
         out = tmp_path / "out" / "tiny"
-        record = run_gem(spec.config, spec.pulse)
+        record = run_gem(spec.config, spec.pulse, field_stride=spec.params["field_stride"])
         ks = to_kspace(record)
         maps = modes(record.e_field, record.polarisation, record.config)
         for name, values in zip(("psi_mag.npy", "phi_mag.npy"), maps):
@@ -424,7 +431,7 @@ class TestRunExperiment:
         run_experiment(spec, tmp_path / "out")
         saved = np.loadtxt(tmp_path / "out" / "tiny" / "centroid.csv", delimiter=",",
                            skiprows=1)[:, 1]
-        ks = to_kspace(run_gem(spec.config, spec.pulse))
+        ks = to_kspace(run_gem(spec.config, spec.pulse, field_stride=spec.params["field_stride"]))
         lit = np.flatnonzero(~np.isnan(saved))
         assert 0 < lit.size < saved.size
         assert saved[lit].tobytes() == np.array([k_centroid(ks, i) for i in lit]).tobytes()
@@ -445,9 +452,9 @@ class TestRunExperiment:
         # that stores every strided row
         spec = load_spec(make_spec(tmp_path))
         streamed = run_experiment(spec, tmp_path / "out").scalars[scalar]
-        strided = _snapshot_rows(spec.config.grid.nt, spec.params.get("field_stride"))
         run = run_eit if spec.kind == "eit_run" else run_gem
-        stored = reference(spec, run(spec.config, spec.pulse, rows=strided))
+        stored = reference(spec, run(spec.config, spec.pulse,
+                                     field_stride=spec.params["field_stride"]))
         assert streamed.hex() == stored.hex()
 
     def test_spectrum_corr_reads_eta_where_a_plane_wave_pulse_arrives(self, tmp_path):
@@ -479,17 +486,24 @@ class TestRunExperiment:
                                                            make_spec, run):
         # the scalars copy the rows they read as the blocks pass
         spec = load_spec(make_spec(tmp_path))
-        handed = []
+        strides, handed = [], []
         solve = getattr(experiments, run)
 
         def spy(config, pulse, **kwargs):
-            handed.append(kwargs["rows"])
-            return solve(config, pulse, **kwargs)
+            strides.append(kwargs["field_stride"])
+            consume = kwargs["consume"]
+
+            def counted(rows, *blocks):
+                handed.extend(range(rows.start, rows.stop))
+                consume(rows, *blocks)
+
+            return solve(config, pulse, **{**kwargs, "consume": counted})
 
         monkeypatch.setattr(experiments, run, spy)
         run_experiment(spec, tmp_path / "out")
-        strided = _snapshot_rows(spec.config.grid.nt, 7)
-        assert len(handed) == 1 and np.array_equal(handed[0], strided)
+        nt = spec.config.grid.nt
+        assert strides == [7]
+        assert handed == list(range(len(range(0, nt - 1, 7)) + 1))
 
     def test_imports_no_private_kspace_or_eit_name(self):
         # the streamed run calls the readers a library caller calls
@@ -548,9 +562,10 @@ class TestRunExperiment:
             out_dir = out / load_spec(path).output_dir
             return json.loads((out_dir / "manifest.json").read_text())["files"]
 
-        nt = load_spec(make_spec(tmp_path, 1)).config.grid.nt
-        assert files(stride, tmp_path / "huge") == files(nt - 1, tmp_path / "last")
-        assert _snapshot_rows(nt, stride).tolist() == [0, nt - 1]
+        grid = load_spec(make_spec(tmp_path, 1)).config.grid
+        assert files(stride, tmp_path / "huge") == files(grid.nt - 1, tmp_path / "last")
+        out_dir = tmp_path / "huge" / load_spec(make_spec(tmp_path, stride)).output_dir
+        assert np.load(out_dir / "e_field_mag.npy")[:, 0].tolist() == [0.0, grid.t_max]
         capsys.readouterr()
 
     def test_a_run_without_maps_holds_no_field_rows(self, tmp_path):
@@ -613,44 +628,40 @@ class TestRunExperiment:
     def test_maps_are_the_saved_magnitudes_hashed_in_chunks(self, tmp_path, make_spec,
                                                               monkeypatch):
         spec = load_spec(make_spec(tmp_path))
-        res = run_experiment(spec, tmp_path / "out", dump_fields=True)
-        strided = _snapshot_rows(spec.config.grid.nt, spec.params.get("field_stride"))
+        stride = spec.params["field_stride"]
         if spec.kind == "eit_run":
-            record = run_eit(spec.config, spec.pulse, rows=strided)
+            record = run_eit(spec.config, spec.pulse, field_stride=stride)
             polariton = eit_polariton(record.config, record.field_times, record.e_field,
                                       record.spin_wave)
             maps = {"spin_wave": record.spin_wave, "polariton": polariton}
         else:
-            record = run_gem(spec.config, spec.pulse, rows=strided)
+            record = run_gem(spec.config, spec.pulse, field_stride=stride)
             psi, phi = modes(record.e_field, record.polarisation, record.config)
             maps = {"polarisation": record.polarisation, "psi": psi, "phi": phi}
         maps["e_field"] = record.e_field
 
-        def check(res, pick, chunked):
+        def check(res):
             manifest = {f["name"]: f for f in res.files}
             for name, rows in maps.items():
                 data = (res.manifest_path.parent / f"{name}_mag.npy").read_bytes()
-                assert len(data) > _HASH_CHUNK_BYTES or not chunked
+                assert len(data) > _HASH_CHUNK_BYTES
                 ref = io.BytesIO()
-                np.save(ref, np.column_stack((record.field_times[pick], np.abs(rows[pick]))))
+                np.save(ref, np.column_stack((record.field_times, np.abs(rows))))
                 assert data == ref.getvalue(), name
                 entry = manifest[f"{name}_mag.npy"]
                 assert entry["sha256"] == hashlib.sha256(data).hexdigest()
                 assert entry["bytes"] == len(data)
 
-        check(res, slice(None), chunked=True)
-        # maps are made and written a block of rows at a time: with blocks of
-        # 5 rows, runs storing 1, B-1, B, B+1 and 2B+3 of the strided rows
-        # (from the middle of the run) write the same bytes as np.save
-        nz = spec.config.grid.nz
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 16 * nz)
-        size = solver._block_rows(nz)
-        assert size == 5
-        for n in (1, size - 1, size, size + 1, 2 * size + 3):
-            pick = strided.size // 2 + np.arange(n)
-            monkeypatch.setattr(experiments, "_snapshot_rows", lambda nt, stride: strided[pick])
-            check(run_experiment(spec, tmp_path / f"rows{n}", dump_fields=True), pick,
-                  chunked=False)
+        check(run_experiment(spec, tmp_path / "out", dump_fields=True))
+        # maps are made and written a block of B rows at a time: whether the
+        # n rows take many blocks of 5, two blocks and a part, a full block
+        # and one row, exactly one block or one block short of full, a run
+        # writes the bytes np.save writes
+        n, nz = record.field_times.size, spec.config.grid.nz
+        for size in (5, (n - 3) // 2, n - 1, n, n + 1):
+            monkeypatch.setattr(solver, "_BLOCK_BYTES", size * 16 * nz)
+            assert solver._block_rows(nz) == size
+            check(run_experiment(spec, tmp_path / f"block{size}", dump_fields=True))
 
     def test_sweep_workers_equivalent(self, tmp_path):
         spec = load_spec(tiny_sweep_spec(tmp_path))
@@ -872,6 +883,16 @@ class TestCli:
         assert len(err.splitlines()) == 1
         manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
+
+    def test_a_ramp_past_the_float_range_runs_to_a_verdict(self, tmp_path, capsys):
+        # eta0*tau overflows: the slope integral of a ramp that long must not
+        # be inf times a vanishing log-cosh difference
+        path = tiny_gem_spec(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["config"]["stark"]["ramp_tau"] = 1e308
+        path.write_text(json.dumps(doc))
+        assert cli_main(["--out", str(tmp_path / "o"), "run", str(path)]) in (0, 1)
+        assert capsys.readouterr().err == ""
 
     def test_unwritable_output_root_exits_3(self, tmp_path, capsys):
         not_a_dir = tmp_path / "f"
@@ -1095,3 +1116,80 @@ class TestLoadedSpecsRun:
     @given(doc=sweep_spec_docs())
     def test_fidelity_sweep(self, doc):
         self._exit_code_matches_load(doc)
+
+
+# boundary values a spec key is set to, one key at a time
+BOUNDARY_VALUES = [0, -0.0, 5e-324, 1e-300, 1e308, -1e308, 2**63, 10**400, -1, "text", None,
+                   [1.0], True]
+
+
+def _number_and_list_paths(node, path=()):
+    """Key paths of every number (not a bool) and every list entry of a JSON
+    document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        here = path + (key,)
+        if isinstance(node, list) or (isinstance(value, (int, float))
+                                      and not isinstance(value, bool)):
+            yield here
+        if isinstance(value, (dict, list)):
+            yield from _number_and_list_paths(value, here)
+
+
+def boundary_variants(names):
+    """(label, document) of each preset in names with one number or list
+    entry set to one of BOUNDARY_VALUES."""
+    for name in names:
+        text = preset_path(name).read_text()
+        for path in _number_and_list_paths(json.loads(text)):
+            for value in BOUNDARY_VALUES:
+                doc = json.loads(text)
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                yield f"{name}:{'.'.join(map(str, path))}={value!r:.20}", doc
+
+
+class TestBoundarySweep:
+    """Every number and list entry of every preset, set to boundary values
+    one at a time: a variant loads or is rejected at load with one short
+    line, and a variant that loads runs to a verdict (exit 0 or 1)."""
+
+    def test_each_variant_loads_or_is_rejected_in_one_line(self, tmp_path):
+        path = tmp_path / "variant.json"
+        faults, loaded = [], 0
+        for label, doc in boundary_variants(preset_names()):
+            path.write_text(json.dumps(doc))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    load_spec(path)
+                    loaded += 1
+                except SpecValidationError as exc:
+                    message = str(exc)
+                    if "\n" in message or len(message) > 200:
+                        faults.append((label, f"{len(message)} characters", message[:80]))
+                except Exception as exc:  # noqa: BLE001  (every other exception is a fault)
+                    faults.append((label, repr(exc)[:120]))
+            faults += [(label, str(w.message)) for w in caught
+                       if issubclass(w.category, RuntimeWarning)]
+        assert faults == []
+        assert loaded > 500
+
+    def test_a_sample_of_loaded_fig3_variants_runs_to_a_verdict(self, tmp_path, capsys):
+        path = tmp_path / "variant.json"
+        runnable = []
+        for label, doc in boundary_variants(["fig3_gem", "fig3_eit"]):
+            path.write_text(json.dumps(doc))
+            try:
+                load_spec(path)
+            except SpecValidationError:
+                continue
+            runnable.append((label, doc))
+        assert len(runnable) > 100
+        for label, doc in random.Random(26).sample(runnable, 8):
+            path.write_text(json.dumps(doc))
+            code = cli_main(["--out", str(tmp_path / "out"), "run", str(path)])
+            assert code in (0, 1), (label, code, capsys.readouterr().err)
+        capsys.readouterr()

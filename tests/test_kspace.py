@@ -10,7 +10,7 @@ from gemsim import GemConfig, Grid, StarkProfile, run_gem, to_kspace
 from gemsim.experiments import _ArtifactWriter
 from gemsim.kspace import (KSpaceRecord, _tukey, centroid_series, k_centroid, modes,
                            phi_residual, polariton_norm)
-from gemsim.solver import FieldRecord, _block_rows, _snapshot_rows
+from gemsim.solver import FieldRecord, _block_rows
 
 from conftest import small_config, small_pulse
 
@@ -34,7 +34,7 @@ def synthetic_record(e_rows, a_rows, grid, dens=2.0):
 @pytest.fixture(scope="module")
 def stored_run():
     cfg = small_config(beta=1.0)
-    return run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 20))
+    return run_gem(cfg, small_pulse(), field_stride=20)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ def assert_bits(got, ref):
 def decayed_run(request):
     # gamma = 2 empties the medium: row 0 and rows 703 on fall below the floor
     cfg = small_config(beta=1.0, gamma=2.0, nz=request.param)
-    return run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 1))
+    return run_gem(cfg, small_pulse(), field_stride=1)
 
 
 class TestBlockBuild:
@@ -231,7 +231,7 @@ class TestCentroid:
 
     def test_centroid_frozen_during_freeze(self):
         cfg = small_config(beta=1.0, freeze=((9.0, 12.0),))
-        rec = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 10))
+        rec = run_gem(cfg, small_pulse(), field_stride=10)
         ks = to_kspace(rec)
         sel = (ks.times > 9.2) & (ks.times < 11.8)
         cen = centroid_series(ks)[sel]
@@ -335,7 +335,7 @@ class TestPolaritonNorm:
 
     def test_constant_during_freeze(self):
         cfg = small_config(beta=1.0, freeze=((9.0, 12.0),))
-        rec = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 10))
+        rec = run_gem(cfg, small_pulse(), field_stride=10)
         ks = to_kspace(rec)
         sel = np.nonzero((ks.times > 9.2) & (ks.times < 11.8))[0]
         vals = [polariton_norm(ks, int(i), rec.e_field[i], rec.polarisation[i]) for i in sel]
@@ -343,7 +343,7 @@ class TestPolaritonNorm:
 
     def test_decays_with_gamma(self):
         cfg = small_config(beta=1.0, gamma=0.05, freeze=((9.0, 14.0),), switch=16.0)
-        rec = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 10))
+        rec = run_gem(cfg, small_pulse(), field_stride=10)
         ks = to_kspace(rec)
         sel = np.nonzero((ks.times > 9.2) & (ks.times < 13.8))[0]
         vals = np.array([polariton_norm(ks, int(i), rec.e_field[i], rec.polarisation[i])

@@ -22,7 +22,6 @@ from gemsim.metrics import (
     shifted_output,
 )
 
-from gemsim.solver import _snapshot_rows
 
 from conftest import small_config, small_pulse
 
@@ -436,7 +435,7 @@ class TestOffsetScan:
         # rows, which the .npy writer takes
         rec, echo_window, _ = probe
         cfg = small_config(beta=1.0)
-        stored = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 20))
+        stored = run_gem(cfg, small_pulse(), field_stride=20)
         nz, nrows = cfg.grid.nz, stored.field_times.size
         scan_shapes, pass_rows, map_rows = [], [], []
         fft, block_step = metrics.fft, KSpaceRecord.push
@@ -464,7 +463,7 @@ class TestOffsetScan:
                 map_rows.append(e.shape[0])
                 push(rows, [e])
 
-            run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 20), consume=consume)
+            run_gem(cfg, small_pulse(), field_stride=20, consume=consume)
         nfft = scan_shapes[0][1]
         assert [rows for rows, _ in scan_shapes] == split(22, solver._block_rows(nfft))
         assert pass_rows == map_rows == split(nrows, solver._block_rows(nz))

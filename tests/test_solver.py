@@ -11,7 +11,7 @@ from gemsim.eit import EitConfig, run_eit
 from gemsim.experiments import balance_residual
 from gemsim.metrics import (_gem_windows, echo_peak_time, efficiency_analytic,
                             efficiency_numeric, shifted_output, window_energy)
-from gemsim.solver import NonFiniteFieldError, _snapshot_rows, cumulative_simpson
+from gemsim.solver import NonFiniteFieldError, cumulative_simpson
 
 from conftest import small_config, small_pulse
 
@@ -88,15 +88,15 @@ class TestRunGem:
         # g -> tiny emulates the decoupled limit within the beta > 0 invariant
         cfg = type(cfg)(g=1e-12, linear_density=cfg.linear_density, gamma=0.0,
                         stark=cfg.stark, grid=cfg.grid)
-        rec = run_gem(cfg, small_pulse())
+        rec = run_gem(cfg, small_pulse(), field_stride=3)
         np.testing.assert_allclose(rec.output_series, rec.input_series,
                                    rtol=0, atol=1e-10)
         assert np.max(np.abs(rec.polarisation)) < 1e-10
 
     def test_deterministic_reruns(self):
         cfg = small_config()
-        a = run_gem(cfg, small_pulse())
-        b = run_gem(cfg, small_pulse())
+        a = run_gem(cfg, small_pulse(), field_stride=3)
+        b = run_gem(cfg, small_pulse(), field_stride=3)
         assert np.array_equal(a.output_series, b.output_series)
         assert np.array_equal(a.e_field, b.e_field)
 
@@ -166,7 +166,7 @@ class TestRunGem:
 
     def test_maxwell_relation_rows(self):
         cfg = small_config(beta=1.0)
-        rec = run_gem(cfg, small_pulse(), rows=_snapshot_rows(cfg.grid.nt, 100))
+        rec = run_gem(cfg, small_pulse(), field_stride=100)
         dz = rec.grid.dz
         for i, tv in enumerate(rec.field_times):
             j = np.argmin(np.abs(rec.times - tv))
@@ -211,75 +211,76 @@ class TestRunGem:
 # the three GEM paths a stored row goes through: plain, decaying, and
 # carrier gauge (rows multiplied back by the gauge phase)
 _ROW_RUNS = {
-    "abrupt": lambda rows, **kw: run_gem(small_config(nt=801), small_pulse(), rows=rows, **kw),
-    "gamma": lambda rows, **kw: run_gem(small_config(nt=801, gamma=0.3), small_pulse(),
-                                        rows=rows, **kw),
-    "carrier": lambda rows, **kw: run_gem(small_config(nt=801, switch=20.0),
-                                          make_plane_wave_mode(2, 6.0, 10.0), rows=rows,
-                                          carrier=np.pi, **kw),
+    "abrupt": lambda **kw: run_gem(small_config(nt=801), small_pulse(), **kw),
+    "gamma": lambda **kw: run_gem(small_config(nt=801, gamma=0.3), small_pulse(), **kw),
+    "carrier": lambda **kw: run_gem(small_config(nt=801, switch=20.0),
+                                    make_plane_wave_mode(2, 6.0, 10.0), carrier=np.pi, **kw),
 }
 
 
 @pytest.mark.parametrize("case", list(_ROW_RUNS))
-def test_a_row_subset_is_the_strided_run_row_for_row(case):
-    # the march walks the rows it keeps in order: none, the first or the
-    # last step alone, both, every step, strided, sparse
-    strided = _snapshot_rows(801, 20)
-    full = _ROW_RUNS[case](np.arange(801))
-    for subset in (strided[:0], np.array([0]), np.array([800]), np.array([0, 800]),
-                   np.arange(801), strided, strided[1::3], np.array([3, 4, 97, 500, 799])):
-        rec = _ROW_RUNS[case](subset)
-        assert np.array_equal(rec.field_times, full.field_times[subset])
-        assert np.array_equal(rec.e_field, full.e_field[subset])
-        assert np.array_equal(rec.polarisation, full.polarisation[subset])
-        assert rec.e_field.shape == rec.polarisation.shape == (subset.size, 128)
-        assert np.array_equal(rec.output_series, full.output_series)
-        assert np.array_equal(rec.alpha_norm_series, full.alpha_norm_series)
+def test_a_strided_run_is_the_stride_1_run_row_for_row(case):
+    # the march walks the rows it keeps in order: every step, strided, the
+    # first and the last step alone (a stride of nt - 1 or more), or none
+    full = _ROW_RUNS[case](field_stride=1)
+    assert full.e_field.shape == full.polarisation.shape == (801, 128)
+    for stride in (1, 7, 20, 800, 801, 2**63, None):
+        rec = _ROW_RUNS[case](field_stride=stride)
+        at = (np.zeros(0, dtype=int) if stride is None
+              else np.unique(np.r_[np.arange(0, 801, min(stride, 801)), 800]))
+        assert np.array_equal(rec.field_times, full.field_times[at])
+        assert rec.e_field.tobytes() == full.e_field[at].tobytes(), stride
+        assert rec.polarisation.tobytes() == full.polarisation[at].tobytes(), stride
+        assert rec.e_field.shape == rec.polarisation.shape == (at.size, 128)
+        assert rec.input_series.tobytes() == full.input_series.tobytes()
+        assert rec.output_series.tobytes() == full.output_series.tobytes()
+        assert rec.alpha_norm_series.tobytes() == full.alpha_norm_series.tobytes()
 
 
 _STREAM_RUNS = {
     **_ROW_RUNS,
-    "eit": lambda rows, **kw: run_eit(
+    "eit": lambda **kw: run_eit(
         EitConfig(n_atoms=400.0, g=1.0, omega_c0=20.0, switch_down=10.0, switch_up=18.0,
                   ramp_tau=1.0, grid=Grid(z_min=0.0, z_max=1.0, nz=128, t_max=22.5, nt=801)),
-        PulseSpec(kind="gaussian", center=5.0, width=1.5), rows=rows, **kw),
+        PulseSpec(kind="gaussian", center=5.0, width=1.5), **kw),
 }
 
 
 @pytest.mark.parametrize("case", list(_STREAM_RUNS))
 def test_streamed_blocks_are_the_record_rows_bit_for_bit(case, monkeypatch):
-    # the march hands its rows on in blocks of B = 5 here; joined, the blocks
-    # a consumer gets are the rows a record stores (one block of them)
+    # the march hands its 41 rows (stride 20) on in blocks of B rows; joined,
+    # the blocks a consumer gets are the rows a record stores, whether the
+    # last block is one row, full, or all but one row, and whether the
+    # rows fill one block, fall short of it, or need several
     run = _STREAM_RUNS[case]
-    strided = _snapshot_rows(801, 20)
-    stored = run(strided)
+    stored = run(field_stride=20)
+    n = stored.field_times.size
+    assert n == 41
     names = ["e_field", "polarisation"] + (["spin_wave"] if case == "eit" else [])
-    monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 16 * 128)
-    size = solver._block_rows(128)
-    assert size == 5
-    for n in (1, size - 1, size, size + 1, 2 * size + 3):
-        pick = strided.size // 3 + np.arange(n)
+    for size in (1, 5, 19, 40, 41, 42):
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", size * 16 * 128)
+        assert solver._block_rows(128) == size
         slices, blocks = [], []
 
         def consume(rows, *fields):
             slices.append(rows)
             blocks.append([f.copy() for f in fields])
 
-        streamed = run(strided[pick], consume=consume)
+        streamed = run(field_stride=20, consume=consume)
         assert slices == [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
         for i, name in enumerate(names):
             joined = np.concatenate([b[i] for b in blocks])
-            assert joined.tobytes() == getattr(stored, name)[pick].tobytes(), (n, name)
+            assert joined.tobytes() == getattr(stored, name).tobytes(), (size, name)
             assert getattr(streamed, name).shape == (0, 128)
         assert streamed.field_times.size == 0
         assert streamed.output_series.tobytes() == stored.output_series.tobytes()
 
 
-@pytest.mark.parametrize("rows", [[5, 3], [3, 3], [-1, 3], [3, 801], [0.0, 3.0], [[0, 3]]],
-                         ids=["descending", "repeated", "negative", "past_nt", "float", "2d"])
-def test_rows_outside_the_run_are_rejected(rows):
-    with pytest.raises(ValueError, match="rows must be"):
-        run_gem(small_config(nt=801), small_pulse(), rows=rows)
+@pytest.mark.parametrize("stride", [0, -1, True, 1.5, "20", np.float64(20.0)])
+@pytest.mark.parametrize("case", ["abrupt", "eit"])
+def test_a_stride_that_is_not_a_positive_integer_is_rejected(case, stride):
+    with pytest.raises(ValueError, match="field_stride must be a positive integer"):
+        _STREAM_RUNS[case](field_stride=stride)
 
 
 def _reference_operators(z_axis, key, dt, gamma, g):
@@ -570,6 +571,49 @@ class TestConvergence:
         e0, e1 = (window_energy(r.times, r.output_series, (15.0, 40.0), r.grid.dt)
                   for r in (coarse, fine))
         assert abs(e1 - e0) / e1 < 0.005
+
+
+class _Reweighted:
+    """A pulse times exp(rate*t/2): run_gem reads a pulse only through evaluate."""
+
+    def __init__(self, pulse, rate):
+        self.pulse, self.rate = pulse, rate
+
+    def evaluate(self, t):
+        return self.pulse.evaluate(t) * np.exp(0.5 * self.rate * np.asarray(t))
+
+
+# (schedule and readout offset, input, carrier) of each decay-identity case
+_DECAY_CASES = {
+    "abrupt": ({}, small_pulse(), 0.0),
+    "tanh": ({"ramp_tau": 1.0}, small_pulse(), 0.0),
+    "freeze": ({"freeze": ((8.0, 12.0),)}, small_pulse(), 0.0),
+    "carrier": ({"switch": 20.0}, make_plane_wave_mode(2, 6.0, 10.0), np.pi),
+    "delta": ({"delta_offset": 0.8}, small_pulse(), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_DECAY_CASES))
+def test_decay_is_the_gauge_of_the_reweighted_undamped_run(case):
+    # decay is uniform in z and t, so alpha*exp(gamma*t/2) and E*exp(gamma*t/2)
+    # obey the gamma = 0 equations with input E_in*exp(gamma*t/2): the
+    # decaying output is exp(-gamma*t/2) times that run's output.  The
+    # scheme keeps the identity to second order in dt.
+    stark, pulse, carrier = _DECAY_CASES[case]
+    gamma = 0.02
+    errors = []
+    for nt in (401, 801, 1601, 3201):
+        cfg = small_config(nt=nt, gamma=gamma, **stark)
+        decayed = run_gem(cfg, pulse, carrier=carrier)
+        undamped = run_gem(replace(cfg, gamma=0.0), _Reweighted(pulse, gamma), carrier=carrier)
+        t = decayed.times
+        after = t > cfg.stark.switch_time
+        gauged = undamped.output_series[after] * np.exp(-0.5 * gamma * t[after])
+        out = decayed.output_series[after]
+        errors.append(np.linalg.norm(out - gauged) / np.linalg.norm(out))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((ratios > 3.5) & (ratios < 4.5)), ratios
+    assert errors[2] < 1e-5, errors
 
 
 class TestOutputEnergy:
