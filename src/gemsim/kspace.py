@@ -84,16 +84,10 @@ class KSpaceRecord:
 
 
 def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
-    """fftshift(fft(rows)) * dz/sqrt(2*pi) along the last axis; the shift is
-    two slice copies."""
-    f = np.fft.fft(rows, axis=-1)
-    out = np.empty_like(f)
-    n = f.shape[-1]
-    half = n // 2
-    out[..., :half] = f[..., n - half:]
-    out[..., half:] = f[..., :n - half]
-    out *= dz / np.sqrt(2.0 * np.pi)
-    return out
+    """fftshift(fft(rows)) * dz/sqrt(2*pi) along the last axis, scaled in
+    the shifted copy."""
+    out = np.fft.fftshift(np.fft.fft(rows, axis=-1), axes=-1)
+    return np.multiply(out, dz / np.sqrt(2.0 * np.pi), out=out)
 
 
 def modes(e_rows: np.ndarray, a_rows: np.ndarray,

@@ -358,8 +358,6 @@ def mode_fidelity_sweep(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_mode_run(config_template, interval, mode_indices)
-    if any(b <= 0 for b in betas):
-        raise ConfigError("betas must be positive")
 
     deltas = {} if delta == "auto" else {b: float(delta) for b in betas}
     listed = [(b, int(n)) for b in betas for n in mode_indices]

@@ -139,7 +139,9 @@ def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g:
     is that value plus one; the Filon weight span*(exp(x) - 1)/x divides in
     real arithmetic, 1/x = conj(x)/(theta^2 + damp^2), with theta = theta_a
     + theta_b summed from the same terms (1/x = i/theta when damp = 0).
-    Sites with |x| < 1e-8 take the series 1 + x/2 + x^2/6.
+    Sites with |x| < 1e-8 take the series 1 + x/2 + x^2/6; they lie within
+    1e-8/|dz*I| sites of theta = 0, so one array test over that span of the
+    padded flat positions (all of them when the slope is 0) finds them.
 
     Returns build(key, out): key is one row (I_half, D_half, I_full, D_full)
     of the per-step integrals; out (4, nz) receives the half- and full-step
@@ -150,6 +152,8 @@ def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g:
     blocks = -(-nz // m) + 1
     sites = np.concatenate((np.arange(blocks) * float(m), np.arange(m) - float(h)))
     damp = np.array([[0.25], [0.5]]) * gamma * dt
+    with np.errstate(over="ignore"):  # inf past the float range: its weight is 0
+        damp_sq = np.square(damp)
     scale = -g * dt * np.array([[0.5], [1.0]])  # -g*span
     damp_of = damp.ravel().tolist()
     exact_zero_rows = [r for r in (0, 1) if damp_of[r] < 1e-8]  # where |x| < 1e-8 can occur
@@ -175,17 +179,23 @@ def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g:
     conj = np.zeros_like(em1)
 
     def build(key, out):
-        rows, starts = [], []
+        rows, starts, spans = [], [], []
         for slope, offset in ((key[0], key[1]), (key[2], key[3])):
             th0, step = z0 * slope - offset, dz * slope
-            k = 0 if step == 0.0 else int(min(nz - 1.0, max(0.0, -th0 / step)) + 0.5)
+            zero = 0.0 if step == 0.0 else -th0 / step  # the site of theta = 0
+            k = int(min(nz - 1.0, max(0.0, zero)) + 0.5)
             start = m - (k - h) % m  # flat position of site 0
-            # theta at k = 0, its step, and theta at the centre of block 0
-            rows.append((th0, step, th0 + step * (h - start)))
+            # theta's step, and theta at the centre of block 0
+            rows.append((step, th0 + step * (h - start)))
             starts.append(start)
+            # the padded flat positions (site k at start + k) where |theta| <
+            # 1e-8 can hold, with one site of margin on each side for rounding
+            half = 1e-8 / abs(step) + 1.0 if step else math.inf
+            spans.append((math.floor(min(blocks * m, max(0.0, start + zero - half))),
+                          math.ceil(min(blocks * m, max(0.0, start + zero + half + 1.0)))))
         coef = np.array(rows)
-        np.multiply(coef[:, 1:2], sites, out=theta_ab)
-        theta_ab[:, :blocks] += coef[:, 2:]
+        np.multiply(coef[:, :1], sites, out=theta_ab)
+        theta_ab[:, :blocks] += coef[:, 1:]
         np.negative(theta_ab, out=x.imag)
         e = np.expm1(x)
         left[:, :, 1] = e[:, :blocks]
@@ -198,19 +208,18 @@ def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g:
             np.matmul(lhs, rhs, out=res)
         series = []
         for r in exact_zero_rows:
-            s, d = starts[r], damp_of[r]
-            lo, hi = _near_zero(*rows[r][:2], -s, blocks * m - s)
-            small = [p for p, th in enumerate(theta[r, s + lo:s + hi].tolist(), s + lo)
-                     if math.hypot(th, d) < 1e-8]
-            if small:
-                xs = theta[r, small] * -1j - d
-                theta[r, small] = 1.0  # keeps the division below finite
-                site = np.array(small) - s
+            (lo, hi), d = spans[r], damp_of[r]
+            near = theta[r, lo:hi]
+            small = (np.hypot(near, d) < 1e-8).nonzero()[0]
+            if small.size:
+                xs = near[small] * -1j - d
+                near[small] = 1.0  # keeps the division below finite
+                site = small + (lo - starts[r])
                 inside = (site >= 0) & (site < nz)
                 series.append((r, site[inside], xs[inside]))
         if gamma:
             np.square(theta, out=inv)
-            np.add(inv, np.square(damp), out=inv)
+            np.add(inv, damp_sq, out=inv)
             np.divide(scale, inv, out=inv)
             np.multiply(theta, inv, out=conj.real)
             np.multiply(inv, damp, out=conj.imag)
@@ -224,18 +233,6 @@ def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g:
         return out
 
     return build
-
-
-def _near_zero(th0: float, step: float, first: int, stop: int):
-    """Sites k in [first, stop) with |th0 + k*step| < 1e-8, as a range
-    [lo, hi) with one site of margin on each side for rounding."""
-    if step == 0.0:
-        return (first, stop) if abs(th0) < 1e-8 else (first, first)
-    centre = -th0 / step
-    half = 1e-8 / abs(step) + 1.0
-    lo = math.floor(min(float(stop), max(float(first), centre - half)))
-    hi = math.ceil(min(float(stop), max(float(first), centre + half + 1.0)))
-    return lo, max(lo, hi)
 
 
 def _snapshot_rows(nt: int, field_stride: Optional[int]) -> np.ndarray:

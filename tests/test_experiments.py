@@ -314,6 +314,23 @@ class TestLoadSpec:
         *[(name, lambda doc: doc["pulse"].update(mod_freq=1e308),
            "pulse: its samples at the grid times and the step midpoints are not all finite")
           for name in ("fig3_gem", "fig3_eit")],
+        # values of the wrong shape, and documents that are no spec
+        ("fig4_quick", lambda doc: doc["params"].update(delta="fast"),
+         'params.delta must be a number or "auto"'),
+        ("fig3_gem", lambda doc: doc.update(name=5), "name must be a string"),
+        ("fig3_gem", lambda doc: doc["params"].update(input_window=[1.0]),
+         "params.input_window must be a two-element list"),
+        ("fig3_gem", lambda doc: doc["config"]["stark"].update(freeze_intervals=5),
+         "config.stark.freeze_intervals must be a list of [t_a, t_b] pairs"),
+        ("fig4_quick", lambda doc: doc["params"].update(betas=[]),
+         "params.betas must be a nonempty list of numbers"),
+        ("fig4_quick", lambda doc: doc["params"].update(mode_indices=[]),
+         "params.mode_indices must be a nonempty list of integers"),
+        ("fig3_gem", lambda doc: doc.update(config=5), "config must be an object"),
+        (None, lambda path: path, "cannot read spec file"),
+        (None, lambda path: (path.write_text("[]"), path)[1],
+         "spec document must be a JSON object"),
+        ("fig3_gem", lambda doc: doc.pop("pulse"), "kind gem_run requires a pulse"),
     ], ids=["eit_sigma_vs_analytic", "eit_fidelity_min", "sweep_sigma_min", "sweep_no_modes",
             "grid_nz_1", "stark_eta0_0", "stark_negative_ramp", "freeze_interval_reversed",
             "eit_negative_t_max", "sweep_beta_exchange", "sweep_mode_out_of_band",
@@ -337,10 +354,15 @@ class TestLoadSpec:
             "gem_z_span_past_float", "sweep_mode_index_past_float",
             "delta_probe_mode_past_float", "delta_verify_modes_past_float",
             "plane_wave_pulse_mode_index_past_float", "gem_pulse_mod_freq_past_float",
-            "eit_pulse_mod_freq_past_float"])
+            "eit_pulse_mod_freq_past_float", "sweep_delta_word", "name_number",
+            "gem_input_window_one_number", "stark_freeze_intervals_number", "sweep_betas_empty",
+            "sweep_mode_indices_empty", "config_number", "spec_file_missing",
+            "spec_not_an_object", "gem_run_without_pulse"])
     def test_spec_that_would_fail_after_loading_exits_2(self, tmp_path, capsys, preset, edit,
                                                          key):
-        path = preset_variant(tmp_path, preset, edit)
+        # with no preset, edit(path) writes the spec file (or not) and returns its path
+        path = (preset_variant(tmp_path, preset, edit) if preset
+                else edit(tmp_path / "spec.json"))
         with pytest.raises(SpecValidationError, match=re.escape(key)):
             load_spec(path)
         assert cli_main(["validate", str(path)]) == 2
@@ -1177,6 +1199,12 @@ class TestBoundarySweep:
         assert faults == []
         assert loaded > 500
 
+    # a phase below 1e-8 at every site on every step (eta0, ramp_tau), a
+    # decay rate whose square overflows (gamma) and an N/g past the float
+    # range (g)
+    RUN_ALWAYS = ("fig3_gem:config.stark.eta0=1e-300", "fig3_gem:config.stark.ramp_tau=1e+308",
+                  "fig3_gem:config.gamma=1e+308", "fig3_gem:config.g=5e-324")
+
     def test_a_sample_of_loaded_fig3_variants_runs_to_a_verdict(self, tmp_path, capsys):
         path = tmp_path / "variant.json"
         runnable = []
@@ -1188,8 +1216,14 @@ class TestBoundarySweep:
                 continue
             runnable.append((label, doc))
         assert len(runnable) > 100
-        for label, doc in random.Random(26).sample(runnable, 8):
+        always = [(label, doc) for label, doc in runnable if label in self.RUN_ALWAYS]
+        assert len(always) == len(self.RUN_ALWAYS)
+        for label, doc in random.Random(26).sample(runnable, 8) + always:
             path.write_text(json.dumps(doc))
-            code = cli_main(["--out", str(tmp_path / "out"), "run", str(path)])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli_main(["--out", str(tmp_path / "out"), "run", str(path)])
             assert code in (0, 1), (label, code, capsys.readouterr().err)
+            assert [str(w.message) for w in caught
+                    if issubclass(w.category, RuntimeWarning)] == [], label
         capsys.readouterr()

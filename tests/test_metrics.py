@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from gemsim import KSpaceRecord, metrics, run_gem, solver, to_kspace
+from gemsim import ConfigError, KSpaceRecord, metrics, run_gem, solver, to_kspace
 from gemsim.experiments import _ArtifactWriter
 from gemsim.metrics import (
     DeltaSearchResult,
@@ -340,6 +340,18 @@ class TestModeFidelitySweep:
         with pytest.raises(Exception):
             mode_fidelity_sweep(cfg, (6.0, 25.0), [1.0], [0])
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+    def test_a_non_positive_beta_raises_before_any_solve_or_pool(self, monkeypatch, beta):
+        started = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: started.append("pool"))
+        monkeypatch.setattr(metrics, "_mode_run", lambda *args: started.append("solve"))
+        cfg = small_config(beta=1.0, **SWEEP_KW)
+        with pytest.raises(ConfigError, match="beta must be positive"):
+            mode_fidelity_sweep(cfg, (6.0, 10.0), [1.0, beta], [-1, 0], delta="auto",
+                                workers=2)
+        assert started == []
+
 
 class TestFindDelta:
     def test_recovers_injected_shift(self):
@@ -359,6 +371,21 @@ class TestFindDelta:
         assert res.fidelity >= res.fidelity_at_zero
         if not res.improved:
             assert res.delta == 0.0
+
+    def test_no_offset_that_beats_the_uncorrected_readout_is_flagged_unimproved(
+            self, monkeypatch):
+        # a stand-in score peaks at delta = 0 exactly, so no candidate beats it
+        score = metrics._score
+
+        def peaked_at_zero(run, delta):
+            rep = score(run, 0.0)
+            return replace(rep, fidelity=rep.fidelity - abs(delta))
+
+        monkeypatch.setattr(metrics, "_score", peaked_at_zero)
+        cfg = small_config(beta=1.0, **SWEEP_KW)
+        res = find_delta(cfg, (6.0, 10.0), probe_mode=0, search_halfwidth=2.0)
+        rep = score(metrics._mode_run(cfg, 0, (6.0, 10.0)), 0.0)
+        assert res == DeltaSearchResult(0.0, rep.fidelity, rep.fidelity, False, rep.sigma)
 
     def test_shared_shift_helps_other_modes(self):
         cfg = small_config(beta=1.0, **SWEEP_KW)
