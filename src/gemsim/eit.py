@@ -185,7 +185,7 @@ def run_eit(
         h11, h12, w = table[value_index[n], :3].tolist()
         np.multiply(h11, P, out=rot)
         np.add(rot, np.multiply(h12, S, out=tmp), out=rot)
-        return rot, w
+        return rot, w, 0.5 * w
 
     def finish(n, src):
         # P <- f11*P + f12*S + src_p*src and S <- f12*P + f22*S + src_s*src,

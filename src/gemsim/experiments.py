@@ -334,6 +334,20 @@ class ExperimentResult:
         return self.status == "ok"
 
 
+def _json_text(payload) -> str:
+    """payload as strict JSON text, a non-finite number written as null."""
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+
+    return json.dumps(finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 class _ArtifactWriter:
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -396,7 +410,7 @@ class _ArtifactWriter:
 
     def json(self, name: str, payload: dict) -> Path:
         path = self.out_dir / name
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(_json_text(payload))
         self._register(path)
         return path
 
@@ -880,7 +894,7 @@ def run_experiment(
         status = "ok" if all(c["passed"] for c in checks) else "failed"
         manifest.update(status=status, scalars=scalars, checks=checks)
     finally:
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        manifest_path.write_text(_json_text(manifest))
     return ExperimentResult(
         name=spec.name,
         status=status,

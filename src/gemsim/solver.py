@@ -21,12 +21,16 @@ ramp builds every step.
 
 The time loop (`_march`) is shared with the EIT solver in `eit.py` and
 holds the whole predictor/corrector pass; each solver hands it two calls
-per step, begin (the source-free half step and the source weight) and
-finish (the state update to the end of the step).  The loop hands the
-field rows it is asked for on a block of rows at a time, as it fills them,
-to one consumer: the record's row arrays, or a caller's consumer that
-writes maps or reduces the rows as they arrive, so a run that streams its
-rows holds one block of them, not their history.
+per step, begin (the source-free half step and the source weight, whole
+and halved for the corrector) and finish (the state update to the end of
+the step).  A step skips the add of an input sample that is exactly zero
+(on most steps of a windowed pulse), and the corrector's factor 0.5 is
+folded into its weight once per build; neither changes a value (the
+tests hold the records to the untrimmed pass byte for byte).  The loop
+hands the field rows it is asked for on a block of rows at a time, as it
+fills them, to one consumer: the record's row arrays, or a caller's
+consumer that writes maps or reduces the rows as they arrive, so a run
+that streams its rows holds one block of them, not their history.
 """
 
 from __future__ import annotations
@@ -273,13 +277,16 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
 
     state holds the solver's per-site arrays, which finish advances in
     place; state[0] radiates the field E = ein + coupling * cumint(state[0]).
-    begin(n) returns (rot, w): the source-free half-step value of state[0]
-    and the half-step source weight (per-site array or scalar).  The
-    midpoint coherence is w*E + rot (predictor), then 0.5*w*(E + e_mid) +
-    rot (corrector); finish(n, src) takes the corrected midpoint field and
-    may overwrite it.  Each field rebuild is one call of the module-global
-    cumulative_simpson(f, dx, out=...), three per step, into buffers
-    allocated once.  Returns the output E(z_max, t) and the norm
+    begin(n) returns (rot, w, w_corr): the source-free half-step value of
+    state[0], the half-step source weight (per-site array or scalar) and
+    that weight times 0.5.  The midpoint coherence is w*E + rot
+    (predictor), then w_corr*(E + e_mid) + rot (corrector), which is
+    0.5*w*(E + e_mid) + rot bit for bit, 0.5 being a power of two;
+    finish(n, src) takes the corrected midpoint field and may overwrite
+    it.  An input sample that is exactly zero is not added: adding it
+    changes no value, only a -0.0 entry's sign.  Each field rebuild is one
+    call of the module-global cumulative_simpson(f, dx, out=...), three per
+    step, into buffers allocated once.  Returns the output E(z_max, t) and the norm
     dz*sum|state[-1]|^2 (one einsum pass over its real view, no BLAS call).
 
     The (E, *state) rows at the time indices `keep` (any strictly
@@ -324,20 +331,24 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
         j, next_row = store(j)
 
     for n in range(nt - 1):
-        rot, w = begin(n)
+        rot, w, w_corr = begin(n)
         np.multiply(w, E, out=src)
         src += rot
         cumulative_simpson(src, step, out=e_mid)
-        e_mid += ein_mid[n]
+        a = ein_mid[n]
+        if a:
+            e_mid += a
         np.add(E, e_mid, out=src)
-        np.multiply(w, src, out=src)
-        src *= 0.5
+        np.multiply(w_corr, src, out=src)
         src += rot
         cumulative_simpson(src, step, out=e_mid)
-        e_mid += ein_mid[n]
+        if a:
+            e_mid += a
         finish(n, e_mid)
         cumulative_simpson(state[0], step, out=E)
-        E += ein[n + 1]
+        a = ein[n + 1]
+        if a:
+            E += a
 
         e_out = E.item(-1)
         a_norm = float(np.einsum("i,i->", v, v)) * dz
@@ -427,14 +438,16 @@ def run_gem(
     fresh = [True, *np.any(integrals[1:] != integrals[:-1], axis=1).tolist()]
     ops = np.empty((4, nz), dtype=complex)
     rot_half, rot_full, w_half, w_full = ops
-    alpha, rot_alpha = np.zeros((2, nz), dtype=complex)
+    alpha, rot_alpha, w_corr = np.zeros((3, nz), dtype=complex)
 
     # exact phase rotation (and decay) over the half and full step, Filon
-    # weights (times i*g) for the i*g*E source
+    # weights (times i*g) for the i*g*E source, and the half-step weight
+    # halved for the corrector
     def begin(n):
         if fresh[n]:
             build(integrals[n].tolist(), ops)
-        return np.multiply(rot_half, alpha, out=rot_alpha), w_half
+            np.multiply(w_half, 0.5, out=w_corr)
+        return np.multiply(rot_half, alpha, out=rot_alpha), w_half, w_corr
 
     def finish(n, src):
         np.multiply(rot_full, alpha, out=alpha)

@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from gemsim import Grid, GemConfig, PulseSpec, StarkProfile, run_gem
+from gemsim import Grid, GemConfig, PulseSpec, StarkProfile, run_gem, solver
 from gemsim.cli import preset_path
 from gemsim.experiments import load_spec
 
@@ -45,3 +46,48 @@ def fig2_tanh_record():
 def fig2_freeze_record():
     # slope frozen for 10 us mid-storage; echo shifts from 155 to 165 us
     return _fig2_record("fig2_abrupt", freeze_intervals=((30.0, 40.0),))
+
+
+def reference_march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consume):
+    """solver._march without its per-step trims, for byte-for-byte checks.
+
+    The corrector multiplies by the half-step weight and then by 0.5, and
+    every input sample is added, zero or not; the operators (begin,
+    finish) and the field quadrature (solver.cumulative_simpson) are the
+    solver's own.  Each kept row goes to consume as a one-row block.
+    """
+    nt = times.size
+    E = np.full(state[0].size, ein[0], dtype=complex)
+    e_mid = np.empty_like(E)
+    src = np.empty_like(E)
+    step = coupling * dz
+    out = np.empty(nt, dtype=complex)
+    norm = np.empty(nt)
+    v = state[-1].view(float)
+    index = {int(n): j for j, n in enumerate(keep)}
+
+    def record(n):
+        out[n] = E[-1]
+        norm[n] = float(np.einsum("i,i->", v, v)) * dz
+        if n in index:
+            j = index[n]
+            consume(slice(j, j + 1), *(f[None].copy() for f in (E, *state)))
+
+    record(0)
+    for n in range(nt - 1):
+        rot, w, _ = begin(n)
+        np.multiply(w, E, out=src)
+        src += rot
+        solver.cumulative_simpson(src, step, out=e_mid)
+        e_mid += ein_mid[n]
+        np.add(E, e_mid, out=src)
+        np.multiply(w, src, out=src)
+        src *= 0.5
+        src += rot
+        solver.cumulative_simpson(src, step, out=e_mid)
+        e_mid += ein_mid[n]
+        finish(n, e_mid)
+        solver.cumulative_simpson(state[0], step, out=E)
+        E += ein[n + 1]
+        record(n + 1)
+    return out, norm

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gemsim import ConfigError, Grid, PulseSpec
+from gemsim import ConfigError, Grid, PulseSpec, eit
 from gemsim.eit import EitConfig, _pair_propagator, eit_polariton, omega_c_schedule, run_eit
+
+from conftest import reference_march
 
 
 def eit_config(**kw):
@@ -144,6 +146,22 @@ def test_a_strided_run_is_the_stride_1_run_row_for_row():
             assert getattr(rec, name).shape == (at.size, 64)
         assert rec.input_series.tobytes() == full.input_series.tobytes()
         assert rec.output_series.tobytes() == full.output_series.tobytes()
+
+
+@pytest.mark.parametrize("pulse", [
+    PulseSpec(kind="modulated", center=7.0, width=3.0, mod_freq=1.8849555921538759),
+    PulseSpec(kind="plane_wave_window", window=(2.0, 10.0)),  # exactly zero outside
+], ids=["fig3_modulated", "box"])
+def test_the_march_is_its_untrimmed_reference_byte_for_byte(monkeypatch, pulse):
+    # fig3_eit's medium and control on a shorter, coarser grid
+    cfg = EitConfig(n_atoms=5000.0, g=1.0, omega_c0=50.0, switch_down=14.0, switch_up=40.0,
+                    ramp_tau=2.0, gamma_e=0.15,
+                    grid=Grid(z_min=0.0, z_max=1.0, nz=64, t_max=60.0, nt=6001))
+    trimmed = run_eit(cfg, pulse, field_stride=20)
+    monkeypatch.setattr(eit, "_march", reference_march)
+    reference = run_eit(cfg, pulse, field_stride=20)
+    for name in ("output_series", "e_field", "polarisation", "spin_wave"):
+        assert getattr(trimmed, name).tobytes() == getattr(reference, name).tobytes(), name
 
 
 class TestEitPolariton:

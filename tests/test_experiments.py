@@ -1227,3 +1227,20 @@ class TestBoundarySweep:
             assert [str(w.message) for w in caught
                     if issubclass(w.category, RuntimeWarning)] == [], label
         capsys.readouterr()
+
+    def test_a_nan_scalar_is_written_as_null_in_strict_json(self, tmp_path, capsys):
+        # N/g past the float range: the balance residual is NaN and its check fails
+        doc = dict(boundary_variants(["fig3_gem"]))["fig3_gem:config.g=5e-324"]
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["--out", str(tmp_path / "out"), "run", str(path)]) == 1
+        capsys.readouterr()
+
+        def no_constant(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        text = (tmp_path / "out" / doc["output_dir"] / "manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=no_constant)
+        assert manifest["status"] == "failed"
+        assert manifest["scalars"]["balance_residual"] is None
+        assert any(c["value"] is None and not c["passed"] for c in manifest["checks"])

@@ -13,7 +13,7 @@ from gemsim.metrics import (_gem_windows, echo_peak_time, efficiency_analytic,
                             efficiency_numeric, shifted_output, window_energy)
 from gemsim.solver import NonFiniteFieldError, cumulative_simpson
 
-from conftest import small_config, small_pulse
+from conftest import reference_march, small_config, small_pulse
 
 
 def stencil_cumulative_simpson(f, dx):
@@ -432,6 +432,32 @@ def test_each_step_rebuilds_the_field_three_times_through_the_module_global(
         f, _ = args
         assert f.shape == (config.grid.nz,)
         assert set(kwargs) == {"out"} and kwargs["out"].shape == f.shape
+
+
+# a box on [5, 12) us of 40: exactly zero input before and after it
+_BOX = PulseSpec(kind="plane_wave_window", window=(5.0, 12.0))
+
+_TRIM_CASES = {
+    "box_abrupt": lambda: (small_config(), _BOX, {}),
+    "tanh": lambda: (small_config(ramp_tau=3.0), small_pulse(), {}),
+    "carrier_mode": lambda: (small_config(switch=20.0, t_max=50.0, nt=2001, nz=160),
+                             make_plane_wave_mode(2, 6.0, 10.0), {"carrier": np.pi}),
+    "box_gamma": lambda: (small_config(gamma=0.2), _BOX, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRIM_CASES))
+def test_the_march_is_its_untrimmed_reference_byte_for_byte(monkeypatch, case):
+    # the march halves the corrector weight once per build and skips the
+    # add of an exactly zero input sample (every case has some); neither
+    # may change a bit
+    config, pulse, kwargs = _TRIM_CASES[case]()
+    assert (pulse.evaluate(config.grid.t_axis) == 0).any()
+    trimmed = run_gem(config, pulse, field_stride=7, **kwargs)
+    monkeypatch.setattr(solver, "_march", reference_march)
+    reference = run_gem(config, pulse, field_stride=7, **kwargs)
+    for name in ("output_series", "alpha_norm_series", "e_field", "polarisation"):
+        assert getattr(trimmed, name).tobytes() == getattr(reference, name).tobytes(), name
 
 
 def _pinned_gem(config, pulse, **kwargs):
