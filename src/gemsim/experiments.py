@@ -355,19 +355,11 @@ class _ArtifactWriter:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def csv(self, name: str, header: str, columns) -> Path:
-        """One CSV file; columns are 1-D series, side by side.  The bytes
-        np.savetxt writes with fmt _FMT, made a block of rows at a time by
-        one % operation per block.  A block holds 1024 values, whose float
-        objects, tuple and text take about 65 kB."""
+        """One CSV file; columns are 1-D series, side by side, each value
+        written with fmt _FMT."""
         path = self.out_dir / name
-        data = np.column_stack(columns)
-        line = ",".join([_FMT] * data.shape[1]) + "\n"
-        size = _block_rows(16 * data.shape[1])
-        with path.open("w") as f:
-            f.write(header + "\n")
-            for lo in range(0, data.shape[0], size):
-                block = data[lo:lo + size]
-                f.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+        np.savetxt(path, np.column_stack(columns), fmt=_FMT, delimiter=",", header=header,
+                   comments="")
         self._register(path)
         return path
 
@@ -536,7 +528,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     config: GemConfig = spec.config
     params = spec.params
     kspace = spec.kind in _KSPACE
-    times = config.grid.t_axis[_snapshot_rows(config.grid.nt, params["field_stride"])]
+    times = _stored_times(config, params)
     spectrum_row = (_nearest_row(times, params["spectrum_time"])
                     if "spectrum_time" in params else None)
     residual_row = _residual_row(config, params, times) if kspace else None
@@ -587,9 +579,18 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         writer.register(kspace_maps)
         writer.csv("centroid.csv", "t_us,k_centroid,eta",
                    (times, centroid_series(ks), config.stark.eval(times)))
-        scalars["phi_residual_mid_storage"] = phi_residual(
-            ks, residual_row, kept["residual_e"], kept["residual_a"])
+        try:
+            residual = phi_residual(ks, residual_row, kept["residual_e"], kept["residual_a"])
+        except ValueError:  # decay has emptied the row: NaN, which fails its check
+            residual = math.nan
+        scalars["phi_residual_mid_storage"] = residual
     return scalars
+
+
+def _stored_times(config, params: dict) -> np.ndarray:
+    """Times of the rows a GEM or EIT run of params hands on: every
+    field_stride-th grid time and the last."""
+    return config.grid.t_axis[_snapshot_rows(config.grid.nt, params["field_stride"])]
 
 
 def _residual_row(config: GemConfig, params: dict, field_times: np.ndarray) -> int:
@@ -613,7 +614,7 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     config: EitConfig = spec.config
     params = spec.params
     in_win, echo_win = params["input_window"], params["echo_window"]
-    times = config.grid.t_axis[_snapshot_rows(config.grid.nt, params["field_stride"])]
+    times = _stored_times(config, params)
     hold = _hold_rows(config, in_win, times)
     envelope_row = _nearest_row(
         times, params.get("envelope_time", 0.5 * (config.switch_down + config.switch_up)))
@@ -759,7 +760,7 @@ def _check_kspace_report(config: GemConfig, pulse: PulseSpec, params: dict, chec
     _check_gem_run(config, pulse, params, checks)
     t, dt = config.grid.t_axis, config.grid.dt
     e_in = pulse.evaluate(t)
-    t_rows = t[_snapshot_rows(config.grid.nt, params["field_stride"])]
+    t_rows = _stored_times(config, params)
     t_row = t_rows[_residual_row(config, params, t_rows)]
     if not window_energy(t, e_in, (0.0, t_row), dt) > window_energy(t, e_in, (0.0, t[-1]), dt) / 2:
         raise SpecValidationError(
@@ -773,7 +774,7 @@ def _check_eit_run(config: EitConfig, pulse: PulseSpec, params: dict, checks: di
     the spec checks it."""
     _check_windows(config, pulse, params)
     if "spinwave_drift_max" in checks:
-        t = config.grid.t_axis[_snapshot_rows(config.grid.nt, params["field_stride"])]
+        t = _stored_times(config, params)
         if not np.any(_hold_rows(config, params["input_window"], t)):
             raise SpecValidationError(
                 "checks.spinwave_drift_max: no stored row lies between input_window[1] + 2 "

@@ -142,7 +142,8 @@ def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g:
     |x| at every site, so no digits cancel next to theta = 0.  The rotation
     is that value plus one; the Filon weight span*(exp(x) - 1)/x divides in
     real arithmetic, 1/x = conj(x)/(theta^2 + damp^2), with theta = theta_a
-    + theta_b summed from the same terms (1/x = i/theta when damp = 0).
+    + theta_b one broadcast sum of the same terms (1/x = i/theta when
+    damp = 0).
     Sites with |x| < 1e-8 take the series 1 + x/2 + x^2/6; they lie within
     1e-8/|dz*I| sites of theta = 0, so one array test over that span of the
     padded flat positions (all of them when the slope is 0) finds them.
@@ -164,21 +165,20 @@ def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g:
     theta_ab = np.empty((2, sites.size))
     x = np.zeros((2, sites.size), dtype=complex)
     x.real[:, :blocks] = -damp
-    # exp(x) - 1 = [exp(x_a), expm1(x_a)] @ [expm1(x_b), 1] and theta =
-    # [theta_a, 1] @ [1, theta_b] as real matrix products; a complex factor
-    # on the left is an (re, im) pair, so the right-hand rows for it are
-    # (e, i*e) and (1, i)
+    # exp(x) - 1 = [exp(x_a), expm1(x_a)] @ [expm1(x_b), 1] as a real
+    # matrix product; a complex factor on the left is an (re, im) pair, so
+    # the right-hand rows for it are (e, i*e) and (1, i).  A broadcast
+    # complex product would round differently; theta = theta_a + theta_b
+    # rounds once either way, so it is a broadcast sum (whose -0 + -0 keeps
+    # a sign the product drops, and no weight carries)
     left = np.empty((2, blocks, 2), dtype=complex)
     right = np.zeros((2, 4, m), dtype=complex)
     right[:, 2] = 1.0
     right[:, 3] = 1j
-    left_th = np.ones((2, blocks, 2))
-    right_th = np.ones((2, 2, m))
-    em1 = np.empty((2, blocks, m), dtype=complex)
-    theta = np.empty((2, blocks, m))
-    products = ((left.view(float), right.view(float), em1.view(float)),
-                (left_th, right_th, theta))
-    em1, theta = em1.reshape(2, -1), theta.reshape(2, -1)
+    em1_ab = np.empty((2, blocks, m), dtype=complex)
+    theta_sum = np.empty((2, blocks, m))
+    left_re, right_re, em1_re = left.view(float), right.view(float), em1_ab.view(float)
+    em1, theta = em1_ab.reshape(2, -1), theta_sum.reshape(2, -1)
     inv = np.empty_like(theta)
     conj = np.zeros_like(em1)
 
@@ -206,10 +206,8 @@ def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g:
         np.add(e[:, :blocks], 1.0, out=left[:, :, 0])
         right[:, 0] = e[:, blocks:]
         np.multiply(e[:, blocks:], 1j, out=right[:, 1])
-        left_th[:, :, 0] = theta_ab[:, :blocks]
-        right_th[:, 1] = theta_ab[:, blocks:]
-        for lhs, rhs, res in products:
-            np.matmul(lhs, rhs, out=res)
+        np.matmul(left_re, right_re, out=em1_re)
+        np.add(theta_ab[:, :blocks, None], theta_ab[:, None, blocks:], out=theta_sum)
         series = []
         for r in exact_zero_rows:
             (lo, hi), d = spans[r], damp_of[r]

@@ -893,18 +893,34 @@ class TestCli:
         manifest = json.loads((out / "tiny" / "manifest.json").read_text())
         assert manifest["status"] == "incomplete" and manifest["files"] == []
 
-    def test_analysis_failure_after_load_exits_3(self, tmp_path, capsys):
-        # decay empties the polarisation before the k-space residual is read
+    def test_analysis_failure_after_load_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_correlation(*args, **kwargs):
+            raise ValueError("correlation vanishes at every delay")
+
+        monkeypatch.setattr(experiments, "fidelity", no_correlation)
         path = tiny_gem_spec(tmp_path, kind="kspace_report")
+        assert cli_main(["--out", str(tmp_path / "o"), "run", str(path)]) == 3
+        assert capsys.readouterr().err == "run failed: correlation vanishes at every delay\n"
+        manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+
+    def test_a_residual_emptied_by_decay_fails_its_check(self, tmp_path, capsys):
+        # decay empties the polarisation before the k-space residual is
+        # read: the residual is NaN, written as null, and fails its check
+        path = tiny_gem_spec(tmp_path, kind="kspace_report", checks={"phi_residual_max": 0.1})
         doc = json.loads(path.read_text())
         doc["config"]["gamma"] = 20.0
         path.write_text(json.dumps(doc))
-        assert cli_main(["--out", str(tmp_path / "o"), "run", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("run failed: |Psi|^2 at t index")
-        assert len(err.splitlines()) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["--out", str(tmp_path / "o"), "run", str(path)]) == 1
+        assert not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "o" / "tiny" / "manifest.json").read_text())
-        assert manifest["status"] == "incomplete"
+        assert manifest["status"] == "failed"
+        assert manifest["scalars"]["phi_residual_mid_storage"] is None
+        assert manifest["checks"] == [{"name": "phi_residual_max", "passed": False,
+                                       "value": None, "expected": 0.1}]
 
     def test_a_ramp_past_the_float_range_runs_to_a_verdict(self, tmp_path, capsys):
         # eta0*tau overflows: the slope integral of a ramp that long must not
@@ -991,9 +1007,9 @@ def _checks_doc(draw, names):
 def gem_spec_docs(draw, kind):
     """Small gem_run / kspace_report documents, most of them loadable: eta0
     is drawn up to 1.3 times the sampling guard's limit and beta up to 4.
-    Decay stays below gamma*t_max = 10: a medium emptied by decay (power
-    down by 1e12) leaves kspace_report no residual to read, the exit 3
-    that test_analysis_failure_after_load_exits_3 pins."""
+    Decay reaches gamma*t_max = 60: a medium emptied by decay (power down
+    by 1e12) leaves kspace_report no residual to read, a NaN residual that
+    fails its check (test_a_residual_emptied_by_decay_fails_its_check)."""
     nz, nt = draw(st.integers(3, 64)), draw(st.integers(2, 401))
     half, t_max = draw(_unit(0.25, 3.0)), draw(_unit(5.0, 60.0))
     eta0 = (draw(_unit(0.05, 1.3)) * math.pi * (nz - 2) / (2.0 * half * t_max)
@@ -1017,7 +1033,7 @@ def gem_spec_docs(draw, kind):
         "name": "prop", "kind": kind, "output_dir": "prop",
         "config": {
             "g": g, "linear_density": draw(_unit(0.05, 4.0)) * abs(eta0) / g,
-            "gamma": draw(st.one_of(st.just(0.0), _unit(0.0, 10.0 / t_max))),
+            "gamma": draw(st.one_of(st.just(0.0), _unit(0.0, 60.0 / t_max))),
             "stark": stark,
             "grid": {"z_min": -half, "z_max": half, "nz": nz, "t_max": t_max, "nt": nt},
         },
@@ -1095,8 +1111,8 @@ def sweep_spec_docs(draw):
 class TestLoadedSpecsRun:
     """A spec that loads cannot fail on configuration afterwards: through
     the CLI, a small random spec exits 2 at load, or 0 or 1 after its run
-    with a value for every check; never 3, never a traceback, never a
-    warning."""
+    with a value for every check (null only for a scalar the run recorded
+    as NaN); never 3, never a traceback, never a warning."""
 
     @staticmethod
     def _exit_code_matches_load(doc):
@@ -1119,7 +1135,12 @@ class TestLoadedSpecsRun:
             if code != 2:
                 out = Path(tmp) / "out" / "prop"
                 manifest = json.loads((out / "manifest.json").read_text())
-                assert all(c["value"] is not None for c in manifest["checks"]), manifest["checks"]
+                # a scalar is missing from no check; one recorded as NaN
+                # (null, a residual emptied by decay) fails its check
+                scalars = manifest["scalars"]
+                assert all(c["value"] is not None or (
+                    scalars[experiments._CHECKS[c["name"]][1]] is None and not c["passed"])
+                    for c in manifest["checks"]), manifest["checks"]
                 if (out / "sweep.csv").exists():
                     assert "nan" not in (out / "sweep.csv").read_text().lower()
 
