@@ -15,15 +15,15 @@ configured times.
 
 Time stepping uses the exponential-midpoint loop of the GEM solver
 (`solver._march`), which owns the field rebuild (every cumulative_simpson
-call), the predictor/corrector pass, the blocks of rows it hands on and
-the finiteness guard.  This module hands it the exact 2x2 propagator of
+call), the predictor/corrector pass, the rows it hands on and the
+finiteness guard.  This module hands it the exact 2x2 propagator of
 the (P, S) pair: begin propagates P source-free over the half step,
 finish advances P and S in place over the full step, both from a table
 with one row per distinct control value.
 
 eit_polariton mixes E and S rows into the dark-state polariton.  It takes
 the rows it mixes, so the same function serves a record's rows and each
-block of rows a streaming run's march hands on.
+row a streaming run's march hands on.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def run_eit(
     """Integrate the probe `pulse` (a PulseSpec) through the storage cycle.
 
     field_stride and consume as in run_gem, for the E, P and S rows
-    (consume(rows, e, p, s))."""
+    (consume(j, e, p, s))."""
     grid = config.grid
     nt = grid.nt
     dt = grid.dt
@@ -218,11 +218,12 @@ def run_eit(
 def eit_polariton(config: EitConfig, times: np.ndarray, e_rows: np.ndarray,
                   s_rows: np.ndarray) -> np.ndarray:
     """Dark-state mixture cos(th)*E - sin(th)*sqrt(N)*S of E and S rows at
-    the given times, with tan(th)^2 = g^2*N/omega_c^2 and omega_c the
-    control schedule of config at those times.  Each row is the same
-    elementwise expression whichever rows are taken."""
+    the given times (one row at one time, or a stack of rows at an array
+    of times), with tan(th)^2 = g^2*N/omega_c^2 and omega_c the control
+    schedule of config at those times.  Each row is the same elementwise
+    expression whichever rows are taken."""
     gn = config.g * math.sqrt(config.n_atoms)
     theta = np.arctan2(gn, omega_c_schedule(config, times))
-    cos_t = np.cos(theta)[:, None]
-    sin_t = np.sin(theta)[:, None]
+    cos_t = np.cos(theta)[..., None]
+    sin_t = np.sin(theta)[..., None]
     return cos_t * e_rows - sin_t * math.sqrt(config.n_atoms) * s_rows

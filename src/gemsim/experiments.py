@@ -11,17 +11,17 @@ cannot fail on configuration afterwards.  A runner returns the scalars
 its run records, and each check compares one of them with its target.
 GEM and EIT runs write their input/output series through one function.
 Every field_stride-th row streams from the solver's march, maps or not,
-a block at a time as it makes them, into the maps and the scalars that
-read them: a run holds one block of rows and copies of the single rows a
-scalar reads, never the rows' history.  Each such row is picked once, on
-the strided times the load checks use.  A run calls the readers a caller
-with a stored record calls, which take the rows they read:
-KSpaceRecord.push and eit_polariton on each block, then centroid_series,
-phi_residual, input_spectrum_correlation and envelope_correlation.
+one row at a time as it makes them, into the maps and the scalars that
+read them: a run holds copies of the single rows a scalar reads, never
+the rows' history.  Each such row is picked once, on the strided times the
+load checks use.  A run calls the readers a caller with a stored record
+calls, which take the rows they read: KSpaceRecord.push and eit_polariton
+on each row, then centroid_series, phi_residual,
+input_spectrum_correlation and envelope_correlation.
 Artifacts are 1-D series as CSV with fixed full-precision formatting, 2-D
-magnitude maps as `.npy` (written a block of rows at a time as the run
-makes them, so no map, k-space maps included, is ever whole in memory,
-and deleted if the run fails before they are complete), JSON summaries
+magnitude maps as `.npy` (written a row at a time as the run makes them,
+so no map, k-space maps included, is ever whole in memory, and deleted
+if the run fails before they are complete), JSON summaries
 and a manifest listing names, checksums and headline scalars; rerunning
 a spec reproduces every data file byte for byte.
 """
@@ -59,7 +59,7 @@ from .metrics import (
     mode_fidelity_sweep,
     window_energy,
 )
-from .solver import _block_rows, _snapshot_rows, run_gem
+from .solver import _snapshot_rows, run_gem
 
 __all__ = ["ExperimentSpec", "ExperimentResult", "SpecValidationError", "balance_residual",
            "load_spec", "run_experiment"]
@@ -367,38 +367,35 @@ class _ArtifactWriter:
     def npy(self, names, times: np.ndarray, width: int):
         """.npy files side by side, one per name, each the C-order float64
         array of times then |rows| (width values), one row per time.  The
-        headers are written first; push(rows, blocks) then writes the rows
-        at times[rows], one complex block per name, each block's magnitudes
-        going into one float64 buffer beside its times.  Blocks come in
-        order, at most _block_rows(width) rows each, so no map is ever whole
-        in memory, and every file holds the bytes np.save writes for the
-        assembled array.  The files are complete when the with statement
-        ends and are listed by register, in manifest order; if its body
-        raises, they are deleted, so no truncated map is left."""
+        headers are written first; push(j, rows) then writes the row at
+        times[j], one complex row per name, each row's magnitudes going into
+        one float64 row buffer beside its time.  Rows come in order, so no
+        map is ever whole in memory, and every file holds the bytes np.save
+        writes for the assembled array.  The files are complete when the
+        with statement ends and are listed by register, in manifest order;
+        if its body raises, they are deleted, so no truncated map is
+        left."""
         header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
                   "fortran_order": False, "shape": (times.shape[0], width + 1)}
         paths = [self.out_dir / name for name in names]
-        buf = np.empty((min(_block_rows(width), times.shape[0]) if paths else 0, width + 1))
+        buf = np.empty(width + 1)
         try:
             with ExitStack() as stack:
                 files = [stack.enter_context(path.open("wb")) for path in paths]
                 for f in files:
                     np.lib.format.write_array_header_1_0(f, header)
 
-                def push(rows, blocks):
-                    for f, block in zip(files, blocks):
-                        data = buf[:block.shape[0]]
-                        data[:, 0] = times[rows]
-                        np.abs(block, out=data[:, 1:])
-                        f.write(data)
+                def push(j, rows):
+                    buf[0] = times[j]
+                    for f, row in zip(files, rows):
+                        np.abs(row, out=buf[1:])
+                        f.write(buf)
 
                 yield push
         except BaseException:
             for path in paths:
                 path.unlink(missing_ok=True)
             raise
-        finally:
-            del buf  # a push after the with statement fails; the buffer goes now
 
     def json(self, name: str, payload: dict) -> Path:
         path = self.out_dir / name
@@ -419,13 +416,13 @@ class _ArtifactWriter:
         self.files.append({"name": path.name, "sha256": h.hexdigest(), "bytes": path.stat().st_size})
 
 
-def _keep_rows(kept: dict, rows: slice, wanted) -> None:
-    """Copy into kept[key] each row a scalar reads, as its block arrives:
-    wanted holds (key, index, block) with index a stored-row index (or
-    None) and block the rows at the stored rows `rows`."""
-    for key, index, block in wanted:
-        if index is not None and rows.start <= index < rows.stop:
-            kept[key] = block[index - rows.start].copy()
+def _keep_rows(kept: dict, j: int, wanted) -> None:
+    """Copy into kept[key] each row a scalar reads, as it arrives: wanted
+    holds (key, index, row) with index a stored-row index (or None) and row
+    the row at stored-row index j."""
+    for key, index, row in wanted:
+        if index == j:
+            kept[key] = row.copy()
 
 
 def _nearest_row(field_times: np.ndarray, t: float) -> int:
@@ -520,11 +517,11 @@ def _write_record(writer: _ArtifactWriter, record, columns: dict, maps):
 
 
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
-    """A GEM run whose field_stride-th rows stream, a block at a time, into
-    the maps it writes (|E| and |alpha| with dump_fields; kspace_report's
-    |Psi| and |Phi|, from the k-space view's block step, which keeps each
-    row's power and centroid) and into the copies of the single rows its
-    scalars read."""
+    """A GEM run whose field_stride-th rows stream, one at a time, into the
+    maps it writes (|E| and |alpha| with dump_fields; kspace_report's |Psi|
+    and |Phi|, from the k-space view's row step, which keeps each row's
+    power and centroid) and into the copies of the single rows its scalars
+    read."""
     config: GemConfig = spec.config
     params = spec.params
     kspace = spec.kind in _KSPACE
@@ -538,14 +535,14 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     kept = {}
 
     with writer.npy(field_maps + kspace_maps, times, config.grid.nz) as push:
-        def consume(rows, e, a):
+        def consume(j, e, a):
             field_rows = [e, a] if dump_fields else []
             if ks is None:
-                push(rows, field_rows)
+                push(j, field_rows)
             else:
-                ks.push(rows, e, a, lambda psi, phi: push(rows, [*field_rows, psi, phi]))
-            _keep_rows(kept, rows, (("spectrum", spectrum_row, a), ("residual_e", residual_row, e),
-                                    ("residual_a", residual_row, a)))
+                ks.push(j, e, a, lambda psi, phi: push(j, [*field_rows, psi, phi]))
+            _keep_rows(kept, j, (("spectrum", spectrum_row, a), ("residual_e", residual_row, e),
+                                 ("residual_a", residual_row, a)))
 
         record = run_gem(config, spec.pulse, field_stride=params["field_stride"], consume=consume)
     _write_record(writer, record, {}, field_maps)
@@ -607,10 +604,10 @@ def _hold_rows(config: EitConfig, input_window, field_times: np.ndarray) -> np.n
 
 
 def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
-    """An EIT run whose field_stride-th rows stream, a block at a time, into
-    the maps it writes with dump_fields (|E|, |S| and the |polariton|),
-    into the spin-wave drift of its hold rows, read against the first, and
-    into a copy of the polariton row its envelope correlation reads."""
+    """An EIT run whose field_stride-th rows stream, one at a time, into the
+    maps it writes with dump_fields (|E|, |S| and the |polariton|), into
+    the spin-wave drift of its hold rows, read against the first, and into
+    a copy of the polariton row its envelope correlation reads."""
     config: EitConfig = spec.config
     params = spec.params
     in_win, echo_win = params["input_window"], params["echo_window"]
@@ -624,26 +621,26 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     worst = 0.0  # largest distance of a hold row's |S| from ref
 
     with writer.npy(maps, times, config.grid.nz) as push:
-        def consume(rows, e, p, s):
+        def consume(j, e, p, s):
             nonlocal ref, ref_norm, worst
             if dump_fields:
-                push(rows, [e, s, eit_polariton(config, times[rows], e, s)])
-            _keep_rows(kept, rows, (("envelope_e", envelope_row, e),
-                                    ("envelope_s", envelope_row, s)))
-            if np.any(hold[rows]):
-                profiles = np.abs(s[hold[rows]])
+                push(j, [e, s, eit_polariton(config, times[j], e, s)])
+            _keep_rows(kept, j, (("envelope_e", envelope_row, e), ("envelope_s", envelope_row, s)))
+            if hold[j]:
+                profile = np.abs(s)
                 if ref is None:
-                    ref, ref_norm = profiles[0].copy(), np.linalg.norm(profiles[0])
-                worst = max(worst, np.max(np.linalg.norm(profiles - ref, axis=1)))
+                    ref, ref_norm = profile, np.linalg.norm(profile)
+                # axis=-1 sums the squares as the stored rows' 2-D norm does
+                worst = max(worst, np.linalg.norm(profile - ref, axis=-1))
 
         record = run_eit(config, spec.pulse, field_stride=params["field_stride"], consume=consume)
     _write_record(writer, record, {"omega_c": omega_c_schedule(config, record.times)}, maps)
     scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
     if ref is not None:
         scalars["spinwave_drift"] = float(worst / ref_norm)
-    polariton = eit_polariton(config, times[envelope_row:envelope_row + 1],
-                              kept["envelope_e"][None], kept["envelope_s"][None])
-    scalars["envelope_corr"] = envelope_correlation(record, polariton[0])
+    polariton = eit_polariton(config, times[envelope_row], kept["envelope_e"],
+                              kept["envelope_s"])
+    scalars["envelope_corr"] = envelope_correlation(record, polariton)
     return scalars
 
 

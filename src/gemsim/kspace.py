@@ -5,10 +5,10 @@ lossless combination Psi(k,t) = k*E(k,t) + N*alpha(k,t) is transported at
 dk/dt = -eta(t), while the orthogonal combination
 Phi(k,t) = k*E(k,t) - N*alpha(k,t) stays unexcited wherever the interior
 field/polarisation relation holds.  A KSpaceRecord keeps only the |Psi|^2
-power and the k centroid of each stored row.  Its one block step,
-KSpaceRecord.push, takes a block of rows either from a record (to_kspace)
-or as a run's march hands it on; the readers of single rows
-(phi_residual, polariton_norm) take the rows they read.
+power and the k centroid of each stored row.  Its one row step,
+KSpaceRecord.push, takes a row either from a record (to_kspace) or as a
+run's march hands it on; the readers of single rows (phi_residual,
+polariton_norm) take the rows they read.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GemConfig
-from .solver import FieldRecord, _block_rows, _readonly
+from .solver import FieldRecord, _readonly
 
 __all__ = [
     "KSpaceRecord",
@@ -43,7 +43,7 @@ class KSpaceRecord:
     the plain rectangle sum of |f|^2 dz.  The grid and the linear density
     are read from config.  The view holds no field row and no Psi/Phi map:
     per stored time it keeps only the |Psi|^2 row power and the k centroid,
-    which push fills a block of rows at a time; the readers that need rows
+    which push fills a row at a time; the readers that need rows
     (phi_residual, polariton_norm, modes) take the rows they read.
     """
 
@@ -60,14 +60,14 @@ class KSpaceRecord:
         row_power, centroid = np.full((2, times.size), np.nan)
         return cls(config, times, _k_axis(config.grid), row_power, centroid)
 
-    def push(self, rows: slice, e: np.ndarray, a: np.ndarray, write=None) -> None:
-        """The block step: Psi and Phi of the E and alpha rows at
-        times[rows] (one block, at most _block_rows(nz) rows), handed to
-        write(psi, phi) when given (the .npy maps), then |Psi|^2 squared in
-        place in one |Psi| array once Psi and Phi are gone, and from it
-        each row's power and its centroid over k != 0, summed left to
-        right along k.  At most E~, alpha~ and Psi are alive together, and
-        each row's values are the same whichever rows share its block."""
+    def push(self, j: int, e: np.ndarray, a: np.ndarray, write=None) -> None:
+        """The row step: Psi and Phi of the E and alpha rows at times[j],
+        handed to write(psi, phi) when given (the .npy maps), then |Psi|^2
+        squared in place in one |Psi| row once Psi and Phi are gone, and
+        from it the row's power and its centroid over k != 0, summed left
+        to right along k.  At most E~, alpha~ and Psi are alive together,
+        and the values are those of the whole-array expressions, bit for
+        bit."""
         psi, phi = modes(e, a, self.config)
         if write is not None:
             write(psi, phi)
@@ -76,11 +76,11 @@ class KSpaceRecord:
         np.square(w, out=w)
         k = self.k_axis
         sel = k != 0.0
-        w_sel = np.compress(sel, w, axis=-1)
+        w_sel = w[sel]
         kw = k[sel] * w_sel
-        with np.errstate(divide="ignore", invalid="ignore"):  # rows with no weight
-            self._centroid[rows] = _running_total(kw) / _running_total(w_sel)
-        self._row_power[rows] = np.sum(w, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a row with no weight
+            self._centroid[j] = _running_total(kw) / _running_total(w_sel)
+        self._row_power[j] = np.sum(w)
 
 
 def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
@@ -96,8 +96,8 @@ def modes(e_rows: np.ndarray, a_rows: np.ndarray,
     config's grid: fft, shift, times scale, then times k and times N, then
     the sum and the difference (in alpha~'s own array), the operations and
     order of the whole-array transform, so each row is the same bit for bit
-    whichever rows are taken.  Made from a block of rows it holds at most
-    three blocks: E~, alpha~ and the FFT's output, then E~, alpha~ and Psi."""
+    whichever rows are taken.  Made from one row it holds at most three
+    rows: E~, alpha~ and the FFT's output, then E~, alpha~ and Psi."""
     e = _transform(e_rows, config.grid.dz)
     a = _transform(a_rows, config.grid.dz)
     e *= _k_axis(config.grid)
@@ -121,18 +121,18 @@ def _k_axis(grid) -> np.ndarray:
 def to_kspace(record: FieldRecord) -> KSpaceRecord:
     """Transform the stored field rows of a run to k-space normal modes.
 
-    The record's rows go through KSpaceRecord.push a block of
-    _block_rows(nz) rows at a time (256 KiB of complex rows: 4 rows of the
-    fig2 grid's 4096 sites), as a run that streams its rows hands each
-    block of its march to push; per row the view keeps only the
-    |Psi|^2 power and the one k centroid that k_centroid and
-    centroid_series report.  No Psi/Phi map is kept.
+    The record's rows go through KSpaceRecord.push one at a time, as a run
+    that streams its rows hands each row of its march to push; per row the
+    view keeps only the |Psi|^2 power and the one k centroid that
+    k_centroid and centroid_series report.  No Psi/Phi map is kept.
+    ValueError for a record that stores no rows (a run without a
+    field_stride).
     """
+    if record.field_times.size == 0:
+        raise ValueError("the record stores no field rows: run it with a field_stride")
     ks = KSpaceRecord.empty(record.config, record.field_times)
-    size = _block_rows(record.grid.nz)
-    for lo in range(0, ks.times.size, size):
-        rows = slice(lo, lo + size)
-        ks.push(rows, record.e_field[rows], record.polarisation[rows])
+    for j, (e, a) in enumerate(zip(record.e_field, record.polarisation)):
+        ks.push(j, e, a)
     _readonly(ks._row_power, ks._centroid)
     return ks
 

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.fft import fft, ifft
 
 from .core import ConfigError, GemConfig, _short_int, make_plane_wave_mode
-from .solver import FieldRecord, _block_rows, run_gem
+from .solver import FieldRecord, run_gem
 
 __all__ = [
     "FidelityReport",
@@ -41,6 +41,16 @@ __all__ = [
 
 # golden-section stopping width of find_delta, relative to the scanned span
 _DELTA_REL_TOL = 1e-3
+
+# bytes of one block of complex rows: _offset_scan correlates its offsets
+# a block of rows at a time, so its temporaries are blocks, not one row per
+# offset; larger blocks run no faster
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(width: int) -> int:
+    """Rows of one block of _BLOCK_BYTES of complex rows, width values each."""
+    return max(1, _BLOCK_BYTES // (16 * width))
 
 
 @dataclass(frozen=True)
@@ -229,9 +239,9 @@ def _offset_scan(record: FieldRecord, echo_window, deltas: np.ndarray) -> np.nda
     The correlation is taken between the input trimmed to its nonzero
     samples and the output trimmed to the echo window.  The weighted input
     is transformed once; each block of conjugated, phase-shifted outputs
-    (_block_rows(nfft) offsets) is one 2-D buffer, correlated by one
-    forward and one inverse FFT along its rows, both in place, so a block
-    allocates no spectrum of its own.
+    (_block_rows(nfft) offsets, _BLOCK_BYTES bytes) is one 2-D
+    buffer, correlated by one forward and one inverse FFT along its rows,
+    both in place, so a block allocates no spectrum of its own.
     A zero on each side of the trimmed correlation stands for the full
     correlation's samples there (zero up to FFT rounding), so a peak on
     the trimmed edge is refined against the same neighbours as in

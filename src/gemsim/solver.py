@@ -27,10 +27,10 @@ the step).  A step skips the add of an input sample that is exactly zero
 (on most steps of a windowed pulse), and the corrector's factor 0.5 is
 folded into its weight once per build; neither changes a value (the
 tests hold the records to the untrimmed pass byte for byte).  The loop
-hands the field rows it is asked for on a block of rows at a time, as it
-fills them, to one consumer: the record's row arrays, or a caller's
-consumer that writes maps or reduces the rows as they arrive, so a run
-that streams its rows holds one block of them, not their history.
+hands each field row it is asked for on as soon as it makes it, to one
+consumer: the record's row arrays, or a caller's consumer that writes maps
+or reduces the rows as they arrive, so a run that streams its rows holds
+no copy of them, let alone their history.
 """
 
 from __future__ import annotations
@@ -258,18 +258,6 @@ def _readonly(*arrays):
         arr.setflags(write=False)
 
 
-# bytes of one block of complex rows (4 rows of 4096 values): the march
-# hands on its stored rows, and the k-space pass, the .npy map writer and
-# find_delta's offset scan work, a block at a time, so their temporaries
-# are blocks, not whole maps; larger blocks run no faster
-_BLOCK_BYTES = 1 << 18
-
-
-def _block_rows(width: int) -> int:
-    """Rows of one block of _BLOCK_BYTES of complex rows, width values each."""
-    return max(1, _BLOCK_BYTES // (16 * width))
-
-
 def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consume):
     """Exponential-midpoint time loop shared by the GEM and EIT solvers.
 
@@ -289,14 +277,13 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
 
     The (E, *state) rows at the time indices `keep` (any strictly
     increasing subset of range(nt), with or without step 0, possibly
-    empty) go to consume(rows, e, *state_rows) a block at a time, as soon
-    as a block of _block_rows(nz) rows is filled and at the last one: rows
-    is the slice of keep the block holds, and each block is a C-order
-    (rows, nz) view of one buffer that the next block overwrites, so a
-    consumer copies what it keeps and may change the block in place.  The
-    loop holds one block per field, whatever the number of rows.  Raises
-    NonFiniteFieldError at the first step where the output or the norm is
-    not finite (the blocks already handed on stay handed on).
+    empty) go to consume(j, e, *state_rows) one at a time, as soon as the
+    step makes them: j is the row's place in keep, and the rows are
+    read-only views of the live arrays, made once, which the next step
+    overwrites, so a consumer copies what it keeps.  The loop holds no row
+    buffer, whatever the number of rows.  Raises NonFiniteFieldError at the
+    first step where the output or the norm is not finite (the rows already
+    handed on stay handed on).
     """
     nt = times.size
     E = np.full(state[0].size, ein[0], dtype=complex)
@@ -308,25 +295,15 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
     out[0] = E[-1]
     v = state[-1].view(float)
     norm[0] = float(np.einsum("i,i->", v, v)) * dz
-    fields = (E, *state)
-    kept = len(keep)
-    size = min(_block_rows(E.size), kept)
-    block = np.empty((len(fields), size, E.size), dtype=complex)
-    # keep is walked in order: j rows are stored, the next at time index
-    # next_row (nt once every row is stored)
-    j = 0
-    next_row = int(keep[0]) if kept else nt
-
-    def store(j):
-        r = j % size
-        for buf, row in zip(block, fields):
-            buf[r] = row
-        if r == size - 1 or j == kept - 1:
-            consume(slice(j - r, j + 1), *block[:, :r + 1])
-        return j + 1, int(keep[j + 1]) if j + 1 < kept else nt
-
+    rows = [f.view() for f in (E, *state)]
+    _readonly(*rows)
+    # keep is walked in order: row j is handed on at time index next_row
+    # (nt once every row is handed on)
+    pending = enumerate(map(int, keep))
+    j, next_row = next(pending, (-1, nt))
     if next_row == 0:
-        j, next_row = store(j)
+        consume(j, *rows)
+        j, next_row = next(pending, (-1, nt))
 
     for n in range(nt - 1):
         rot, w, w_corr = begin(n)
@@ -356,22 +333,23 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
                 and math.isfinite(e_out.imag)):
             raise NonFiniteFieldError(n + 1, times[n + 1])
         if n + 1 == next_row:
-            j, next_row = store(j)
+            consume(j, *rows)
+            j, next_row = next(pending, (-1, nt))
     return out, norm
 
 
 def _field_rows(times, keep, nz: int, count: int, consume):
     """The field times and the count field-row arrays of a record, and the
     consumer its march hands the rows at keep to.  With consume None the
-    record stores those rows, (len(keep), nz) arrays filled block by block;
-    otherwise the rows go to consume and the record stores none."""
+    record stores those rows, (len(keep), nz) arrays filled a row at a
+    time; otherwise the rows go to consume and the record stores none."""
     if consume is not None:
         return times[:0], [np.empty((0, nz), dtype=complex) for _ in range(count)], consume
     arrays = [np.empty((len(keep), nz), dtype=complex) for _ in range(count)]
 
-    def fill(rows, *blocks):
-        for arr, block in zip(arrays, blocks):
-            arr[rows] = block
+    def fill(j, *rows):
+        for arr, row in zip(arrays, rows):
+            arr[j] = row
 
     return times[keep], arrays, fill
 
@@ -390,18 +368,18 @@ def run_gem(
     every field_stride-th step and of the last step, or none (None).
 
     consume: None, and the record stores those rows; or a callable
-    consume(rows, e, alpha) that takes them instead, a block at a time as
-    the run makes them (see _march: rows is the slice of the indices a
-    block holds, e and alpha are buffers the next block reuses), and the
-    record stores none.  Either way the rows are the same bit for bit.
+    consume(j, e, alpha) that takes them instead, one row at a time as
+    the run makes them (see _march: j is the stored-row index, e and alpha
+    are read-only rows the next step overwrites), and the record stores
+    none.  Either way the rows are the same bit for bit.
 
     carrier: optional demodulation frequency (rad/us).  The run is done in
     the gauge alpha -> alpha*exp(-i*Phi(t)), Phi(t) = (carrier/eta0) *
     int_0^t eta, which turns a plane-wave input at `carrier` into a DC
     envelope while keeping the physical medium window; recorded series and
-    each block of field rows are transformed back before they are stored or
-    handed on, so the record and the rows are gauge-free.  Exact for any
-    slope schedule.
+    each field row are transformed back (the rows into one scratch pair)
+    before they are stored or handed on, so the record and the rows are
+    gauge-free.  Exact for any slope schedule.
     """
     grid = config.grid
     stark = config.stark
@@ -454,12 +432,14 @@ def run_gem(
     hand_on = consume
     if carrier != 0.0:
         gauge_rows = np.exp(1j * phi[keep])
+        gauged = np.empty((2, nz), dtype=complex)
+        gauged_rows = gauged.view()
+        _readonly(gauged_rows)
 
-        def hand_on(rows, *blocks):
-            gauge = gauge_rows[rows, None]
-            for block in blocks:
-                np.multiply(block, gauge, out=block)
-            consume(rows, *blocks)
+        def hand_on(j, *rows):
+            for row, buf in zip(rows, gauged):
+                np.multiply(row, gauge_rows[j], out=buf)
+            consume(j, *gauged_rows)
 
     out, anorm = _march(begin, finish, ein, ein_mid, 1j * dens, dz, t, keep, (alpha,), hand_on)
 

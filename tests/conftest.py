@@ -54,7 +54,8 @@ def reference_march(begin, finish, ein, ein_mid, coupling, dz, times, keep, stat
     The corrector multiplies by the half-step weight and then by 0.5, and
     every input sample is added, zero or not; the operators (begin,
     finish) and the field quadrature (solver.cumulative_simpson) are the
-    solver's own.  Each kept row goes to consume as a one-row block.
+    solver's own.  Each kept row goes to consume(j, ...) as a copy, j being
+    its place in keep.
     """
     nt = times.size
     E = np.full(state[0].size, ein[0], dtype=complex)
@@ -71,7 +72,7 @@ def reference_march(begin, finish, ein, ein_mid, coupling, dz, times, keep, stat
         norm[n] = float(np.einsum("i,i->", v, v)) * dz
         if n in index:
             j = index[n]
-            consume(slice(j, j + 1), *(f[None].copy() for f in (E, *state)))
+            consume(j, *(f.copy() for f in (E, *state)))
 
     record(0)
     for n in range(nt - 1):

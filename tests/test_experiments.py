@@ -123,6 +123,15 @@ def stored_envelope_corr(spec, record):
     return envelope_correlation(record, polariton[0])
 
 
+def stored_spinwave_drift(spec, record):
+    """Largest distance ||S| - |S_ref|| of a stored record's hold rows from
+    the first, over ||S_ref||, the spin-wave drift of an eit_run."""
+    hold = experiments._hold_rows(spec.config, spec.params["input_window"], record.field_times)
+    profiles = np.abs(record.spin_wave[hold])
+    ref = profiles[0]
+    return float(np.max(np.linalg.norm(profiles - ref, axis=1)) / np.linalg.norm(ref))
+
+
 def preset_variant(tmp_path, name, edit):
     """Copy of a packaged preset with `edit(doc)` applied."""
     doc = json.loads(preset_path(name).read_text())
@@ -467,7 +476,9 @@ class TestRunExperiment:
          "spectrum_corr", stored_spectrum_corr),
         (lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=7), "envelope_corr",
          stored_envelope_corr),
-    ], ids=["phi_residual", "spectrum_corr", "envelope_corr"])
+        (lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=7), "spinwave_drift",
+         stored_spinwave_drift),
+    ], ids=["phi_residual", "spectrum_corr", "envelope_corr", "spinwave_drift"])
     def test_streamed_scalars_are_the_library_readers_bit_for_bit(self, tmp_path, make_spec,
                                                                   scalar, reference):
         # the streamed run keeps one row; the library reads it from a record
@@ -506,7 +517,7 @@ class TestRunExperiment:
     ], ids=["gem_run", "eit_run"])
     def test_a_run_without_maps_hands_on_every_strided_row(self, tmp_path, monkeypatch,
                                                            make_spec, run):
-        # the scalars copy the rows they read as the blocks pass
+        # the scalars copy the rows they read as the rows pass, each once
         spec = load_spec(make_spec(tmp_path))
         strides, handed = [], []
         solve = getattr(experiments, run)
@@ -515,9 +526,9 @@ class TestRunExperiment:
             strides.append(kwargs["field_stride"])
             consume = kwargs["consume"]
 
-            def counted(rows, *blocks):
-                handed.extend(range(rows.start, rows.stop))
-                consume(rows, *blocks)
+            def counted(j, *rows):
+                handed.append(j)
+                consume(j, *rows)
 
             return solve(config, pulse, **{**kwargs, "consume": counted})
 
@@ -605,7 +616,7 @@ class TestRunExperiment:
         one_field = 2001 * 1024 * 16
         assert peak < one_field / 4
 
-    def test_csv_is_the_bytes_np_savetxt_writes(self, tmp_path, monkeypatch):
+    def test_csv_is_the_bytes_np_savetxt_writes(self, tmp_path):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(10001, 6)) * 10.0 ** rng.integers(-300, 300, size=(10001, 6))
         data[::7, 1] = np.nan  # as in centroid.csv
@@ -614,17 +625,16 @@ class TestRunExperiment:
         ref = io.BytesIO()
         np.savetxt(ref, data, fmt=experiments._FMT, delimiter=",", header="a,b,c,d,e,f",
                    comments="")
-        # one block, then blocks of 7 rows with the last partly filled
-        for block_bytes in (solver._BLOCK_BYTES, 7 * 16 * 6):
-            monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes)
-            path = experiments._ArtifactWriter(tmp_path).csv("x.csv", "a,b,c,d,e,f", data.T)
-            assert path.read_bytes() == ref.getvalue()
+        path = experiments._ArtifactWriter(tmp_path).csv("x.csv", "a,b,c,d,e,f", data.T)
+        assert path.read_bytes() == ref.getvalue()
 
-    def test_a_map_writing_run_holds_one_block_of_rows(self, tmp_path):
-        # the march hands its rows to the map writers a block at a time, so
-        # writing every row of the run peaks within a few blocks of writing
-        # a handful (the march's two blocks, the k-space step's three and
-        # the writer's half block), far below one field's history
+    def test_a_map_writing_run_holds_a_few_rows(self, tmp_path):
+        # the march hands its rows to the map writers one at a time, so
+        # writing every row of the run peaks within a few rows (the k-space
+        # step's three, the writer's row buffer and the kept copies) and six
+        # float vectors over its 4001 stored rows (the times, the view's
+        # power and centroid, the centroid CSV's columns) of writing a
+        # handful, far below one field's history
         def peak(stride):
             spec = load_spec(tiny_gem_spec(
                 tmp_path, grid={"nz": 512, "nt": 4001}, kind="kspace_report", checks={},
@@ -638,17 +648,16 @@ class TestRunExperiment:
             finally:
                 tracemalloc.stop()
 
-        block = solver._block_rows(512) * 512 * 16
+        row, row_vectors = 512 * 16, 6 * 4001 * 8
         every_row, few_rows = peak(1), peak(800)
-        assert every_row <= few_rows + 6 * block
+        assert every_row <= few_rows + row_vectors + 8 * row
         assert every_row < 4001 * 512 * 16 / 4
 
     @pytest.mark.parametrize("make_spec", [
         lambda tmp_path: tiny_gem_spec(tmp_path, kind="kspace_report", checks={}),
         lambda tmp_path: tiny_eit_spec(tmp_path, field_stride=1),
     ], ids=["gem", "eit"])
-    def test_maps_are_the_saved_magnitudes_hashed_in_chunks(self, tmp_path, make_spec,
-                                                              monkeypatch):
+    def test_maps_are_the_saved_magnitudes_hashed_in_chunks(self, tmp_path, make_spec):
         spec = load_spec(make_spec(tmp_path))
         stride = spec.params["field_stride"]
         if spec.kind == "eit_run":
@@ -675,15 +684,6 @@ class TestRunExperiment:
                 assert entry["bytes"] == len(data)
 
         check(run_experiment(spec, tmp_path / "out", dump_fields=True))
-        # maps are made and written a block of B rows at a time: whether the
-        # n rows take many blocks of 5, two blocks and a part, a full block
-        # and one row, exactly one block or one block short of full, a run
-        # writes the bytes np.save writes
-        n, nz = record.field_times.size, spec.config.grid.nz
-        for size in (5, (n - 3) // 2, n - 1, n, n + 1):
-            monkeypatch.setattr(solver, "_BLOCK_BYTES", size * 16 * nz)
-            assert solver._block_rows(nz) == size
-            check(run_experiment(spec, tmp_path / f"block{size}", dump_fields=True))
 
     def test_sweep_workers_equivalent(self, tmp_path):
         spec = load_spec(tiny_sweep_spec(tmp_path))
@@ -859,7 +859,7 @@ class TestCli:
 
     def test_march_failure_leaves_no_partial_map(self, tmp_path, capsys, monkeypatch):
         # the field turns non-finite at step 1000 of 1600, after the march
-        # has handed on blocks of 5 rows to every map: the partial maps are
+        # has handed on hundreds of rows to every map: the partial maps are
         # deleted, and no file is listed in the incomplete manifest
         calls = []
 
@@ -872,14 +872,13 @@ class TestCli:
 
         solver_simpson = solver.cumulative_simpson
         monkeypatch.setattr(solver, "cumulative_simpson", poisoned)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 5 * 16 * 128)
         pushed = []
         npy = experiments._ArtifactWriter.npy
 
         @contextlib.contextmanager
         def npy_spy(self, names, times, width):
             with npy(self, names, times, width) as push:
-                yield lambda rows, blocks: (pushed.append(rows), push(rows, blocks))
+                yield lambda j, rows: (pushed.append(j), push(j, rows))
 
         monkeypatch.setattr(experiments._ArtifactWriter, "npy", npy_spy)
         path = tiny_gem_spec(tmp_path, kind="kspace_report", checks={})

@@ -10,7 +10,7 @@ from gemsim import GemConfig, Grid, StarkProfile, run_gem, to_kspace
 from gemsim.experiments import _ArtifactWriter
 from gemsim.kspace import (KSpaceRecord, _tukey, centroid_series, k_centroid, modes,
                            phi_residual, polariton_norm)
-from gemsim.solver import FieldRecord, _block_rows
+from gemsim.solver import FieldRecord
 
 from conftest import small_config, small_pulse
 
@@ -82,6 +82,14 @@ class TestToKspace:
             rhs = np.sum(np.abs(a) ** 2) * dz
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
+    def test_a_record_without_rows_is_rejected(self):
+        # a run's default field_stride (None) stores no rows, and a view of
+        # none would fail later, in every reader
+        record = run_gem(small_config(nt=401), small_pulse())
+        assert record.field_times.size == 0
+        with pytest.raises(ValueError, match="field_stride"):
+            to_kspace(record)
+
     def test_views_its_record_at_the_stored_times(self, stored_run, stored_ks):
         assert stored_ks.config is stored_run.config
         assert stored_ks.times is stored_run.field_times
@@ -96,7 +104,7 @@ class TestToKspace:
 
 def full_array_view(record):
     """Psi, Phi, the row powers, the peak and the centroid series as the
-    whole-array expressions that the block build must equal bit for bit."""
+    whole-array expressions that the row build must equal bit for bit."""
     dz, dens = record.grid.dz, record.config.linear_density
     scale = dz / np.sqrt(2.0 * np.pi)
     k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(record.grid.nz, d=dz))
@@ -133,18 +141,15 @@ def decayed_run(request):
     return run_gem(cfg, small_pulse(), field_stride=1)
 
 
-class TestBlockBuild:
-    """to_kspace takes the block step a block of rows at a time and keeps
-    per-row values; modes makes Psi/Phi of any rows."""
+class TestRowBuild:
+    """to_kspace takes the row step one row at a time and keeps per-row
+    values; modes makes Psi/Phi of any rows."""
 
-    @pytest.mark.parametrize("count", [
-        lambda b: 1, lambda b: b - 1, lambda b: b, lambda b: b + 1, lambda b: 2 * b + 3,
-    ], ids=["1", "B-1", "B", "B+1", "2B+3"])
-    def test_equals_the_full_array_expressions(self, decayed_run, count):
-        size = _block_rows(decayed_run.grid.nz)
-        n = count(size)
+    @pytest.mark.parametrize("n", [1, 2, 64, 128, 259])
+    def test_equals_the_full_array_expressions(self, decayed_run, n):
+        size = 64  # rows of a stack that modes takes at once
         assert n <= decayed_run.field_times.size
-        # rows 350-1000 hold lit and dark rows; shuffled, so both share blocks
+        # rows 350-1000 hold lit and dark rows, shuffled
         rows = np.linspace(350, 1000, n).round().astype(int)
         rows = np.random.default_rng(n).permutation(rows)
         record = replace(decayed_run, field_times=decayed_run.field_times[rows],
@@ -152,7 +157,7 @@ class TestBlockBuild:
                          polarisation=decayed_run.polarisation[rows])
         ks = to_kspace(record)
         psi, phi, row_power, peak, centroid = full_array_view(record)
-        # every row on demand, a block's rows, one row and scattered rows
+        # every row on demand, a stack of rows, one row and scattered rows
         picks = [slice(None), slice(size // 2, size // 2 + size), n - 1,
                  np.random.default_rng(0).permutation(n)[: (n + 1) // 2]]
         for pick in picks:
@@ -170,12 +175,12 @@ class TestBlockBuild:
         for i in np.flatnonzero(~np.isnan(series)):
             assert_bits(np.float64(k_centroid(ks, i)), series[i])
 
-    def test_kspace_stage_holds_row_vectors_and_four_blocks(self, tmp_path):
-        # the block step writing the two k-space maps, centroid_series and
-        # the Phi residual of a kspace_report run, on rows of 2.5 blocks: no
-        # Psi/Phi map is held, only values per row and at most four blocks
-        nz = 1024
-        nrows = 5 * _block_rows(nz) // 2
+    def test_kspace_stage_holds_row_vectors_and_ten_rows(self, tmp_path):
+        # the row step writing the two k-space maps, centroid_series and
+        # the Phi residual of a kspace_report run, on 40 rows: no Psi/Phi
+        # map is held, only values per row and at most ten rows (about six
+        # in the row step's transforms, about eight in phi_residual's)
+        nz, nrows = 1024, 40
         grid = Grid(z_min=-1.0, z_max=1.0, nz=nz, t_max=1.0, nt=nrows)
         rng = np.random.default_rng(17)
         e, a = (rng.normal(size=(nrows, nz)) + 1j * rng.normal(size=(nrows, nz))
@@ -186,19 +191,17 @@ class TestBlockBuild:
         try:
             base = tracemalloc.get_traced_memory()[0]
             ks = KSpaceRecord.empty(record.config, record.field_times)
-            size = _block_rows(nz)
             with writer.npy(("psi_mag.npy", "phi_mag.npy"), ks.times, nz) as push:
-                for lo in range(0, nrows, size):
-                    rows = slice(lo, lo + size)
-                    ks.push(rows, e[rows], a[rows], lambda psi, phi: push(rows, [psi, phi]))
+                for j in range(nrows):
+                    ks.push(j, e[j], a[j], lambda psi, phi: push(j, [psi, phi]))
             centroid_series(ks)
             phi_residual(ks, nrows // 2, e[nrows // 2], a[nrows // 2])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         row_vectors = 8 * nrows * 8
-        block = _block_rows(nz) * nz * 16
-        assert peak <= row_vectors + 4 * block
+        row = nz * 16
+        assert peak <= row_vectors + 10 * row
 
 
 class TestCentroid:

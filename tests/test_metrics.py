@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from gemsim import ConfigError, KSpaceRecord, metrics, run_gem, solver, to_kspace
-from gemsim.experiments import _ArtifactWriter
+from gemsim import ConfigError, metrics, run_gem
 from gemsim.metrics import (
     DeltaSearchResult,
     efficiency_analytic,
@@ -428,14 +427,14 @@ class TestOffsetScan:
 
     def test_scan_shorter_than_one_block(self, probe, monkeypatch):
         rec, echo_window, _ = probe
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 20)
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1 << 20)
         blocks = self._blocks(monkeypatch)
         self._assert_matches_fidelity(rec, echo_window, np.linspace(-2.0, 2.0, 22))
         assert blocks == [22]
 
     def test_last_block_partly_filled(self, probe, monkeypatch):
         rec, echo_window, _ = probe
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 17)
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1 << 17)
         blocks = self._blocks(monkeypatch)
         self._assert_matches_fidelity(rec, echo_window, np.linspace(-2.0, 2.0, 22))
         assert len(blocks) > 1 and sum(blocks) == 22
@@ -455,43 +454,23 @@ class TestOffsetScan:
         synthetic = replace(rec, input_series=e_in, output_series=e_out)
         self._assert_matches_fidelity(synthetic, echo_window, np.linspace(-1.0, 1.0, 9))
 
-    def test_one_block_constant_sizes_the_scan_the_kspace_pass_and_the_maps(
-            self, probe, monkeypatch, tmp_path):
-        # solver._BLOCK_BYTES is the one block rule: patched, it resizes the
-        # offset scan's blocks, to_kspace's pass and the march's blocks of
-        # rows, which the .npy writer takes
+    def test_the_block_constant_sizes_the_scan(self, probe, monkeypatch):
+        # metrics._BLOCK_BYTES, the one block size left (the march hands on
+        # single rows): patched, it resizes the offset scan's blocks
         rec, echo_window, _ = probe
-        cfg = small_config(beta=1.0)
-        stored = run_gem(cfg, small_pulse(), field_stride=20)
-        nz, nrows = cfg.grid.nz, stored.field_times.size
-        scan_shapes, pass_rows, map_rows = [], [], []
-        fft, block_step = metrics.fft, KSpaceRecord.push
+        scan_shapes = []
+        fft = metrics.fft
 
         def fft_spy(x, *args, **kwargs):
             if x.ndim == 2:
                 scan_shapes.append(x.shape)
             return fft(x, *args, **kwargs)
 
-        def step_spy(ks, rows, e, a, write=None):
-            pass_rows.append(e.shape[0])
-            return block_step(ks, rows, e, a, write)
-
-        def split(n, size):
-            return [min(size, n - lo) for lo in range(0, n, size)]
-
         monkeypatch.setattr(metrics, "fft", fft_spy)
-        monkeypatch.setattr(KSpaceRecord, "push", step_spy)
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", 1 << 16)
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1 << 16)
         metrics._offset_scan(rec, echo_window, np.linspace(-2.0, 2.0, 22))
-        ks = to_kspace(stored)
-        # the march hands on blocks of the same size, which the writer takes
-        with _ArtifactWriter(tmp_path).npy(("e_mag.npy",), stored.field_times, nz) as push:
-            def consume(rows, e, a):
-                map_rows.append(e.shape[0])
-                push(rows, [e])
-
-            run_gem(cfg, small_pulse(), field_stride=20, consume=consume)
         nfft = scan_shapes[0][1]
-        assert [rows for rows, _ in scan_shapes] == split(22, solver._block_rows(nfft))
-        assert pass_rows == map_rows == split(nrows, solver._block_rows(nz))
-        assert len(scan_shapes) > 1 and len(pass_rows) > 1
+        size = metrics._block_rows(nfft)
+        blocks = [rows for rows, _ in scan_shapes]
+        assert blocks == [min(size, 22 - lo) for lo in range(0, 22, size)]
+        assert len(scan_shapes) > 1

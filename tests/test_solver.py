@@ -247,33 +247,50 @@ _STREAM_RUNS = {
 
 
 @pytest.mark.parametrize("case", list(_STREAM_RUNS))
-def test_streamed_blocks_are_the_record_rows_bit_for_bit(case, monkeypatch):
-    # the march hands its 41 rows (stride 20) on in blocks of B rows; joined,
-    # the blocks a consumer gets are the rows a record stores, whether the
-    # last block is one row, full, or all but one row, and whether the
-    # rows fill one block, fall short of it, or need several
+def test_streamed_rows_are_the_record_rows_bit_for_bit(case):
+    # the march hands its 41 rows (stride 20) on once each, in order, as
+    # their stored-row index j; stacked, the rows a consumer copies are the
+    # rows a record stores
     run = _STREAM_RUNS[case]
     stored = run(field_stride=20)
     n = stored.field_times.size
     assert n == 41
     names = ["e_field", "polarisation"] + (["spin_wave"] if case == "eit" else [])
-    for size in (1, 5, 19, 40, 41, 42):
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", size * 16 * 128)
-        assert solver._block_rows(128) == size
-        slices, blocks = [], []
+    handed, rows = [], []
 
-        def consume(rows, *fields):
-            slices.append(rows)
-            blocks.append([f.copy() for f in fields])
+    def consume(j, *fields):
+        handed.append(j)
+        rows.append([f.copy() for f in fields])
 
-        streamed = run(field_stride=20, consume=consume)
-        assert slices == [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
-        for i, name in enumerate(names):
-            joined = np.concatenate([b[i] for b in blocks])
-            assert joined.tobytes() == getattr(stored, name).tobytes(), (size, name)
-            assert getattr(streamed, name).shape == (0, 128)
-        assert streamed.field_times.size == 0
-        assert streamed.output_series.tobytes() == stored.output_series.tobytes()
+    streamed = run(field_stride=20, consume=consume)
+    assert handed == list(range(n))
+    for i, name in enumerate(names):
+        assert np.stack([r[i] for r in rows]).tobytes() == getattr(stored, name).tobytes(), name
+        assert getattr(streamed, name).shape == (0, 128)
+    assert streamed.field_times.size == 0
+    assert streamed.output_series.tobytes() == stored.output_series.tobytes()
+
+
+@pytest.mark.parametrize("case", list(_STREAM_RUNS))
+def test_a_handed_row_is_read_only(case):
+    # a consumer that writes into a row it is handed fails to, and the run
+    # goes on unchanged: its series are those of a run that only reads
+    run = _STREAM_RUNS[case]
+    reader = run(field_stride=20, consume=lambda j, *fields: None)
+    failed = []
+
+    def consume(j, *fields):
+        for row in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                row *= 2.0
+        failed.append(j)
+
+    writer = run(field_stride=20, consume=consume)
+    assert failed == list(range(41))
+    assert writer.output_series.tobytes() == reader.output_series.tobytes()
+    assert writer.input_series.tobytes() == reader.input_series.tobytes()
 
 
 @pytest.mark.parametrize("stride", [0, -1, True, 1.5, "20", np.float64(20.0)])
