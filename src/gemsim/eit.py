@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, Grid, _check_exchange
-from .solver import _field_rows, _march, _readonly, _snapshot_rows
+from .solver import RunRecord, _field_rows, _march, _snapshot_rows
 from .solver import cumulative_simpson  # noqa: F401  (kept for perfbench/tracing.py)
 
 __all__ = ["EitConfig", "EitRecord", "run_eit", "eit_polariton", "omega_c_schedule"]
@@ -103,23 +103,11 @@ def omega_c_schedule(config: EitConfig, t):
 
 
 @dataclass(frozen=True)
-class EitRecord:
-    """Histories of a storage run: the series at every step, and E, P and
-    S rows at the stored times in field_times (as in FieldRecord, none
-    when the rows went to a consumer)."""
+class EitRecord(RunRecord):
+    """Histories of a storage run: a RunRecord whose P rows are its
+    polarisation, with the S rows at the same stored times in spin_wave."""
 
-    times: np.ndarray
-    input_series: np.ndarray
-    output_series: np.ndarray
-    field_times: np.ndarray
-    e_field: np.ndarray
-    polarisation: np.ndarray
     spin_wave: np.ndarray
-    config: EitConfig
-
-    @property
-    def grid(self) -> Grid:
-        return self.config.grid
 
 
 def _pair_propagator(omega: np.ndarray, span: float):
@@ -202,7 +190,6 @@ def run_eit(
     out, _ = _march(begin, finish, ein, ein_mid, 1j * kappa, 1.0 / (grid.nz - 1), t, keep,
                     (P, S), consume)
 
-    _readonly(out, e_rows, p_rows, s_rows)
     return EitRecord(
         times=t,
         input_series=ein,

@@ -12,9 +12,9 @@ its run records, and each check compares one of them with its target.
 GEM and EIT runs write their input/output series through one function.
 Every field_stride-th row streams from the solver's march, maps or not,
 one row at a time as it makes them, into the maps and the scalars that
-read them: a run holds copies of the single rows a scalar reads, never
-the rows' history.  Each such row is picked once, on the strided times the
-load checks use.  A run calls the readers a caller with a stored record
+read them: a run holds the single rows a scalar reads (copies, or the
+EIT polariton row), never the rows' history.  Each such row is picked
+once, on the strided times the load checks use.  A run calls the readers a caller with a stored record
 calls, which take the rows they read: KSpaceRecord.push and eit_polariton
 on each row, then centroid_series, phi_residual,
 input_spectrum_correlation and envelope_correlation.
@@ -416,15 +416,6 @@ class _ArtifactWriter:
         self.files.append({"name": path.name, "sha256": h.hexdigest(), "bytes": path.stat().st_size})
 
 
-def _keep_rows(kept: dict, j: int, wanted) -> None:
-    """Copy into kept[key] each row a scalar reads, as it arrives: wanted
-    holds (key, index, row) with index a stored-row index (or None) and row
-    the row at stored-row index j."""
-    for key, index, row in wanted:
-        if index == j:
-            kept[key] = row.copy()
-
-
 def _nearest_row(field_times: np.ndarray, t: float) -> int:
     """Index of the stored row nearest time t (the first of a tie)."""
     return int(np.argmin(np.abs(field_times - t)))
@@ -472,7 +463,9 @@ def envelope_correlation(record: EitRecord, polariton_row: np.ndarray) -> float:
     v_g = 1.0 / cfg.group_delay  # normalized length per us
     z_norm = np.linspace(0.0, 1.0, record.grid.nz)
     env_t = np.abs(record.input_series)
-    span = max(2.0 * cfg.ramp_tau, 1.0)
+    # at most the run's length: capture times further out map only the
+    # input's end values, and 2*ramp_tau may be past the float range
+    span = min(max(2.0 * cfg.ramp_tau, 1.0), record.grid.t_max)
     best = -1.0
     for t_cap in np.linspace(cfg.switch_down - 2.0 * span, cfg.switch_down + span, 61):
         env = np.interp(t_cap - z_norm / v_g, record.times, env_t)
@@ -532,7 +525,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     field_maps = ["e_field_mag.npy", "polarisation_mag.npy"] if dump_fields else []
     kspace_maps = ["psi_mag.npy", "phi_mag.npy"] if kspace else []
     ks = KSpaceRecord.empty(config, times) if kspace else None
-    kept = {}
+    kept = {}  # copies of the rows the scalars read
 
     with writer.npy(field_maps + kspace_maps, times, config.grid.nz) as push:
         def consume(j, e, a):
@@ -541,8 +534,10 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
                 push(j, field_rows)
             else:
                 ks.push(j, e, a, lambda psi, phi: push(j, [*field_rows, psi, phi]))
-            _keep_rows(kept, j, (("spectrum", spectrum_row, a), ("residual_e", residual_row, e),
-                                 ("residual_a", residual_row, a)))
+            if j == spectrum_row:
+                kept["spectrum"] = a.copy()
+            if j == residual_row:
+                kept["residual"] = e.copy(), a.copy()
 
         record = run_gem(config, spec.pulse, field_stride=params["field_stride"], consume=consume)
     _write_record(writer, record, {}, field_maps)
@@ -577,7 +572,7 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
         writer.csv("centroid.csv", "t_us,k_centroid,eta",
                    (times, centroid_series(ks), config.stark.eval(times)))
         try:
-            residual = phi_residual(ks, residual_row, kept["residual_e"], kept["residual_a"])
+            residual = phi_residual(ks, residual_row, *kept["residual"])
         except ValueError:  # decay has emptied the row: NaN, which fails its check
             residual = math.nan
         scalars["phi_residual_mid_storage"] = residual
@@ -606,8 +601,9 @@ def _hold_rows(config: EitConfig, input_window, field_times: np.ndarray) -> np.n
 def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     """An EIT run whose field_stride-th rows stream, one at a time, into the
     maps it writes with dump_fields (|E|, |S| and the |polariton|), into
-    the spin-wave drift of its hold rows, read against the first, and into
-    a copy of the polariton row its envelope correlation reads."""
+    the spin-wave drift of its hold rows, read against the first (NaN when
+    the first is empty), and into the polariton row its envelope
+    correlation reads."""
     config: EitConfig = spec.config
     params = spec.params
     in_win, echo_win = params["input_window"], params["echo_window"]
@@ -616,16 +612,17 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     envelope_row = _nearest_row(
         times, params.get("envelope_time", 0.5 * (config.switch_down + config.switch_up)))
     maps = ["e_field_mag.npy", "spin_wave_mag.npy", "polariton_mag.npy"] if dump_fields else []
-    kept = {}
+    polariton = None  # the polariton row the envelope correlation reads
     ref = ref_norm = None  # |S| of the first hold row and its norm
     worst = 0.0  # largest distance of a hold row's |S| from ref
 
     with writer.npy(maps, times, config.grid.nz) as push:
         def consume(j, e, p, s):
-            nonlocal ref, ref_norm, worst
+            nonlocal polariton, ref, ref_norm, worst
             if dump_fields:
                 push(j, [e, s, eit_polariton(config, times[j], e, s)])
-            _keep_rows(kept, j, (("envelope_e", envelope_row, e), ("envelope_s", envelope_row, s)))
+            if j == envelope_row:
+                polariton = eit_polariton(config, times[j], e, s)
             if hold[j]:
                 profile = np.abs(s)
                 if ref is None:
@@ -637,9 +634,8 @@ def _eit_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     _write_record(writer, record, {"omega_c": omega_c_schedule(config, record.times)}, maps)
     scalars = {"sigma": efficiency_numeric(record, in_win, echo_win)}
     if ref is not None:
-        scalars["spinwave_drift"] = float(worst / ref_norm)
-    polariton = eit_polariton(config, times[envelope_row], kept["envelope_e"],
-                              kept["envelope_s"])
+        # NaN against an empty reference row, which fails its check
+        scalars["spinwave_drift"] = float(worst / ref_norm) if ref_norm else math.nan
     scalars["envelope_corr"] = envelope_correlation(record, polariton)
     return scalars
 

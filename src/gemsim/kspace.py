@@ -14,6 +14,7 @@ polariton_norm) take the rows they read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -111,8 +112,10 @@ def _running_total(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=-1, out=x)[..., -1]
 
 
+@cache
 def _k_axis(grid) -> np.ndarray:
-    """The centered k axis of the z grid, read-only."""
+    """The centered k axis of the z grid, read-only, built once per grid
+    (so every caller shares the one array)."""
     k = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(grid.nz, d=grid.dz))
     k.setflags(write=False)
     return k

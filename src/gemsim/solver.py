@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from .core import GemConfig, Grid, PulseSpec
 
-__all__ = ["FieldRecord", "NonFiniteFieldError", "run_gem", "cumulative_simpson"]
+__all__ = ["RunRecord", "FieldRecord", "NonFiniteFieldError", "run_gem", "cumulative_simpson"]
 
 
 class NonFiniteFieldError(RuntimeError):
@@ -100,30 +100,38 @@ def cumulative_simpson(f: np.ndarray, dx, out: Optional[np.ndarray] = None) -> n
 
 
 @dataclass(frozen=True)
-class FieldRecord:
-    """Space-time history of a run.
-
-    input_series/output_series/alpha_norm_series are kept at every step;
-    e_field and polarisation hold one row per time in field_times, the
-    steps the run was asked to store (possibly none; none when its rows
-    went to a consumer instead, see run_gem).
-    The discrete Maxwell relation E(z,t) = input_series(t) + i*N*cumint(alpha)
-    holds row by row.  config is the run's configuration, the one place its
-    parameters are read from; grid is config.grid.
-    """
+class RunRecord:
+    """The record shape both solvers share: the input and output series at
+    every time in times, and the E and polarisation rows at the stored
+    times in field_times (none when the run's rows went to a consumer
+    instead, see run_gem).  config is the run's configuration, the one
+    place its parameters are read from; grid is config.grid.  Every array
+    a record holds is made read-only when the record is made."""
 
     times: np.ndarray
     input_series: np.ndarray
     output_series: np.ndarray
-    alpha_norm_series: np.ndarray
     field_times: np.ndarray
     e_field: np.ndarray
     polarisation: np.ndarray
-    config: GemConfig
+    config: Any
+
+    def __post_init__(self):
+        _readonly(*(v for v in vars(self).values() if isinstance(v, np.ndarray)))
 
     @property
     def grid(self) -> Grid:
         return self.config.grid
+
+
+@dataclass(frozen=True)
+class FieldRecord(RunRecord):
+    """Space-time history of a GEM run: a RunRecord whose
+    alpha_norm_series, dz*sum|alpha|^2, is kept at every step.  The
+    discrete Maxwell relation E(z,t) = input_series(t) + i*N*cumint(alpha)
+    holds row by row."""
+
+    alpha_norm_series: np.ndarray
 
 
 def _operator_builder(z0: float, dz: float, nz: int, dt: float, gamma: float, g: float):
@@ -275,15 +283,16 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
     step, into buffers allocated once.  Returns the output E(z_max, t) and the norm
     dz*sum|state[-1]|^2 (one einsum pass over its real view, no BLAS call).
 
-    The (E, *state) rows at the time indices `keep` (any strictly
-    increasing subset of range(nt), with or without step 0, possibly
-    empty) go to consume(j, e, *state_rows) one at a time, as soon as the
-    step makes them: j is the row's place in keep, and the rows are
-    read-only views of the live arrays, made once, which the next step
-    overwrites, so a consumer copies what it keeps.  The loop holds no row
-    buffer, whatever the number of rows.  Raises NonFiniteFieldError at the
-    first step where the output or the norm is not finite (the rows already
-    handed on stay handed on).
+    Every time index, 0 included, goes through one block: its output and
+    norm are recorded and checked, and then, if it is in `keep` (any
+    strictly increasing subset of range(nt), possibly empty), its
+    (E, *state) rows go to consume(j, e, *state_rows): j is the row's
+    place in keep, and the rows are read-only views of the live arrays,
+    made once, which the next step overwrites, so a consumer copies what
+    it keeps.  The loop holds no row buffer, whatever the number of rows.
+    Raises NonFiniteFieldError at the first time index where the output or
+    the norm is not finite; its rows are not handed on (the earlier ones
+    stay handed on).
     """
     nt = times.size
     E = np.full(state[0].size, ein[0], dtype=complex)
@@ -292,20 +301,28 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
     step = coupling * dz
     out = np.empty(nt, dtype=complex)
     norm = np.empty(nt)
-    out[0] = E[-1]
     v = state[-1].view(float)
-    norm[0] = float(np.einsum("i,i->", v, v)) * dz
     rows = [f.view() for f in (E, *state)]
     _readonly(*rows)
     # keep is walked in order: row j is handed on at time index next_row
     # (nt once every row is handed on)
     pending = enumerate(map(int, keep))
     j, next_row = next(pending, (-1, nt))
-    if next_row == 0:
-        consume(j, *rows)
-        j, next_row = next(pending, (-1, nt))
 
-    for n in range(nt - 1):
+    for n in range(nt):
+        e_out = E.item(-1)
+        a_norm = float(np.einsum("i,i->", v, v)) * dz
+        out[n] = e_out
+        norm[n] = a_norm
+        if not (math.isfinite(a_norm) and math.isfinite(e_out.real)
+                and math.isfinite(e_out.imag)):
+            raise NonFiniteFieldError(n, times[n])
+        if n == next_row:
+            consume(j, *rows)
+            j, next_row = next(pending, (-1, nt))
+        if n == nt - 1:
+            break
+
         rot, w, w_corr = begin(n)
         np.multiply(w, E, out=src)
         src += rot
@@ -324,17 +341,6 @@ def _march(begin, finish, ein, ein_mid, coupling, dz, times, keep, state, consum
         a = ein[n + 1]
         if a:
             E += a
-
-        e_out = E.item(-1)
-        a_norm = float(np.einsum("i,i->", v, v)) * dz
-        out[n + 1] = e_out
-        norm[n + 1] = a_norm
-        if not (math.isfinite(a_norm) and math.isfinite(e_out.real)
-                and math.isfinite(e_out.imag)):
-            raise NonFiniteFieldError(n + 1, times[n + 1])
-        if n + 1 == next_row:
-            consume(j, *rows)
-            j, next_row = next(pending, (-1, nt))
     return out, norm
 
 
@@ -446,7 +452,6 @@ def run_gem(
     if carrier != 0.0:
         out = out * np.exp(1j * phi)
 
-    _readonly(out, anorm, e_rows, a_rows, ein_true)
     return FieldRecord(
         times=t,
         input_series=ein_true,

@@ -1220,10 +1220,14 @@ class TestBoundarySweep:
         assert loaded > 500
 
     # a phase below 1e-8 at every site on every step (eta0, ramp_tau), a
-    # decay rate whose square overflows (gamma) and an N/g past the float
-    # range (g)
+    # decay rate whose square overflows (gamma), an N/g past the float
+    # range (g), an EIT spin-wave drift read against an empty first hold
+    # row (switch_down, gamma_e) and an EIT capture scan whose span is past
+    # the float range (ramp_tau)
     RUN_ALWAYS = ("fig3_gem:config.stark.eta0=1e-300", "fig3_gem:config.stark.ramp_tau=1e+308",
-                  "fig3_gem:config.gamma=1e+308", "fig3_gem:config.g=5e-324")
+                  "fig3_gem:config.gamma=1e+308", "fig3_gem:config.g=5e-324",
+                  "fig3_eit:config.switch_down=-1e+308", "fig3_eit:config.gamma_e=1e-300",
+                  "fig3_eit:config.ramp_tau=1e+308")
 
     def test_a_sample_of_loaded_fig3_variants_runs_to_a_verdict(self, tmp_path, capsys):
         path = tmp_path / "variant.json"

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -293,6 +293,21 @@ def test_a_handed_row_is_read_only(case):
     assert writer.input_series.tobytes() == reader.input_series.tobytes()
 
 
+@pytest.mark.parametrize("case", list(_STREAM_RUNS))
+def test_every_array_of_a_record_is_read_only(case):
+    # stored and streamed, GEM and EIT: each of the seven arrays a record
+    # holds refuses a write
+    run = _STREAM_RUNS[case]
+    for record in (run(field_stride=20), run(field_stride=20, consume=lambda j, *rows: None)):
+        arrays = {f.name: getattr(record, f.name) for f in fields(record)
+                  if isinstance(getattr(record, f.name), np.ndarray)}
+        assert len(arrays) == 7, sorted(arrays)
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+
 @pytest.mark.parametrize("stride", [0, -1, True, 1.5, "20", np.float64(20.0)])
 @pytest.mark.parametrize("case", ["abrupt", "eit"])
 def test_a_stride_that_is_not_a_positive_integer_is_rejected(case, stride):
@@ -408,12 +423,15 @@ def test_ramped_schedule_builds_every_step_into_one_buffer(monkeypatch):
     assert len({address for _, address in builds}) == 1
 
 
-@pytest.mark.parametrize("run, config", [
+_GUARDED_RUNS = [
     (run_gem, small_config()),
     (run_eit, EitConfig(n_atoms=400.0, g=1.0, omega_c0=20.0, switch_down=14.0,
                         switch_up=30.0, ramp_tau=1.0,
                         grid=Grid(z_min=0.0, z_max=1.0, nz=64, t_max=40.0, nt=1601))),
-], ids=["gem", "eit"])
+]
+
+
+@pytest.mark.parametrize("run, config", _GUARDED_RUNS, ids=["gem", "eit"])
 def test_non_finite_input_stops_at_the_first_bad_step(run, config):
     # zero before t = 10 us, NaN from then on
     pulse = PulseSpec(kind="plane_wave_window", amplitude=float("nan"), window=(10.0, 20.0))
@@ -423,6 +441,19 @@ def test_non_finite_input_stops_at_the_first_bad_step(run, config):
         run(config, pulse)
     assert info.value.time_index == first > 0
     assert info.value.time == t[first]
+
+
+@pytest.mark.parametrize("run, config", _GUARDED_RUNS, ids=["gem", "eit"])
+def test_a_non_finite_input_at_t_0_stops_at_time_index_0(run, config):
+    # step 0 passes the guard like every other step, and its rows are not
+    # handed on
+    pulse = PulseSpec(kind="plane_wave_window", amplitude=float("nan"), window=(0.0, 20.0))
+    handed = []
+    with pytest.raises(NonFiniteFieldError) as info:
+        run(config, pulse, field_stride=1, consume=lambda j, *rows: handed.append(j))
+    assert info.value.time_index == 0
+    assert info.value.time == 0.0
+    assert handed == []
 
 
 @pytest.mark.parametrize("run, config", [
