@@ -46,7 +46,8 @@ class EitConfig:
 
     n_atoms is the total atom number; g and omega_c0 are in units of the
     excited decay; gamma_e (1/us) is that decay and fixes the physical
-    time scale; switch_down/switch_up/ramp_tau are in us.  The normalised
+    time scale; switch_down/switch_up/ramp_tau are in us.  z is normalised
+    to the cell, so the grid's z runs over [0, 1].  The normalised
     step dtau = dt*gamma_e must resolve the field/polarisation exchange,
     g^2*n_atoms*dtau/(2*pi) <= 2, the bound GemConfig applies, and the
     group delay must be positive and finite.
@@ -70,6 +71,8 @@ class EitConfig:
             raise ConfigError("switch_down must precede switch_up")
         if self.grid.nz < 3:
             raise ConfigError("nz must be >= 3 for the field quadrature")
+        if (self.grid.z_min, self.grid.z_max) != (0.0, 1.0):
+            raise ConfigError("EIT's z is normalised to the cell: z must run from 0 to 1")
         # the GEM exchange guard with g*N*L -> g^2*n_atoms (z normalised to
         # the cell) and dt -> the normalised step
         _check_exchange(
@@ -187,7 +190,7 @@ def run_eit(
         np.add(P, np.multiply(src_p, src, out=tmp), out=P)
         np.add(S, np.multiply(src_s, src, out=src), out=S)
 
-    out, _ = _march(begin, finish, ein, ein_mid, 1j * kappa, 1.0 / (grid.nz - 1), t, keep,
+    out, _ = _march(begin, finish, ein, ein_mid, 1j * kappa, grid.dz, t, keep,
                     (P, S), consume)
 
     return EitRecord(

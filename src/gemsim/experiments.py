@@ -15,7 +15,7 @@ one row at a time as it makes them, into the maps and the scalars that
 read them: a run holds the single rows a scalar reads (copies, or the
 EIT polariton row), never the rows' history.  Each such row is picked
 once, on the strided times the load checks use.  A run calls the readers a caller with a stored record
-calls, which take the rows they read: KSpaceRecord.push and eit_polariton
+calls, which take the rows they read: kspace.row_step and eit_polariton
 on each row, then centroid_series, phi_residual,
 input_spectrum_correlation and envelope_correlation.
 Artifacts are 1-D series as CSV with fixed full-precision formatting, 2-D
@@ -42,7 +42,7 @@ import numpy as np
 from .core import (ConfigError, GemConfig, Grid, PulseSpec, StarkProfile,
                    make_plane_wave_mode)
 from .eit import EitConfig, EitRecord, eit_polariton, omega_c_schedule, run_eit
-from .kspace import KSpaceRecord, centroid_series, phi_residual
+from .kspace import KSpaceRecord, centroid_series, phi_residual, row_step
 from .kspace import to_kspace  # noqa: F401  (traced by perfbench)
 from .metrics import (
     SweepRow,
@@ -512,8 +512,8 @@ def _write_record(writer: _ArtifactWriter, record, columns: dict, maps):
 def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_fields: bool):
     """A GEM run whose field_stride-th rows stream, one at a time, into the
     maps it writes (|E| and |alpha| with dump_fields; kspace_report's |Psi|
-    and |Phi|, from the k-space view's row step, which keeps each row's
-    power and centroid) and into the copies of the single rows its scalars
+    and |Phi|, from the k-space row step, whose row power and centroid make
+    the k-space view) and into the copies of the single rows its scalars
     read."""
     config: GemConfig = spec.config
     params = spec.params
@@ -524,16 +524,16 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
     residual_row = _residual_row(config, params, times) if kspace else None
     field_maps = ["e_field_mag.npy", "polarisation_mag.npy"] if dump_fields else []
     kspace_maps = ["psi_mag.npy", "phi_mag.npy"] if kspace else []
-    ks = KSpaceRecord.empty(config, times) if kspace else None
+    power, centroid = np.empty((2, times.size))  # the k-space view's row values
     kept = {}  # copies of the rows the scalars read
 
     with writer.npy(field_maps + kspace_maps, times, config.grid.nz) as push:
         def consume(j, e, a):
-            field_rows = [e, a] if dump_fields else []
-            if ks is None:
-                push(j, field_rows)
-            else:
-                ks.push(j, e, a, lambda psi, phi: push(j, [*field_rows, psi, phi]))
+            rows = [e, a] if dump_fields else []
+            if kspace:
+                psi, phi, power[j], centroid[j] = row_step(e, a, config)
+                rows += [psi, phi]
+            push(j, rows)
             if j == spectrum_row:
                 kept["spectrum"] = a.copy()
             if j == residual_row:
@@ -565,7 +565,8 @@ def _gem_artifacts(spec: ExperimentSpec, writer: _ArtifactWriter, workers, dump_
             0.5 * sum(pulse.window) if pulse.kind == "plane_wave_window" else pulse.center)
         scalars["spectrum_corr"] = input_spectrum_correlation(record, kept["spectrum"], eta_abs)
 
-    if ks is not None:
+    if kspace:
+        ks = KSpaceRecord(config, times, power, centroid)
         # k-space maps: one row per stored time, t_us then |value| on k_axis.csv
         writer.csv("k_axis.csv", "k_per_mm", (ks.k_axis,))
         writer.register(kspace_maps)

@@ -5,9 +5,9 @@ lossless combination Psi(k,t) = k*E(k,t) + N*alpha(k,t) is transported at
 dk/dt = -eta(t), while the orthogonal combination
 Phi(k,t) = k*E(k,t) - N*alpha(k,t) stays unexcited wherever the interior
 field/polarisation relation holds.  A KSpaceRecord keeps only the |Psi|^2
-power and the k centroid of each stored row.  Its one row step,
-KSpaceRecord.push, takes a row either from a record (to_kspace) or as a
-run's march hands it on; the readers of single rows (phi_residual,
+power and the k centroid of each stored row, made by the one row step,
+row_step, from a record's rows (to_kspace) or from each row a run's
+march hands on; the readers of single rows (phi_residual,
 polariton_norm) take the rows they read.
 """
 
@@ -23,6 +23,7 @@ from .solver import FieldRecord, _readonly
 
 __all__ = [
     "KSpaceRecord",
+    "row_step",
     "to_kspace",
     "modes",
     "k_centroid",
@@ -43,45 +44,37 @@ class KSpaceRecord:
     dk = 2*pi/(nz*dz).  Transforms are scaled so that sum |f~|^2 dk equals
     the plain rectangle sum of |f|^2 dz.  The grid and the linear density
     are read from config.  The view holds no field row and no Psi/Phi map:
-    per stored time it keeps only the |Psi|^2 row power and the k centroid,
-    which push fills a row at a time; the readers that need rows
+    per stored time it keeps only the |Psi|^2 row power and the k centroid
+    that row_step makes, read-only; the readers that need rows
     (phi_residual, polariton_norm, modes) take the rows they read.
     """
 
     config: GemConfig
     times: np.ndarray
-    k_axis: np.ndarray
     _row_power: np.ndarray  # sum_k |Psi|^2 at each stored time
     _centroid: np.ndarray  # sum(k w) / sum(w), w = |Psi|^2, summed left to right
 
-    @classmethod
-    def empty(cls, config: GemConfig, times: np.ndarray) -> KSpaceRecord:
-        """A view at the stored times `times` whose row values push fills
-        (nan until then)."""
-        row_power, centroid = np.full((2, times.size), np.nan)
-        return cls(config, times, _k_axis(config.grid), row_power, centroid)
+    def __post_init__(self):
+        _readonly(self.times, self._row_power, self._centroid)
 
-    def push(self, j: int, e: np.ndarray, a: np.ndarray, write=None) -> None:
-        """The row step: Psi and Phi of the E and alpha rows at times[j],
-        handed to write(psi, phi) when given (the .npy maps), then |Psi|^2
-        squared in place in one |Psi| row once Psi and Phi are gone, and
-        from it the row's power and its centroid over k != 0, summed left
-        to right along k.  At most E~, alpha~ and Psi are alive together,
-        and the values are those of the whole-array expressions, bit for
-        bit."""
-        psi, phi = modes(e, a, self.config)
-        if write is not None:
-            write(psi, phi)
-        w = np.abs(psi)
-        del psi, phi  # Psi and Phi go before the row values are made
-        np.square(w, out=w)
-        k = self.k_axis
-        sel = k != 0.0
-        w_sel = w[sel]
-        kw = k[sel] * w_sel
-        with np.errstate(divide="ignore", invalid="ignore"):  # a row with no weight
-            self._centroid[j] = _running_total(kw) / _running_total(w_sel)
-        self._row_power[j] = np.sum(w)
+    @property
+    def k_axis(self) -> np.ndarray:
+        return _k_axis(self.config.grid)
+
+
+def row_step(e: np.ndarray, a: np.ndarray, config: GemConfig):
+    """The row step: Psi and Phi of one E and alpha row (see modes), and
+    from w = |Psi|^2 the row's power and its centroid over k != 0, summed
+    left to right along k.  Returns (psi, phi, power, centroid); the
+    values are those of the whole-array expressions, bit for bit."""
+    psi, phi = modes(e, a, config)
+    w = np.square(np.abs(psi))
+    k = _k_axis(config.grid)
+    sel = k != 0.0
+    w_sel = w[sel]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row with no weight
+        centroid = _running_total(k[sel] * w_sel) / _running_total(w_sel)
+    return psi, phi, np.sum(w), centroid
 
 
 def _transform(rows: np.ndarray, dz: float) -> np.ndarray:
@@ -124,20 +117,18 @@ def _k_axis(grid) -> np.ndarray:
 def to_kspace(record: FieldRecord) -> KSpaceRecord:
     """Transform the stored field rows of a run to k-space normal modes.
 
-    The record's rows go through KSpaceRecord.push one at a time, as a run
-    that streams its rows hands each row of its march to push; per row the
-    view keeps only the |Psi|^2 power and the one k centroid that
-    k_centroid and centroid_series report.  No Psi/Phi map is kept.
-    ValueError for a record that stores no rows (a run without a
-    field_stride).
+    The record's rows go through row_step one at a time, as a run that
+    streams its rows hands each row of its march to it; per row the view
+    keeps only the |Psi|^2 power and the one k centroid that k_centroid
+    and centroid_series report.  No Psi/Phi map is kept.  ValueError for a
+    record that stores no rows (a run without a field_stride).
     """
     if record.field_times.size == 0:
         raise ValueError("the record stores no field rows: run it with a field_stride")
-    ks = KSpaceRecord.empty(record.config, record.field_times)
+    power, centroid = np.empty((2, record.field_times.size))
     for j, (e, a) in enumerate(zip(record.e_field, record.polarisation)):
-        ks.push(j, e, a)
-    _readonly(ks._row_power, ks._centroid)
-    return ks
+        _, _, power[j], centroid[j] = row_step(e, a, record.config)
+    return KSpaceRecord(record.config, record.field_times, power, centroid)
 
 
 def _lit(row_power: np.ndarray) -> np.ndarray:

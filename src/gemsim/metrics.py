@@ -322,23 +322,21 @@ def _gem_windows(config: GemConfig):
     return (0.0, ts), (ts, config.grid.t_max)
 
 
-def _mode_run(config: GemConfig, n: int, interval):
-    """Carrier-gauge run of plane-wave mode n on `interval`: the record (it
-    stores no field rows: the scores read its series only), its echo window
-    (switch_time, t_max) and its efficiency."""
+def _mode_run(config: GemConfig, n: int, interval) -> FieldRecord:
+    """Carrier-gauge run of plane-wave mode n on `interval` (its record
+    stores no field rows: the scores read its series only)."""
     t1, t2 = interval
     pulse = make_plane_wave_mode(n, t1, t2)
     omega = 2.0 * np.pi * n / (t2 - t1)
-    rec = run_gem(config, pulse, carrier=omega)
-    input_window, echo_window = _gem_windows(config)
-    sigma = efficiency_numeric(rec, input_window, echo_window)
-    return rec, echo_window, sigma
+    return run_gem(config, pulse, carrier=omega)
 
 
-def _score(run, delta: float) -> FidelityReport:
+def _score(rec: FieldRecord, delta: float) -> FidelityReport:
     """Recall of a solved mode run read out with offset delta (the raw
-    output when delta is 0.0), scored over its echo window."""
-    rec, echo_window, sigma = run
+    output when delta is 0.0), scored over its echo window (switch_time,
+    t_max), with the run's efficiency over the two windows of _gem_windows."""
+    input_window, echo_window = _gem_windows(rec.config)
+    sigma = efficiency_numeric(rec, input_window, echo_window)
     out = shifted_output(rec, delta) if delta != 0.0 else rec.output_series
     return fidelity(rec.input_series, out, rec.grid.dt, sigma, echo_window=echo_window)
 
@@ -389,10 +387,10 @@ def mode_fidelity_sweep(
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
         runs = pool.map(_mode_run, *tasks, chunksize=1) if pool else map(_mode_run, *tasks)
-        for (b, n), run in zip(keys, runs):
+        for (b, n), rec in zip(keys, runs):
             if b not in deltas:
-                deltas[b] = _search_delta(run, interval, halfwidth).delta
-            rep = _score(run, deltas[b])
+                deltas[b] = _search_delta(rec, interval, halfwidth).delta
+            rep = _score(rec, deltas[b])
             rows[b, n] = SweepRow(beta=b, mode_n=n, sigma=rep.sigma, fidelity=rep.fidelity,
                                   shape=rep.shape, tau_us=rep.tau, delta=deltas[b])
     finally:
@@ -422,13 +420,13 @@ def find_delta(
     """
     if search_halfwidth is None:
         search_halfwidth = _half_band(config_template)
-    run = _mode_run(config_template, probe_mode, interval)
-    return _search_delta(run, interval, search_halfwidth)
+    rec = _mode_run(config_template, probe_mode, interval)
+    return _search_delta(rec, interval, search_halfwidth)
 
 
-def _search_delta(run, interval, search_halfwidth: float) -> DeltaSearchResult:
+def _search_delta(rec: FieldRecord, interval, search_halfwidth: float) -> DeltaSearchResult:
     """find_delta's search over a solved probe run (see _mode_run)."""
-    rec, echo_window, sigma = run
+    echo_window = _gem_windows(rec.config)[1]
     # The objective is multimodal with period ~2*pi/T, so bracket the best
     # lobe with a dense scan before the golden-section refinement.
     step = 2.0 * np.pi / (interval[1] - interval[0]) / 8.0
@@ -444,19 +442,19 @@ def _search_delta(run, interval, search_halfwidth: float) -> DeltaSearchResult:
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = _score(run, c).fidelity, _score(run, d).fidelity
+    fc, fd = _score(rec, c).fidelity, _score(rec, d).fidelity
     while (b - a) > tol:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = _score(run, c).fidelity
+            fc = _score(rec, c).fidelity
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = _score(run, d).fidelity
+            fd = _score(rec, d).fidelity
     best = 0.5 * (a + b)
-    f_best = _score(run, best).fidelity
-    f_zero = _score(run, 0.0).fidelity
-    if f_best <= f_zero:
-        return DeltaSearchResult(0.0, f_zero, f_zero, False, sigma)
-    return DeltaSearchResult(float(best), float(f_best), float(f_zero), True, sigma)
+    f_best = _score(rec, best).fidelity
+    zero = _score(rec, 0.0)
+    if f_best <= zero.fidelity:
+        return DeltaSearchResult(0.0, zero.fidelity, zero.fidelity, False, zero.sigma)
+    return DeltaSearchResult(float(best), float(f_best), float(zero.fidelity), True, zero.sigma)

@@ -106,7 +106,8 @@ class RunRecord:
     times in field_times (none when the run's rows went to a consumer
     instead, see run_gem).  config is the run's configuration, the one
     place its parameters are read from; grid is config.grid.  Every array
-    a record holds is made read-only when the record is made."""
+    a record holds is made read-only when the record is made, and so again
+    when it is unpickled, which rebuilds it through its constructor."""
 
     times: np.ndarray
     input_series: np.ndarray
@@ -118,6 +119,9 @@ class RunRecord:
 
     def __post_init__(self):
         _readonly(*(v for v in vars(self).values() if isinstance(v, np.ndarray)))
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
 
     @property
     def grid(self) -> Grid:

@@ -846,6 +846,17 @@ class TestCli:
         assert capsys.readouterr().err == (
             "spec rejected: config.grid: Unable to allocate 7.28 TiB\n")
 
+    @pytest.mark.parametrize("z_min, z_max", [(-3.0, 3.0), (0.0, 2.0), (-1.0, 1.0)])
+    def test_an_eit_grid_off_the_normalised_cell_is_rejected_at_load(self, tmp_path, capsys,
+                                                                     z_min, z_max):
+        # run_eit integrates over the cell normalised to [0, 1], so other
+        # bounds would change no value, only mislabel z_axis.csv
+        path = preset_variant(tmp_path, "fig3_eit",
+                              lambda doc: doc["config"]["grid"].update(z_min=z_min, z_max=z_max))
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "spec rejected: config: EIT's z is normalised to the cell: z must run from 0 to 1\n")
+
     def test_memory_failure_after_load_exits_3(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 29.1 TiB")

@@ -9,7 +9,7 @@ from scipy.signal.windows import tukey
 from gemsim import GemConfig, Grid, StarkProfile, run_gem, to_kspace
 from gemsim.experiments import _ArtifactWriter
 from gemsim.kspace import (KSpaceRecord, _tukey, centroid_series, k_centroid, modes,
-                           phi_residual, polariton_norm)
+                           phi_residual, polariton_norm, row_step)
 from gemsim.solver import FieldRecord
 
 from conftest import small_config, small_pulse
@@ -93,6 +93,15 @@ class TestToKspace:
     def test_views_its_record_at_the_stored_times(self, stored_run, stored_ks):
         assert stored_ks.config is stored_run.config
         assert stored_ks.times is stored_run.field_times
+
+    def test_a_view_built_from_arrays_holds_them_read_only(self, stored_run):
+        times = stored_run.field_times.copy()
+        power, centroid = np.ones((2, times.size))
+        ks = KSpaceRecord(stored_run.config, times, power, centroid)
+        for arr in (ks.times, ks._row_power, ks._centroid, ks.k_axis):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
     def test_k_axis_is_dual_grid(self, stored_run, stored_ks):
         grid = stored_run.grid
@@ -190,10 +199,15 @@ class TestRowBuild:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            ks = KSpaceRecord.empty(record.config, record.field_times)
-            with writer.npy(("psi_mag.npy", "phi_mag.npy"), ks.times, nz) as push:
+            power, centroid = np.empty((2, nrows))
+            with writer.npy(("psi_mag.npy", "phi_mag.npy"), record.field_times, nz) as push:
+                def consume(j):
+                    psi, phi, power[j], centroid[j] = row_step(e[j], a[j], record.config)
+                    push(j, [psi, phi])
+
                 for j in range(nrows):
-                    ks.push(j, e[j], a[j], lambda psi, phi: push(j, [psi, phi]))
+                    consume(j)
+            ks = KSpaceRecord(record.config, record.field_times, power, centroid)
             centroid_series(ks)
             phi_residual(ks, nrows // 2, e[nrows // 2], a[nrows // 2])
             peak = tracemalloc.get_traced_memory()[1] - base

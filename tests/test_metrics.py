@@ -187,8 +187,8 @@ class TestScipyReference:
 
     @pytest.mark.parametrize("delta", [0.0, 0.7])
     def test_probe_run(self, delta):
-        rec, echo_window, _ = metrics._mode_run(small_config(beta=1.0, **SWEEP_KW), 0,
-                                                (6.0, 10.0))
+        rec = metrics._mode_run(small_config(beta=1.0, **SWEEP_KW), 0, (6.0, 10.0))
+        echo_window = metrics._gem_windows(rec.config)[1]
         out = shifted_output(rec, delta)
         self._assert_equal(rec.input_series, out, rec.grid.dt)
         self._assert_equal(rec.input_series, out, rec.grid.dt, echo_window)
@@ -402,7 +402,8 @@ class TestOffsetScan:
 
     @pytest.fixture(scope="class")
     def probe(self):
-        return metrics._mode_run(small_config(beta=1.0, **SWEEP_KW), 0, (6.0, 10.0))
+        rec = metrics._mode_run(small_config(beta=1.0, **SWEEP_KW), 0, (6.0, 10.0))
+        return rec, metrics._gem_windows(rec.config)[1]
 
     @staticmethod
     def _blocks(monkeypatch):
@@ -426,14 +427,14 @@ class TestOffsetScan:
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     def test_scan_shorter_than_one_block(self, probe, monkeypatch):
-        rec, echo_window, _ = probe
+        rec, echo_window = probe
         monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1 << 20)
         blocks = self._blocks(monkeypatch)
         self._assert_matches_fidelity(rec, echo_window, np.linspace(-2.0, 2.0, 22))
         assert blocks == [22]
 
     def test_last_block_partly_filled(self, probe, monkeypatch):
-        rec, echo_window, _ = probe
+        rec, echo_window = probe
         monkeypatch.setattr(metrics, "_BLOCK_BYTES", 1 << 17)
         blocks = self._blocks(monkeypatch)
         self._assert_matches_fidelity(rec, echo_window, np.linspace(-2.0, 2.0, 22))
@@ -444,7 +445,7 @@ class TestOffsetScan:
     def test_peak_on_a_trimmed_edge(self, probe, edge):
         # a one-sample input correlates to the output itself, so the
         # correlation peaks where |output| does: on the echo window's edge
-        rec, echo_window, _ = probe
+        rec, echo_window = probe
         t = rec.times
         e_in = np.zeros(t.size, dtype=complex)
         e_in[np.argmax(t >= 7.0)] = 1.0
@@ -457,7 +458,7 @@ class TestOffsetScan:
     def test_the_block_constant_sizes_the_scan(self, probe, monkeypatch):
         # metrics._BLOCK_BYTES, the one block size left (the march hands on
         # single rows): patched, it resizes the offset scan's blocks
-        rec, echo_window, _ = probe
+        rec, echo_window = probe
         scan_shapes = []
         fft = metrics.fft
 

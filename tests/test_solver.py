@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -306,6 +307,21 @@ def test_every_array_of_a_record_is_read_only(case):
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
+
+
+@pytest.mark.parametrize("case", ["abrupt", "eit"])
+def test_an_unpickled_record_is_read_only(case):
+    # as a record that comes back from the sweep's process pool: the same
+    # type and values, and every array refuses a write
+    run = _STREAM_RUNS[case]
+    for record in (run(field_stride=20), run(field_stride=20, consume=lambda j, *rows: None)):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy.config == record.config
+        for f in fields(record):
+            arr = getattr(copy, f.name)
+            if isinstance(arr, np.ndarray):
+                assert arr.tobytes() == getattr(record, f.name).tobytes(), f.name
+                assert not arr.flags.writeable, f.name
 
 
 @pytest.mark.parametrize("stride", [0, -1, True, 1.5, "20", np.float64(20.0)])
